@@ -15,7 +15,7 @@ from .cycres import (
     iterated_resultant_baseline,
     quick_cyclic_resultant,
 )
-from .gaussian import GaussianRational, LogMagnitude, log_abs
+from .gaussian import GaussianRational, log_abs
 from .gridsolver import (
     GridSpec,
     MembershipRecord,
@@ -48,7 +48,6 @@ __all__ = [
     "GaussianRational",
     "GridSpec",
     "LaurentPoly",
-    "LogMagnitude",
     "MembershipRecord",
     "NewtonData",
     "ParseError",

@@ -54,7 +54,12 @@ class BaselineTimeout(RuntimeError):
 
 
 class Deadline:
-    """Wall-clock budget checked at the baseline's inner loops."""
+    """Wall-clock budget of the baseline, checked before each ring step.
+
+    Every multiplication and exact division the baseline issues goes
+    through ``mul``/``div`` here, so it returns at most one such step
+    past its budget.
+    """
 
     __slots__ = ("t_end",)
 
@@ -64,6 +69,14 @@ class Deadline:
     def check(self) -> None:
         if time.perf_counter() > self.t_end:
             raise BaselineTimeout("baseline resultant exceeded its time budget")
+
+    def mul(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        self.check()
+        return mul(a, b)
+
+    def div(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        self.check()
+        return exact_div(a, b)
 
 
 def estimate_result_terms(f: LaurentPoly, copies_per_var: int) -> int:
@@ -147,7 +160,7 @@ def _uprune(a: _UnivPoly) -> _UnivPoly:
     return {t: c for t, c in a.items() if not c.is_zero}
 
 
-def _prem(a: _UnivPoly, b: _UnivPoly, deadline: Deadline | None) -> _UnivPoly:
+def _prem(a: _UnivPoly, b: _UnivPoly, deadline: Deadline) -> _UnivPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + rem."""
     deg_a = _udeg(a)
     deg_b = _udeg(b)
@@ -156,34 +169,32 @@ def _prem(a: _UnivPoly, b: _UnivPoly, deadline: Deadline | None) -> _UnivPoly:
     rem = dict(a)
     steps = 0
     while rem and (deg_r := max(rem)) >= deg_b:
-        if deadline is not None:
-            deadline.check()
         lead = rem.pop(deg_r)
         shift = deg_r - deg_b
-        scaled = dict(rem) if monic else {t: mul(c, lc_b) for t, c in rem.items()}
+        scaled = dict(rem) if monic else {t: deadline.mul(c, lc_b) for t, c in rem.items()}
         for t, c in b.items():
             if t == deg_b:
                 continue
             target = t + shift
-            delta = mul(lead, c)
+            delta = deadline.mul(lead, c)
             prev = scaled.get(target)
             scaled[target] = delta.__neg__() if prev is None else prev - delta
         rem = _uprune(scaled)
         steps += 1
     missing = (deg_a - deg_b + 1) - steps
     if missing > 0 and rem and not monic:
-        factor = _poly_pow(lc_b, missing)
-        rem = {t: mul(c, factor) for t, c in rem.items()}
+        factor = _poly_pow(lc_b, missing, deadline)
+        rem = {t: deadline.mul(c, factor) for t, c in rem.items()}
     return rem
 
 
-def _poly_pow(p: LaurentPoly, e: int) -> LaurentPoly:
+def _poly_pow(p: LaurentPoly, e: int, deadline: Deadline) -> LaurentPoly:
     result = LaurentPoly.constant(p.nvars, 1)
     base = p
     while e:
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base) if e > 1 else base
+            result = deadline.mul(result, base)
+        base = deadline.mul(base, base) if e > 1 else base
         e >>= 1
     return result
 
@@ -195,7 +206,7 @@ def _is_one(p: LaurentPoly) -> bool:
     return not any(e) and c == 1
 
 
-def _resultant_univ(a: _UnivPoly, b: _UnivPoly, nvars: int, deadline: Deadline | None) -> LaurentPoly:
+def _resultant_univ(a: _UnivPoly, b: _UnivPoly, nvars: int, deadline: Deadline) -> LaurentPoly:
     """Sylvester resultant over the Laurent coefficient ring.
 
     Fraction-free subresultant remainder sequence (the structured form of
@@ -213,8 +224,6 @@ def _resultant_univ(a: _UnivPoly, b: _UnivPoly, nvars: int, deadline: Deadline |
     g = one
     h = one
     while _udeg(b) > 0:
-        if deadline is not None:
-            deadline.check()
         deg_a, deg_b = _udeg(a), _udeg(b)
         delta = deg_a - deg_b
         if deg_a % 2 and deg_b % 2:
@@ -223,24 +232,24 @@ def _resultant_univ(a: _UnivPoly, b: _UnivPoly, nvars: int, deadline: Deadline |
         a = b
         if not rem:
             return LaurentPoly(nvars)  # positive-degree common factor
-        divisor = mul(g, _poly_pow(h, delta))
+        divisor = deadline.mul(g, _poly_pow(h, delta, deadline))
         if _is_one(divisor):
             b = rem
         else:
-            b = {t: exact_div(c, divisor) for t, c in rem.items()}
+            b = {t: deadline.div(c, divisor) for t, c in rem.items()}
         g = a[_udeg(a)]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = exact_div(_poly_pow(g, delta), _poly_pow(h, delta - 1))
+            h = deadline.div(_poly_pow(g, delta, deadline), _poly_pow(h, delta - 1, deadline))
     deg_a = _udeg(a)
-    lead = _poly_pow(b[0], deg_a)
+    lead = _poly_pow(b[0], deg_a, deadline)
     if deg_a > 1 and not _is_one(h):
-        lead = exact_div(lead, _poly_pow(h, deg_a - 1))
+        lead = deadline.div(lead, _poly_pow(h, deg_a - 1, deadline))
     return lead if sign > 0 else lead.__neg__()
 
 
-def _eliminate_variable(p: LaurentPoly, var: int, r: int, deadline: Deadline | None) -> LaurentPoly:
+def _eliminate_variable(p: LaurentPoly, var: int, r: int, deadline: Deadline) -> LaurentPoly:
     """Res_u(p with z_var scaled by u, u^r - 1), u-denominators cleared."""
     n = p.nvars
     j = var - 1
@@ -257,7 +266,7 @@ def _eliminate_variable(p: LaurentPoly, var: int, r: int, deadline: Deadline | N
         lifted[t] = coeff
 
     if _udeg(lifted) == 0:
-        return _poly_pow(lifted[0], r)  # variable absent: every factor is p itself
+        return _poly_pow(lifted[0], r, deadline)  # variable absent: every factor is p itself
 
     b: _UnivPoly = {r: LaurentPoly.constant(n, 1), 0: LaurentPoly.constant(n, -1)}
     res = _resultant_univ(b, lifted, n, deadline)
@@ -278,7 +287,9 @@ def iterated_resultant_baseline(
 
     General-purpose and exact for any r >= 1, but exponentially slower than
     the quick route as r grows; intended for cross-checks at small r. A
-    ``timeout`` in seconds raises :class:`BaselineTimeout` cooperatively.
+    ``timeout`` in seconds raises :class:`BaselineTimeout` cooperatively:
+    the deadline is checked before every ring multiplication and exact
+    division, so the call overshoots it by at most one such operation.
     """
     if f.is_zero:
         raise ValueError("cyclic resultant of the zero polynomial")
@@ -289,61 +300,11 @@ def iterated_resultant_baseline(
         raise TermBudgetError(
             f"estimated up to {estimate} output terms, over the budget of {max_terms}"
         )
-    deadline = Deadline(timeout) if timeout is not None else None
+    deadline = Deadline(math.inf if timeout is None else timeout)
     current = f
     for var in range(1, f.nvars + 1):
         current = _eliminate_variable(current, var, r, deadline)
     return current
-
-
-# -- direct Sylvester determinant, for validating the elimination ------------
-
-
-def _sylvester_matrix(a: _UnivPoly, b: _UnivPoly, nvars: int) -> list[list[LaurentPoly]]:
-    m, n = _udeg(a), _udeg(b)
-    size = m + n
-    zero = LaurentPoly(nvars)
-    rows = []
-    for i in range(n):  # n rows of a-coefficients
-        row = [zero] * size
-        for t, c in a.items():
-            row[i + (m - t)] = c
-        rows.append(row)
-    for i in range(m):  # m rows of b-coefficients
-        row = [zero] * size
-        for t, c in b.items():
-            row[i + (n - t)] = c
-        rows.append(row)
-    return rows
-
-
-def _bareiss_det(matrix: list[list[LaurentPoly]], nvars: int) -> LaurentPoly:
-    """Fraction-free determinant of a small polynomial matrix."""
-    size = len(matrix)
-    mat = [row[:] for row in matrix]
-    sign = 1
-    prev = LaurentPoly.constant(nvars, 1)
-    for k in range(size - 1):
-        if mat[k][k].is_zero:
-            swap = next((i for i in range(k + 1, size) if not mat[i][k].is_zero), None)
-            if swap is None:
-                return LaurentPoly(nvars)
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = mul(mat[i][j], pivot) - mul(mat[i][k], mat[k][j])
-                mat[i][j] = num if _is_one(prev) else exact_div(num, prev)
-            mat[i][k] = LaurentPoly(nvars)
-        prev = pivot
-    det = mat[size - 1][size - 1]
-    return det if sign > 0 else det.__neg__()
-
-
-def sylvester_resultant_direct(a: _UnivPoly, b: _UnivPoly, nvars: int) -> LaurentPoly:
-    """det of the explicit Sylvester matrix; cross-check for tiny inputs."""
-    return _bareiss_det(_sylvester_matrix(a, b, nvars), nvars)
 
 
 # -- numeric oracle -----------------------------------------------------------

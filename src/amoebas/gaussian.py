@@ -9,13 +9,12 @@ Log magnitudes need care. Squared magnitudes of cyclic-resultant
 coefficients reach 10^1600 and beyond, far outside float range, so the
 logarithm of an exact fraction is taken on a (mantissa, binary exponent)
 split of the integers involved and never by converting a big integer to
-float. A :class:`LogMagnitude` keeps that split.
+float; only the final value, which fits a float easily, is a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 LN2 = math.log(2.0)
@@ -140,39 +139,6 @@ class GaussianRational:
         return f"GaussianRational({self.re}, {self.im})"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-
-
-@dataclass(frozen=True)
-class LogMagnitude:
-    """Natural logarithm held as ``mantissa_log + exp2 * ln 2``.
-
-    The split keeps the computation exact-integer based; the combined value
-    of any quantity this package meets fits comfortably in a float, only the
-    exponentiated magnitude does not.
-    """
-
-    mantissa_log: float
-    exp2: int
-
-    @property
-    def value(self) -> float:
-        return self.mantissa_log + self.exp2 * LN2
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __add__(self, other: "LogMagnitude") -> "LogMagnitude":
-        return LogMagnitude(self.mantissa_log + other.mantissa_log, self.exp2 + other.exp2)
-
-    def __neg__(self) -> "LogMagnitude":
-        return LogMagnitude(-self.mantissa_log, -self.exp2)
-
-    def __sub__(self, other: "LogMagnitude") -> "LogMagnitude":
-        return LogMagnitude(self.mantissa_log - other.mantissa_log, self.exp2 - other.exp2)
-
-
 def _ln_positive_ratio(num: int, den: int) -> tuple[float, int]:
     """ln(num/den) for positive integers of any size, as (mantissa_log, exp2).
 
@@ -198,21 +164,21 @@ def _ln_positive_ratio(num: int, den: int) -> tuple[float, int]:
     return math.log(m), e
 
 
-def ln_fraction(value: Fraction) -> LogMagnitude:
-    """Extended-range natural log of a positive rational."""
+def ln_fraction(value: Fraction) -> float:
+    """Natural log of a positive rational of any size."""
     mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)
-    return LogMagnitude(mant, exp2)
+    return mant + exp2 * LN2
 
 
-def half_ln_fraction(value: Fraction) -> LogMagnitude:
-    """``ln(value) / 2`` of a positive rational, keeping exp2 integral."""
+def half_ln_fraction(value: Fraction) -> float:
+    """``ln(value) / 2`` of a positive rational, halving the binary exponent exactly."""
     mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)
     if exp2 % 2:
-        return LogMagnitude((mant + LN2) * 0.5, (exp2 - 1) // 2)
-    return LogMagnitude(mant * 0.5, exp2 // 2)
+        return (mant + LN2) * 0.5 + ((exp2 - 1) // 2) * LN2
+    return mant * 0.5 + (exp2 // 2) * LN2
 
 
-def log_abs(coeff: GaussianRational) -> LogMagnitude:
+def log_abs(coeff: GaussianRational) -> float:
     """ln |coeff| of a nonzero Gaussian rational, via the exact |coeff|^2."""
     if coeff.is_zero:
         raise ValueError("log magnitude of zero")

@@ -17,9 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .lopsided import CertificateError, TermTable, choose_level, order_from_certificate
+from .lopsided import TAU, TermTable, choose_level, pool_map, thread_count
 from .poly import LaurentPoly
 
 MAX_GRID_POINTS = 10**7
@@ -113,29 +111,12 @@ class MembershipRecord:
             raise ValueError("level and order must be present exactly when certified")
 
 
-def thread_count(threads=None):
-    """Worker count: the argument if given, else AMOEBA_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("AMOEBA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _classify_chunked(table, rows, den, threads):
     # bound the N x T value matrix at roughly 32 MB per chunk
     chunk = max(1, min(4096, (1 << 22) // max(1, len(table))))
     pieces = [rows[i : i + chunk] for i in range(0, len(rows), chunk)]
-    if threads > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(lambda part: table.classify(part, den), pieces))
-    else:
-        outs = [table.classify(part, den) for part in pieces]
-    ok = np.concatenate([o[0] for o in outs])
-    idx = np.concatenate([o[1] for o in outs])
-    return ok, idx
+    outs = pool_map(lambda part: table.classify(part, den), pieces, threads)
+    return tuple(np.concatenate([o[k] for o in outs]) for k in range(3))
 
 
 def approximate_amoeba(
@@ -171,7 +152,12 @@ def approximate_amoeba(
 
     points = make_grid(spec, max_points=max_points)
     den = math.lcm(*(x.denominator for x in spec.lo), spec.step.denominator)
-    rows = [tuple(x.numerator * (den // x.denominator) for x in pt) for pt in points]
+    # integer numerators over den, axis by axis, in make_grid's order
+    axes = [
+        range(int(lo * den), int(hi * den) + 1, int(spec.step * den))
+        for lo, hi in zip(spec.lo, spec.hi)
+    ]
+    rows = list(product(*axes))
 
     verdicts: list[MembershipRecord | None] = [None] * len(points)
     pending = list(range(len(points)))
@@ -179,21 +165,21 @@ def approximate_amoeba(
         if not pending:
             break
         g = f if level == 0 else quick_cyclic_resultant(f, level, max_terms=max_terms)
-        table = TermTable(g)
-        ok, idx = _classify_chunked(table, [rows[i] for i in pending], den, threads)
+        table = TermTable(g, level)
+        ok, idx, margin = _classify_chunked(table, [rows[i] for i in pending], den, threads)
+        dropped = int(np.count_nonzero(margin > TAU)) - int(np.count_nonzero(ok))
+        if dropped:
+            warnings.warn(
+                f"level {level}: dropped {dropped} certificate(s) whose dominating "
+                "exponent carries no component order"
+            )
+        orders = table.orders
         still = []
-        for pos, i in enumerate(pending):
-            if not ok[pos]:
+        for i, hit, peak in zip(pending, ok.tolist(), idx.tolist()):
+            if hit:
+                verdicts[i] = MembershipRecord(points[i], False, level, orders[peak])
+            else:
                 still.append(i)
-                continue
-            dominant = table.exponents[int(idx[pos])]
-            try:
-                order = _order_of(dominant, level, f.nvars)
-            except CertificateError as exc:
-                warnings.warn(f"dropping certificate at {points[i]}: {exc}")
-                still.append(i)
-                continue
-            verdicts[i] = MembershipRecord(points[i], False, level, order)
         pending = still
     for i in pending:
         verdicts[i] = MembershipRecord(points[i], True, None, None)
@@ -206,19 +192,6 @@ def _shifted_degree(f):
     # and does not move the amoeba
     mins = [f.exponent_range(v)[0] for v in range(1, f.nvars + 1)]
     return max(sum(e[i] - mins[i] for i in range(f.nvars)) for e in f.terms)
-
-
-def _order_of(dominant, level, nvars):
-    div = 1 << (level * nvars)
-    order = []
-    for e in dominant:
-        q, r = divmod(e, div)
-        if r:
-            raise CertificateError(
-                f"dominating exponent {dominant} is not divisible by {div}"
-            )
-        order.append(q)
-    return tuple(order)
 
 
 def records_to_csv(records, stream):

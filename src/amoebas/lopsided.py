@@ -12,17 +12,24 @@ A certificate also reveals which complement component the point sits
 in.  When the tested polynomial folds together 2^level root-of-unity
 substitutions per variable, the dominating exponent is 2^(level*nvars)
 times the component's order vector, so dividing recovers the order.
+A ``TermTable`` does that division once per term when it is built;
+grids, point queries and rasters all certify a point by its peak term
+outweighing the rest and carrying an order, and read the order from
+the table.
 
 Scalar and batched queries share one float pipeline: inner products are
 float(exact integer) / float(common denominator), and ties between
 equal values resolve to the earliest term in graded-lex descending
 order.  A point is therefore classified identically no matter which
-route tested it or how the batch was chunked.
+route tested it, how the batch was chunked or how many worker threads
+(``pool_map``) ran the chunks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,18 +79,40 @@ def point_numerators(w, nvars):
     return nums, den
 
 
+def exponent_order(e, level):
+    """e / 2^(level*len(e)) coordinatewise, or None when it does not divide."""
+    div = 1 << (level * len(e))
+    return tuple(v // div for v in e) if all(v % div == 0 for v in e) else None
+
+
 class TermTable:
-    """Precomputed per-term data for repeated lopsidedness queries."""
+    """Precomputed per-term data for repeated lopsidedness queries.
 
-    __slots__ = ("nvars", "exponents", "logb", "_emat", "_row_bound", "_fmat")
+    level is the fold level of p.  orders[j] is the complement-component
+    order that term j stands for when it dominates: its exponent divided
+    by 2^(level*nvars), or None when that does not divide or, given
+    explicit candidate orders, is not one of them.
+    """
 
-    def __init__(self, p: LaurentPoly):
+    __slots__ = (
+        "nvars", "level", "exponents", "logb", "orders",
+        "_has_order", "_emat", "_row_bound", "_fmat",
+    )
+
+    def __init__(self, p: LaurentPoly, level=0, candidates=None):
         if p.is_zero:
             raise ValueError("the zero polynomial has no lopsided points")
         terms = p.sorted_terms()
         self.nvars = p.nvars
+        self.level = level
         self.exponents = tuple(e for e, _ in terms)
-        self.logb = np.array([log_abs(c).value for _, c in terms])
+        self.logb = np.array([log_abs(c) for _, c in terms])
+        orders = [exponent_order(e, level) for e in self.exponents]
+        if candidates is not None:
+            allowed = set(candidates)
+            orders = [o if o in allowed else None for o in orders]
+        self.orders = tuple(orders)
+        self._has_order = np.array([o is not None for o in orders])
         try:
             emat = np.array(self.exponents, dtype=np.int64)
         except OverflowError:
@@ -135,30 +164,48 @@ class TermTable:
         return self.logb + np.asarray(wmat, dtype=np.float64) @ self._fmat.T
 
     def classify(self, rows, den):
-        """Batched test: (certified bools, peak indices, margins)."""
-        vals = self.values(rows, den)
-        idx, margin = peak_margins(vals)
-        return margin > TAU, idx, margin
+        """Batched test at rational rows: (certified, peak indices, margins).
 
-    def certificate(self, w, level=0):
-        """Test a single rational point; w entries coerce via Fraction."""
+        A row is certified when its peak term outweighs the rest by more
+        than TAU and carries an order; orders[idx] is then its order.
+        """
+        return self._certify(self.values(rows, den))
+
+    def float_classify(self, wmat):
+        """``classify`` at float log points, see ``float_values``."""
+        return self._certify(self.float_values(wmat))
+
+    def _certify(self, values):
+        idx, margin = peak_margins(values)
+        return (margin > TAU) & self._has_order[idx], idx, margin
+
+    def certificate(self, w, level=None):
+        """Test a single rational point; w entries coerce via Fraction.
+
+        The certificate's level defaults to the table's.
+        """
         nums, den = point_numerators(w, self.nvars)
-        ok, idx, margin = self.classify([nums], den)
+        _, idx, margin = self.classify([nums], den)
         return Certificate(
-            bool(ok[0]), self.exponents[int(idx[0])], float(margin[0]), level
+            bool(margin[0] > TAU),
+            self.exponents[int(idx[0])],
+            float(margin[0]),
+            self.level if level is None else level,
         )
 
 
-def margins_at(values, idx):
-    """Log gap of the term at idx versus the log-sum-exp of the others.
+def peak_margins(values):
+    """First-max index per row and its log gap against the rest.
 
-    values has shape (N, T), idx shape (N,).  The sum is taken over
-    exp-scaled values sorted ascending and accumulated sequentially, so
-    the result does not depend on how callers chunk their batches.
+    values has shape (N, T).  The gap is the peak minus the log-sum-exp
+    of the other terms, taken over exp-scaled values sorted ascending
+    and accumulated sequentially, so the result does not depend on how
+    callers chunk their batches.
     """
     n, t = values.shape
+    idx = np.argmax(values, axis=1)
     if t == 1:
-        return np.full(n, math.inf)
+        return idx, np.full(n, math.inf)
     rows = np.arange(n)
     peak = values[rows, idx]
     rest = values.copy()
@@ -167,18 +214,34 @@ def margins_at(values, idx):
     z = np.exp(rest - m2[:, None])
     z.sort(axis=1)
     total = np.cumsum(z, axis=1)[:, -1]
-    return peak - (m2 + np.log(total))
+    return idx, peak - (m2 + np.log(total))
 
 
-def peak_margins(values):
-    """First-max index per row and its margin against the rest."""
-    idx = np.argmax(values, axis=1)
-    return idx, margins_at(values, idx)
+def thread_count(threads=None):
+    """Worker count: the argument if given, else AMOEBA_THREADS, else 1."""
+    if threads is not None:
+        return max(1, int(threads))
+    raw = os.environ.get("AMOEBA_THREADS", "")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return 1
+
+
+def pool_map(fn, items, threads):
+    """[fn(x) for x in items], on ``threads`` workers when more than one.
+
+    Results come back in item order whatever the worker count.
+    """
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def is_lopsided(g, w, level=0):
-    """One-shot certificate for g at the rational point w."""
-    return TermTable(g).certificate(w, level)
+    """One-shot certificate for g, folded to ``level``, at the rational point w."""
+    return TermTable(g, level).certificate(w)
 
 
 def order_from_certificate(cert):
@@ -189,16 +252,13 @@ def order_from_certificate(cert):
     """
     if not cert.lopsided:
         raise CertificateError("point was not certified, it has no order")
-    div = 1 << (cert.level * len(cert.dominant))
-    order = []
-    for e in cert.dominant:
-        q, r = divmod(e, div)
-        if r:
-            raise CertificateError(
-                f"dominating exponent {cert.dominant} is not divisible by {div}"
-            )
-        order.append(q)
-    return tuple(order)
+    order = exponent_order(cert.dominant, cert.level)
+    if order is None:
+        div = 1 << (cert.level * len(cert.dominant))
+        raise CertificateError(
+            f"dominating exponent {cert.dominant} is not divisible by {div}"
+        )
+    return order
 
 
 def choose_level(nvars, degree, eps):

@@ -215,7 +215,7 @@ def hull_of_points(points: list[ExponentVector], dim: int) -> NewtonData:
     elif rank == 2:
         hull = _hull_2d(proj_points)
         vertices_proj = hull
-        facets = _facets_2d(hull) if len(hull) >= 3 else _segment_facets_2d(hull)
+        facets = _facets_2d(hull)  # rank 2: at least three hull vertices
         inequalities = [(_lift(normal, proj_cols, dim), rhs) for normal, rhs in facets]
     else:
         facets = _facets_brute(proj_points, rank)
@@ -229,17 +229,6 @@ def hull_of_points(points: list[ExponentVector], dim: int) -> NewtonData:
 
     lattice = _lattice_points(vertices, equalities, tuple(inequalities), dim)
     return NewtonData(dim, vertices, lattice, equalities, tuple(inequalities))
-
-
-def _segment_facets_2d(hull: list[IntVector]) -> list[Constraint]:
-    # rank-2 guard: a two-point "hull" cannot happen there, but keep the
-    # degenerate fall-through total
-    (x1, y1), (x2, y2) = hull
-    d = _primitive((x2 - x1, y2 - y1))
-    return [
-        (d, d[0] * x2 + d[1] * y2),
-        (tuple(-v for v in d), -(d[0] * x1 + d[1] * y1)),
-    ]
 
 
 def _lift(normal: IntVector, cols: list[int], dim: int) -> IntVector:

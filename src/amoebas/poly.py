@@ -56,7 +56,7 @@ class LaurentPoly:
     coefficients. Treat both as read-only; share instances freely.
     """
 
-    __slots__ = ("nvars", "terms", "_memo")
+    __slots__ = ("nvars", "terms")
 
     nvars: int
     terms: dict[ExponentVector, GaussianRational]
@@ -88,7 +88,6 @@ class LaurentPoly:
             else:
                 table[exponent] = coeff
         self.terms = table
-        self._memo = {}
 
     # -- constructors --------------------------------------------------
 
@@ -140,7 +139,7 @@ class LaurentPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    __hash__ = None  # mutable dict inside; identity-keyed caches are used instead
+    __hash__ = None  # mutable dict inside
 
     def __repr__(self):
         text = self.to_string()

@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .gaussian import half_ln_fraction
-from .gridsolver import thread_count
-from .lopsided import TAU, TermTable, peak_margins, point_numerators
+from .lopsided import TermTable, point_numerators, pool_map, thread_count
+from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _grade_key
 
@@ -59,9 +57,6 @@ class AbsolutePoly:
             p.nvars,
             (AbsoluteTerm(e, c.abs_squared()) for e, c in p.sorted_terms()),
         )
-
-    def log_magnitudes(self):
-        return [half_ln_fraction(t.sq_magnitude).value for t in self.terms]
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,13 @@ def _x_monomial(e):
 
 
 class SemiAlgSystem:
-    """Union-of-branches description at a fixed folding level."""
+    """Union-of-branches description at a fixed folding level.
 
-    __slots__ = ("level", "nvars", "base", "candidates", "_table", "_cand_mask", "_order_of_scaled")
+    table is the level's ``TermTable``; its orders are limited to the
+    candidate orders, so a certified peak is always one of the branches.
+    """
+
+    __slots__ = ("level", "nvars", "base", "candidates", "_table")
 
     def __init__(self, level, base: AbsolutePoly, candidates, table: TermTable):
         self.level = level
@@ -130,17 +129,14 @@ class SemiAlgSystem:
         self.base = base
         self.candidates = tuple(candidates)
         self._table = table
-        scaled = {c.scaled_exponent: c.order for c in self.candidates}
-        self._order_of_scaled = scaled
-        self._cand_mask = np.array([e in scaled for e in table.exponents])
 
     # -- point queries ----------------------------------------------------
 
     def certify_log(self, w):
         """Component order when some branch holds at log point w, else None."""
         nums, den = point_numerators(w, self.nvars)
-        order, _ = self._certify_rows([nums], den)
-        return order[0]
+        ok, idx, _ = self._table.classify([nums], den)
+        return self._table.orders[idx[0]] if ok[0] else None
 
     def contains_log(self, w):
         """True when w is NOT certified: the point of the approximation."""
@@ -155,16 +151,6 @@ class SemiAlgSystem:
                 raise ValueError("magnitude coordinates must be positive")
             coords.append(Fraction(math.log(v)))
         return self.contains_log(coords)
-
-    def _certify_rows(self, rows, den):
-        vals = self._table.values(rows, den)
-        idx, margin = peak_margins(vals)
-        certified = (margin > TAU) & self._cand_mask[idx]
-        orders = [
-            self._order_of_scaled[self._table.exponents[int(i)]] if hit else None
-            for hit, i in zip(certified, idx)
-        ]
-        return orders, certified
 
     # -- rasterization ------------------------------------------------------
 
@@ -200,16 +186,9 @@ class SemiAlgSystem:
 
         def row(i):
             wmat = np.column_stack([np.full(len(w2), logs[0][i]), w2])
-            vals = self._table.float_values(wmat)
-            idx, margin = peak_margins(vals)
-            return ~((margin > TAU) & self._cand_mask[idx])
+            return ~self._table.float_classify(wmat)[0]
 
-        workers = thread_count(threads)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                mask = np.array(list(pool.map(row, range(ress[0]))))
-        else:
-            mask = np.array([row(i) for i in range(ress[0])])
+        mask = np.array(pool_map(row, range(ress[0]), thread_count(threads)))
         same = mask[:-1, :-1]
         agree = (
             (same == mask[1:, :-1]) & (same == mask[:-1, 1:]) & (same == mask[1:, 1:])
@@ -291,7 +270,10 @@ def semialg_description(f: LaurentPoly, level, candidates=None, *, max_terms=DEF
         raise ValueError("no candidate orders")
     g = quick_cyclic_resultant(f, level, max_terms=max_terms)
     scale = 1 << (level * f.nvars)
-    table = TermTable(g)
+    # by default every order the table finds is a hull lattice point:
+    # g's exponents lie in scale * hull, so a divisible one is scale * a
+    # lattice point of the hull
+    table = TermTable(g, level, None if candidates is None else orders)
     sq = {e: c.abs_squared() for e, c in g.terms.items()}
     cands = [
         Candidate(o, tuple(scale * v for v in o), sq.get(tuple(scale * v for v in o), Fraction(0)))

@@ -7,6 +7,9 @@ resultant baseline and the numeric root-of-unity product.
 
 from fractions import Fraction
 
+from amoebas.cycres import _is_one
+from amoebas.poly import LaurentPoly, exact_div, mul
+
 CUBIC = "z1^3 + z1*z2 + z2^3 + 1"
 CUBIC_B2 = "z1^3 + 2*z1*z2 + z2^3 + 1"
 CUBIC_BM4 = "z1^3 - 4*z1*z2 + z2^3 + 1"
@@ -56,3 +59,55 @@ LINE_K1_CANDIDATES = {
 # the triangle inequality on (x1, x2, 1)
 def line_unlog_member(x1, x2):
     return x1 <= x2 + 1 and x2 <= x1 + 1 and x1 + x2 >= 1
+
+
+# direct Sylvester determinant, an independent check of the baseline's
+# subresultant elimination on tiny inputs; univariate polynomials in u
+# are {u-degree: coefficient LaurentPoly}
+
+
+def _sylvester_matrix(a, b, nvars):
+    m, n = max(a), max(b)
+    size = m + n
+    zero = LaurentPoly(nvars)
+    rows = []
+    for i in range(n):  # n rows of a-coefficients
+        row = [zero] * size
+        for t, c in a.items():
+            row[i + (m - t)] = c
+        rows.append(row)
+    for i in range(m):  # m rows of b-coefficients
+        row = [zero] * size
+        for t, c in b.items():
+            row[i + (n - t)] = c
+        rows.append(row)
+    return rows
+
+
+def _bareiss_det(matrix, nvars):
+    """Fraction-free determinant of a small polynomial matrix."""
+    size = len(matrix)
+    mat = [row[:] for row in matrix]
+    sign = 1
+    prev = LaurentPoly.constant(nvars, 1)
+    for k in range(size - 1):
+        if mat[k][k].is_zero:
+            swap = next((i for i in range(k + 1, size) if not mat[i][k].is_zero), None)
+            if swap is None:
+                return LaurentPoly(nvars)
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot = mat[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = mul(mat[i][j], pivot) - mul(mat[i][k], mat[k][j])
+                mat[i][j] = num if _is_one(prev) else exact_div(num, prev)
+            mat[i][k] = LaurentPoly(nvars)
+        prev = pivot
+    det = mat[size - 1][size - 1]
+    return det if sign > 0 else det.__neg__()
+
+
+def sylvester_resultant_direct(a, b, nvars):
+    """det of the explicit Sylvester matrix; cross-check for tiny inputs."""
+    return _bareiss_det(_sylvester_matrix(a, b, nvars), nvars)

@@ -15,11 +15,18 @@ from amoebas.cycres import (
     iterated_resultant_baseline,
     poisson_numeric_oracle,
     quick_cyclic_resultant,
-    sylvester_resultant_direct,
 )
 from amoebas.poly import LaurentPoly, parse
 from conftest import polys
-from oracles import CUBIC, GAUSS_PAIR, GOLDEN_CUBIC_K2, LINE, LINE_K1, THREE_VAR
+from oracles import (
+    CUBIC,
+    GAUSS_PAIR,
+    GOLDEN_CUBIC_K2,
+    LINE,
+    LINE_K1,
+    THREE_VAR,
+    sylvester_resultant_direct,
+)
 
 
 def as_int_dict(p):
@@ -125,6 +132,35 @@ def test_estimate_bounds_actual(cubic):
 def test_baseline_timeout_fires(cubic):
     with pytest.raises(BaselineTimeout):
         iterated_resultant_baseline(cubic, 16, timeout=1e-6)
+
+
+def test_baseline_checks_deadline_before_every_ring_step(cubic, monkeypatch):
+    # one multiplication or exact division at most runs between two
+    # deadline checks, which bounds the overshoot by one ring step
+    from amoebas import cycres
+
+    run = {"since": 0, "worst": 0}
+    check = cycres.Deadline.check
+
+    def counted_check(self):
+        run["since"] = 0
+        check(self)
+
+    def counted(op):
+        def wrapper(a, b):
+            run["since"] += 1
+            run["worst"] = max(run["worst"], run["since"])
+            return op(a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(cycres.Deadline, "check", counted_check)
+    monkeypatch.setattr(cycres, "mul", counted(cycres.mul))
+    monkeypatch.setattr(cycres, "exact_div", counted(cycres.exact_div))
+    got = iterated_resultant_baseline(cubic, 4, timeout=600.0)
+    monkeypatch.undo()
+    assert got == quick_cyclic_resultant(cubic, 2)
+    assert run["worst"] == 1
 
 
 def test_zero_and_negative_level_rejected(cubic):

@@ -16,11 +16,11 @@ from amoebas.gridsolver import (
     make_grid,
     records_to_csv,
     records_to_jsonl,
-    thread_count,
 )
-from amoebas.lopsided import is_lopsided
+from amoebas.cycres import quick_cyclic_resultant
+from amoebas.lopsided import CertificateError, is_lopsided, order_from_certificate, thread_count
 from amoebas.poly import LaurentPoly, parse
-from oracles import LINE
+from oracles import CUBIC_B2, LINE
 
 
 class TestGridSpec:
@@ -77,6 +77,29 @@ def test_level_zero_matches_direct_test(cubic):
         if not rec.in_amoeba:
             assert rec.level == 0
             assert rec.order == cert.dominant
+
+
+def test_escalated_records_match_scalar_route():
+    # each record is the first level whose scalar certificate passes and
+    # yields an order, as the escalation defines; b = 2 certifies its
+    # central hole from level 2 on
+    f = parse(CUBIC_B2, 2)
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 5), 2)
+    folds = [f] + [quick_cyclic_resultant(f, k) for k in (1, 2)]
+    records = approximate_amoeba(f, spec, kmax=2)
+    assert any(not rec.in_amoeba and rec.level == 2 for rec in records)
+    for rec, pt in zip(records, make_grid(spec)):
+        expect = (True, None, None)
+        for level, g in enumerate(folds):
+            cert = is_lopsided(g, pt, level)
+            if not cert.lopsided:
+                continue
+            try:
+                expect = (False, level, order_from_certificate(cert))
+            except CertificateError:
+                continue
+            break
+        assert (rec.in_amoeba, rec.level, rec.order) == expect, pt
 
 
 def test_escalation_only_adds_certificates(cubic):

@@ -135,6 +135,32 @@ def test_level_one_order_on_the_line():
     assert order_from_certificate(cert) == (1, 0)
 
 
+def test_table_orders_divide_by_level():
+    folded = quick_cyclic_resultant(parse(LINE, 2), 1)
+    table = TermTable(folded, 1)
+    assert dict(zip(table.exponents, table.orders)) == {
+        (4, 0): (1, 0), (2, 2): None, (0, 4): (0, 1),
+        (2, 0): None, (0, 2): None, (0, 0): (0, 0),
+    }
+    only = TermTable(folded, 1, candidates=[(1, 0)])
+    assert [o for o in only.orders if o is not None] == [(1, 0)]
+
+
+def test_undivisible_peak_certifies_nothing():
+    # z1 + 1 read as a level-1 fold: at w = 1 the peak z1 is lopsided,
+    # but its exponent 1 is not divisible by 2, so it has no order
+    table = TermTable(parse("z1 + 1", 1), 1)
+    ok, idx, margin = table.classify([(1,)], 1)
+    assert margin[0] > TAU and table.exponents[int(idx[0])] == (1,)
+    assert not ok[0]
+    fok, _, _ = table.float_classify(np.array([[1.0]]))
+    assert not fok[0]
+    cert = table.certificate((1,))
+    assert cert.lopsided and cert.level == 1
+    with pytest.raises(CertificateError):
+        order_from_certificate(cert)
+
+
 def test_point_numerators():
     nums, den = point_numerators((Fraction(1, 2), Fraction(3, 4)), 2)
     assert (nums, den) == ((2, 3), 4)

@@ -108,6 +108,18 @@ def test_explicit_candidates():
     # the (1, 0) branch alone certifies only the x1-dominant tentacle
     assert system.certify_log((4, 0)) == (1, 0)
     assert system.certify_log((0, 4)) is None
+    # and so does its raster.  The full system's three branches are
+    # disjoint (u = x1^2, v = x2^2): (0, 0) has u + v < sqrt2 - 1, so
+    # x1, x2 < 0.65; (1, 0) has u > (1 + sqrt2)(1 + v), so x1 > 1.55 and
+    # x1 > x2; (0, 1) is its mirror.  The (1, 0) raster must certify
+    # exactly the full raster's certified samples in the (1, 0) branch.
+    full = semialg_description(parse(LINE, 2), 1)
+    raster = system.rasterize(Fraction(1, 20), 3, 48)
+    full_raster = full.rasterize(Fraction(1, 20), 3, 48)
+    x1, x2 = np.meshgrid(*([float(x) for x in ax] for ax in raster.axes), indexing="ij")
+    branch = ~full_raster.mask & (x1 > 1) & (x1 > x2)
+    assert branch.any() and (~full_raster.mask & ~branch).any()
+    assert (~raster.mask == branch).all()
 
 
 def test_candidate_validation(cubic):
