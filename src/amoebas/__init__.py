@@ -3,8 +3,10 @@
 The log-magnitude image of a polynomial's zero set is approximated from
 outside: one term dominating all the others at a point proves the point
 lies in the complement, and folding the polynomial with roots of unity
-sharpens that test geometrically fast.  The fold is computed by a
-divide-and-conquer sign-flip product rather than iterated resultants.
+sharpens that test geometrically fast.  The fold is computed by
+Dandelin-Graeffe root squaring rather than iterated resultants: each
+doubling step multiplies the running product P = E + O by its sign-flipped
+twin E - O, computed as the two half-size squarings E^2 - O^2.
 """
 
 from .bench import BenchResult, run_bench

@@ -5,10 +5,16 @@ r-th root-of-unity scalings of the variables, a single polynomial whose
 coefficients are exact Gaussian rationals. Three independent routes:
 
 * :func:`quick_cyclic_resultant`, for r = 2^k. One doubling step multiplies
-  the current product by its sign-flipped twin (terms with an odd multiple
+  the current product P by its sign-flipped twin (terms with an odd multiple
   of the current 2-power in one variable are negated), which is evaluation
   at a root of unity in disguise; k steps per variable replace the 2^k
-  factors of the defining product. Cost grows with k, not 2^k.
+  factors of the defining product. Cost grows with k, not 2^k. Splitting
+  P = E + O, with O the flipped terms, turns the step into
+  P * flip(P) = E^2 - O^2, the Dandelin-Graeffe root-squaring step: two
+  half-size squarings instead of one full product, keyed on one packed
+  integer per exponent vector. The packing is offset by the table's least
+  exponents, which need not be multiples of the current 2-power, so the
+  E/O split reads the parity from the unpacked exponent.
 * :func:`iterated_resultant_baseline`, the defining nested resultants
   Res(f(u * z), u^r - 1), any r >= 1, evaluated by fraction-free
   subresultant elimination of the Sylvester system. Dramatically slower;
@@ -27,6 +33,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import time
 
 from .gaussian import GaussianRational
@@ -36,7 +43,6 @@ from .poly import (
     _content_reduce,
     _from_int_form,
     _int_form,
-    _mul_int,
     exact_div,
     mul,
 )
@@ -100,14 +106,19 @@ def quick_cyclic_resultant(
     max_terms: int = DEFAULT_MAX_TERMS,
     var_order: tuple[int, ...] | None = None,
 ) -> LaurentPoly:
-    """cres(f; 2^k) by k flip-and-multiply doubling steps per variable.
+    """cres(f; 2^k) by k Graeffe doubling steps per variable.
 
-    After level l in variable j the running product equals the cyclic
+    After level l in variable j the running product P equals the cyclic
     resultant of f over the 2^l-th roots of unity in variable j alone, so
-    its exponents there are multiples of 2^l; the flip of the next level is
-    then exactly evaluation at a primitive 2^(l+1)-th root. Variables are
-    processed in ``var_order`` (default 1..n); the factors commute, so the
-    order does not change the result.
+    its exponents there are multiples of 2^l; flipping the sign of the
+    terms whose exponent is not a multiple of 2^(l+1) is then exactly
+    evaluation at a primitive 2^(l+1)-th root. With E the unflipped and O
+    the flipped terms, P * flip(P) = (E + O)(E - O) = E^2 - O^2, which
+    each step computes as two squarings over packed integer exponents;
+    the split takes the parity from the unpacked exponent, since the
+    packing offset need not keep it (see :func:`_graeffe_step`).
+    Variables are processed in ``var_order`` (default 1..n); the factors
+    commute, so the order does not change the result.
     """
     if f.is_zero:
         raise ValueError("cyclic resultant of the zero polynomial")
@@ -129,14 +140,101 @@ def quick_cyclic_resultant(
     for var in order:
         j = var - 1
         for level in range(1, k + 1):
-            mask = (1 << level) - 1
-            flipped = {
-                e: ((-a, -b) if e[j] & mask else (a, b)) for e, (a, b) in table.items()
-            }
-            table = _mul_int(table, flipped, all_real, all_real)
+            table = _graeffe_step(table, j, (1 << level) - 1, all_real)
             den *= den
             den, table = _content_reduce(den, table)
     return _from_int_form(n, den, table)
+
+
+def _graeffe_step(
+    table: dict[ExponentVector, tuple[int, int]], j: int, mask: int, real: bool
+) -> dict[ExponentVector, tuple[int, int]]:
+    """E^2 - O^2, where O holds the terms whose exponent j has bits in ``mask``.
+
+    Each exponent vector is packed into one int, a mixed-radix number
+    whose digit i is e_i - min_i with radix 2 * (max_i - min_i) + 1 over
+    this table, so a sum of two keys still has every digit inside its
+    radix and decodes uniquely. The split reads the parity from the
+    exponent itself, not from its digit: min_i is in general no multiple
+    of 2^level (odd negative exponents), so the digit's residue modulo
+    2^level need not be the exponent's.
+    """
+    columns = list(zip(*table))
+    lows = [min(column) for column in columns]
+    radices = [2 * (max(column) - low) + 1 for column, low in zip(columns, lows)]
+    weights = [1]
+    for radix in radices[:-1]:
+        weights.append(weights[-1] * radix)
+    shift = sum(map(operator.mul, lows, weights))
+
+    evens: list[tuple[int, int, int]] = []
+    odds: list[tuple[int, int, int]] = []
+    for e, (a, b) in table.items():
+        key = sum(map(operator.mul, e, weights)) - shift
+        (odds if e[j] & mask else evens).append((key, a, b))
+
+    if real:
+        acc_real: dict[int, int] = {}
+        _square_real(acc_real, evens, 1)
+        _square_real(acc_real, odds, -1)
+        squared = ((key, (a, 0)) for key, a in acc_real.items() if a)
+    else:
+        acc_gauss: dict[int, list[int]] = {}
+        _square_gaussian(acc_gauss, evens, 1)
+        _square_gaussian(acc_gauss, odds, -1)
+        squared = ((key, (a, b)) for key, (a, b) in acc_gauss.items() if a or b)
+
+    # a squared key is the sum of two keys: digit i is e_i - 2 * min_i
+    bases = [2 * low for low in lows]
+    out: dict[ExponentVector, tuple[int, int]] = {}
+    for key, ab in squared:
+        e = []
+        for radix, base in zip(radices, bases):
+            key, digit = divmod(key, radix)
+            e.append(digit + base)
+        out[tuple(e)] = ab
+    return out
+
+
+def _square_real(acc: dict[int, int], terms: list[tuple[int, int, int]], sign: int) -> None:
+    """Add sign * (sum of a * z^key)^2 into ``acc``; each pair i < j once, doubled."""
+    get = acc.get
+    for i, (k1, a1, _) in enumerate(terms):
+        k = k1 + k1
+        acc[k] = get(k, 0) + sign * a1 * a1
+        twice = 2 * sign * a1
+        for k2, a2, _ in itertools.islice(terms, i + 1, None):
+            k = k1 + k2
+            acc[k] = get(k, 0) + twice * a2
+
+
+def _square_gaussian(
+    acc: dict[int, list[int]], terms: list[tuple[int, int, int]], sign: int
+) -> None:
+    """Add sign * (sum of (a + b i) * z^key)^2 into ``acc`` as [re, im] slots."""
+    get = acc.get
+    for i, (k1, a1, b1) in enumerate(terms):
+        k = k1 + k1
+        re = sign * (a1 * a1 - b1 * b1)
+        im = 2 * sign * a1 * b1
+        slot = get(k)
+        if slot is None:
+            acc[k] = [re, im]
+        else:
+            slot[0] += re
+            slot[1] += im
+        ta = 2 * sign * a1
+        tb = 2 * sign * b1
+        for k2, a2, b2 in itertools.islice(terms, i + 1, None):
+            k = k1 + k2
+            re = ta * a2 - tb * b2
+            im = ta * b2 + tb * a2
+            slot = get(k)
+            if slot is None:
+                acc[k] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
 
 
 # -- baseline: nested resultants against u^r - 1 ------------------------------

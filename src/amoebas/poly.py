@@ -21,8 +21,9 @@ coefficients print bare ("-4*z1^2", "3/2*z2"), complex ones parenthesized
 
 Multiplication clears denominators first and convolves plain integers, so
 the hot loop never touches Fraction normalization; coefficients are rebuilt
-once per distinct output exponent. This is what keeps deep cyclic-resultant
-towers (thousands of terms, coefficients of thousands of bits) affordable.
+once per distinct output exponent. The cyclic-resultant fold squares on the
+same integer form, which keeps its deep towers (thousands of terms,
+coefficients of thousands of bits) affordable.
 """
 
 from __future__ import annotations
@@ -222,9 +223,9 @@ def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 # -- integer multiplication kernel ----------------------------------------
 #
-# _int_form / _mul_int / _from_int_form are shared with the cyclic-resultant
-# module, which chains many multiplications and only rebuilds Fractions at
-# the very end.
+# _int_form / _content_reduce / _from_int_form are shared with the
+# cyclic-resultant module, which chains many squarings on the integer form
+# and only rebuilds Fractions at the very end; _mul_int is mul's alone.
 
 
 def _int_form(p: LaurentPoly) -> tuple[int, dict[ExponentVector, tuple[int, int]], bool]:
@@ -313,27 +314,6 @@ def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 # -- structural operations -------------------------------------------------
-
-
-def flip_signs(p: LaurentPoly, var: int, level: int) -> LaurentPoly:
-    """Negate every term whose ``var`` exponent is not divisible by 2^level.
-
-    ``var`` is 1-based. This is evaluation at a primitive 2^level-th root of
-    unity in disguise: on a polynomial whose ``var`` exponents are already
-    multiples of 2^(level-1), flipping matches substituting
-    z_var -> exp(pi*i/2^(level-1)) * z_var.
-    """
-    if not 1 <= var <= p.nvars:
-        raise ValueError(f"variable index {var} out of range 1..{p.nvars}")
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    j = var - 1
-    mask = (1 << level) - 1
-    result = LaurentPoly(p.nvars)
-    out = result.terms
-    for e, c in p.terms.items():
-        out[e] = -c if e[j] & mask else c
-    return result
 
 
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

@@ -45,6 +45,18 @@ LADDER_TERMS = {1: 10, 2: 31, 3: 109, 4: 409, 5: 1585, 6: 6241}
 LADDER_DEGREES = {1: 12, 2: 48, 3: 192, 4: 768, 5: 3072, 6: 12288}
 LADDER_DIGITS_K6 = (805, 815)  # decimal digits of the largest |coefficient|
 
+# sha256 of format_poly of the three perfbench fold inputs at their
+# benchmark levels, (text, nvars, level) -> digest, recorded with the
+# full-product fold that preceded the Graeffe kernel
+FOLD_LISTING_SHA256 = {
+    ("z1^3 + z1*z2 + z2^3 + 1", 2, 5):
+        "836ed0640865d885ae882bad4af56afb670024bc0f4da31dbf356e7a8be6a57e",
+    ("(2-1i)*z1*z2^-2 - 3/4 + z1^2 + (1+1i)*z2", 2, 4):
+        "128f1bc7c5bef3ddc375344c3cf08befbf0a5957d081d240cae76d9ec455f93e",
+    ("z1 + z2 + z3 + z1^-1*z2^-1*z3^-1 + 3", 3, 2):
+        "28b095029a100196613d5576b0dbf280d43f01691ac78d76054395cac92b732d",
+}
+
 # level-1 fold of LINE and its candidate branches
 LINE_K1 = {
     (4, 0): 1, (0, 4): 1, (2, 2): -2, (2, 0): -2, (0, 2): -2, (0, 0): 1,
@@ -59,6 +71,35 @@ LINE_K1_CANDIDATES = {
 # the triangle inequality on (x1, x2, 1)
 def line_unlog_member(x1, x2):
     return x1 <= x2 + 1 and x2 <= x1 + 1 and x1 + x2 >= 1
+
+
+# the fold as the defining doubling loop, one full product per step; the
+# reference the Graeffe kernel of quick_cyclic_resultant is checked against
+
+
+def flip_signs(p, var, level):
+    """Negate every term whose ``var`` exponent is not divisible by 2^level.
+
+    ``var`` is 1-based. This is evaluation at a primitive 2^level-th root of
+    unity in disguise: on a polynomial whose ``var`` exponents are already
+    multiples of 2^(level-1), flipping matches substituting
+    z_var -> exp(pi*i/2^(level-1)) * z_var.
+    """
+    if not 1 <= var <= p.nvars:
+        raise ValueError(f"variable index {var} out of range 1..{p.nvars}")
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    mask = (1 << level) - 1
+    return LaurentPoly(p.nvars, {e: -c if e[var - 1] & mask else c for e, c in p.terms.items()})
+
+
+def flip_multiply_fold(f, k):
+    """cres(f; 2^k) as P <- P * flip(P), k steps per variable."""
+    p = f
+    for var in range(1, f.nvars + 1):
+        for level in range(1, k + 1):
+            p = mul(p, flip_signs(p, var, level))
+    return p
 
 
 # direct Sylvester determinant, an independent check of the baseline's

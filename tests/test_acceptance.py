@@ -22,7 +22,7 @@ from amoebas.cycres import (
 from amoebas.gridsolver import GridSpec, approximate_amoeba, epsilon_for_grid
 from amoebas.lopsided import TermTable, choose_level, is_lopsided
 from amoebas.newton import newton
-from amoebas.poly import LaurentPoly, flip_signs, parse
+from amoebas.poly import LaurentPoly, parse
 from amoebas.semialg import semialg_description
 from conftest import nonzero_coefficients, polys, rational_points
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     LADDER_TERMS,
     LINE,
     SEVEN_TERM_3VAR,
+    flip_signs,
     line_unlog_member,
 )
 

@@ -1,5 +1,6 @@
 """The folded product against its definition, its baseline, and itself."""
 
+import hashlib
 import math
 import time
 
@@ -16,15 +17,17 @@ from amoebas.cycres import (
     poisson_numeric_oracle,
     quick_cyclic_resultant,
 )
-from amoebas.poly import LaurentPoly, parse
+from amoebas.poly import LaurentPoly, format_poly, parse
 from conftest import polys
 from oracles import (
     CUBIC,
+    FOLD_LISTING_SHA256,
     GAUSS_PAIR,
     GOLDEN_CUBIC_K2,
     LINE,
     LINE_K1,
     THREE_VAR,
+    flip_multiply_fold,
     sylvester_resultant_direct,
 )
 
@@ -59,6 +62,49 @@ def test_univariate_poisson_closed_form():
     for a, want_sign in ((1, -1), (2, 1), (3, -1)):
         m = quick_cyclic_resultant(LaurentPoly.monomial(1, (a,), 3), 1)
         assert as_int_dict(m) == {(2 * a,): 9 * want_sign}
+
+
+def test_fold_listings_match_golden_digests():
+    for (text, nvars, level), digest in FOLD_LISTING_SHA256.items():
+        listing = format_poly(quick_cyclic_resultant(parse(text, nvars), level))
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest, (text, level)
+
+
+# (nvars, most terms, highest level); n = 3 stops at level 2 because at
+# level 3 a five-term input in [-3, 3]^3 can exceed the default term
+# budget and the full-product reference then runs for minutes
+_FOLD_SIZES = st.sampled_from([(1, 5, 3), (2, 4, 3), (3, 3, 2)])
+
+
+@given(
+    _FOLD_SIZES.flatmap(
+        lambda size: st.tuples(polys(size[0], max_terms=size[1], lo=-3, hi=3), st.integers(1, size[2]))
+    )
+)
+@settings(max_examples=120)
+def test_graeffe_step_equals_flip_multiply(case):
+    f, k = case
+    assert quick_cyclic_resultant(f, k) == flip_multiply_fold(f, k)
+
+
+@pytest.mark.parametrize(
+    "text, nvars, levels",
+    [
+        # a monomial: E or O is empty at every step
+        ("(2-3i)*z1^-3*z2^2", 2, (1, 2, 3)),
+        # even in z1: O is empty at level 1 of z1
+        ("z1^2 + 3*z1^-2*z2 - z2^-1", 2, (1, 2, 3)),
+        # odd negative exponents: a packing offset that is no multiple of
+        # 2^level would misread their parity
+        ("z1^-3 + z1^-1*z2 + 1", 2, (1, 2, 3)),
+        # exponents reach 2^17
+        ("z1^2 + z1 + 1", 1, (16,)),
+    ],
+)
+def test_graeffe_step_edge_cases(text, nvars, levels):
+    f = parse(text, nvars)
+    for k in levels:
+        assert quick_cyclic_resultant(f, k) == flip_multiply_fold(f, k)
 
 
 def test_mixed_inputs_match_baseline():

@@ -10,13 +10,13 @@ from amoebas.poly import (
     ParseError,
     add,
     exact_div,
-    flip_signs,
     format_poly,
     max_variable_index,
     mul,
     parse,
 )
 from conftest import exponent_vectors, nonzero_coefficients, polys
+from oracles import flip_signs
 
 
 class TestConstruction:
