@@ -10,14 +10,21 @@ level are presumed to lie on or near the amoeba.
 Grids are rational so the canonical integer inner-product pipeline in
 ``lopsided`` applies: one common denominator serves the whole grid, and
 classifications are independent of chunk size and thread count.
+
+Verdicts stay columnar from classification to output: a
+``GridVerdicts`` holds each point's certifying level and peak term as
+integer arrays, the writers format each axis value and each distinct
+verdict once, and ``MembershipRecord`` objects are built only when a
+verdict is indexed or iterated.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -79,12 +86,37 @@ class GridSpec:
         return [self.lo[d] + m * self.step for m in range(self.counts[d])]
 
 
-def make_grid(spec, max_points=MAX_GRID_POINTS):
-    """All grid points, row major (last axis varies fastest)."""
+def _check_size(spec, max_points):
     if spec.npoints > max_points:
         raise ValueError(f"grid has {spec.npoints} points, limit is {max_points}")
-    axes = [spec.axis_values(d) for d in range(spec.nvars)]
-    return list(product(*axes))
+
+
+def _points(spec):
+    return product(*(spec.axis_values(d) for d in range(spec.nvars)))
+
+
+def make_grid(spec, max_points=MAX_GRID_POINTS):
+    """All grid points, row major (last axis varies fastest)."""
+    _check_size(spec, max_points)
+    return list(_points(spec))
+
+
+def _grid_rows(spec, den):
+    """Integer numerators over den of every grid point, shape (N, nvars).
+
+    Row major like ``make_grid``.  int64 when every axis numerator fits,
+    Python ints (dtype object) otherwise, which ``TermTable.dots`` sends
+    down its exact route.
+    """
+    axes = [
+        list(range(int(lo * den), int(hi * den) + 1, int(spec.step * den)))
+        for lo, hi in zip(spec.lo, spec.hi)
+    ]
+    try:
+        cols = [np.array(a, dtype=np.int64) for a in axes]
+    except OverflowError:
+        cols = [np.array(a, dtype=object) for a in axes]
+    return np.stack([g.ravel() for g in np.meshgrid(*cols, indexing="ij")], axis=1)
 
 
 def epsilon_for_grid(spec):
@@ -111,6 +143,64 @@ class MembershipRecord:
             raise ValueError("level and order must be present exactly when certified")
 
 
+class GridVerdicts(Sequence):
+    """Verdicts of a whole grid in row-major order, held as columns.
+
+    level[i] is the first level that certified point i, or -1 when none
+    did; peak[i] is then the dominating term of that level's table, so
+    the point's order is orders[level[i]][peak[i]].  Indexing and
+    iteration build ``MembershipRecord`` objects on demand.
+    """
+
+    __slots__ = ("spec", "level", "peak", "orders")
+    __hash__ = None
+
+    def __init__(self, spec, level, peak, orders):
+        self.spec = spec
+        self.level = level
+        self.peak = peak
+        self.orders = orders
+
+    def __len__(self):
+        return len(self.level)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        index = np.unravel_index(i, self.spec.counts)
+        point = tuple(lo + int(m) * self.spec.step for lo, m in zip(self.spec.lo, index))
+        return self._record(point, int(self.level[i]), int(self.peak[i]))
+
+    def __iter__(self):
+        return map(self._record, _points(self.spec), self.level.tolist(), self.peak.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, GridVerdicts):
+            return NotImplemented
+        return self.spec == other.spec and list(self) == list(other)
+
+    def _record(self, point, level, peak):
+        if level < 0:
+            return MembershipRecord(point, True, None, None)
+        return MembershipRecord(point, False, level, self.orders[level][peak])
+
+    def classes(self):
+        """Distinct verdicts and each point's index into them.
+
+        Returns (verdicts, inverse): verdicts is a list of (level, order)
+        pairs, (None, None) for presumed amoeba points, and verdicts[inverse[i]]
+        is point i's.
+        """
+        width = max(map(len, self.orders), default=1)
+        keys, inverse = np.unique(self.level * width + self.peak, return_inverse=True)
+        verdicts = []
+        for key in keys.tolist():
+            level, peak = divmod(key, width)
+            verdicts.append((None, None) if level < 0 else (level, self.orders[level][peak]))
+        return verdicts, inverse
+
+
 def _classify_chunked(table, rows, den, threads):
     # bound the N x T value matrix at roughly 32 MB per chunk
     chunk = max(1, min(4096, (1 << 22) // max(1, len(table))))
@@ -132,8 +222,8 @@ def approximate_amoeba(
     """Classify every grid point, escalating levels until certified.
 
     Exactly one of kmax and eps may be given; eps picks the level via
-    ``choose_level`` from the polynomial's degree.  Returns records in
-    grid row-major order.
+    ``choose_level`` from the polynomial's degree.  Returns a
+    ``GridVerdicts``, one verdict per point in grid row-major order.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial fills all of log space")
@@ -150,40 +240,32 @@ def approximate_amoeba(
         raise ValueError("kmax must be nonnegative")
     threads = thread_count(threads)
 
-    points = make_grid(spec, max_points=max_points)
+    _check_size(spec, max_points)
     den = math.lcm(*(x.denominator for x in spec.lo), spec.step.denominator)
-    # integer numerators over den, axis by axis, in make_grid's order
-    axes = [
-        range(int(lo * den), int(hi * den) + 1, int(spec.step * den))
-        for lo, hi in zip(spec.lo, spec.hi)
-    ]
-    rows = list(product(*axes))
+    rows = _grid_rows(spec, den)
 
-    verdicts: list[MembershipRecord | None] = [None] * len(points)
-    pending = list(range(len(points)))
-    for level in range(kmax + 1):
-        if not pending:
+    level = np.full(len(rows), -1, dtype=np.int64)
+    peak = np.zeros(len(rows), dtype=np.int64)
+    orders = []
+    pending = np.arange(len(rows))
+    for k in range(kmax + 1):
+        if not pending.size:
             break
-        g = f if level == 0 else quick_cyclic_resultant(f, level, max_terms=max_terms)
-        table = TermTable(g, level)
-        ok, idx, margin = _classify_chunked(table, [rows[i] for i in pending], den, threads)
+        g = f if k == 0 else quick_cyclic_resultant(f, k, max_terms=max_terms)
+        table = TermTable(g, k)
+        ok, idx, margin = _classify_chunked(table, rows[pending], den, threads)
         dropped = int(np.count_nonzero(margin > TAU)) - int(np.count_nonzero(ok))
         if dropped:
             warnings.warn(
-                f"level {level}: dropped {dropped} certificate(s) whose dominating "
+                f"level {k}: dropped {dropped} certificate(s) whose dominating "
                 "exponent carries no component order"
             )
-        orders = table.orders
-        still = []
-        for i, hit, peak in zip(pending, ok.tolist(), idx.tolist()):
-            if hit:
-                verdicts[i] = MembershipRecord(points[i], False, level, orders[peak])
-            else:
-                still.append(i)
-        pending = still
-    for i in pending:
-        verdicts[i] = MembershipRecord(points[i], True, None, None)
-    return verdicts
+        hit = pending[ok]
+        level[hit] = k
+        peak[hit] = idx[ok]
+        orders.append(table.orders)
+        pending = pending[~ok]
+    return GridVerdicts(spec, level, peak, tuple(orders))
 
 
 def _shifted_degree(f):
@@ -194,67 +276,55 @@ def _shifted_degree(f):
     return max(sum(e[i] - mins[i] for i in range(f.nvars)) for e in f.terms)
 
 
+def _point_texts(spec, fmt, sep):
+    """fmt of every grid point's coordinates joined by sep, row major.
+
+    Each axis value is formatted once.
+    """
+    axes = [[fmt(x) for x in spec.axis_values(d)] for d in range(spec.nvars)]
+    texts = axes[0]
+    for values in axes[1:]:
+        texts = [t + sep + v for t in texts for v in values]
+    return texts
+
+
+def _write_lines(records, stream, points, tail):
+    # one tail per distinct verdict, appended to each point's text
+    verdicts, inverse = records.classes()
+    tails = [tail(level, order) for level, order in verdicts]
+    stream.write("".join(map(operator.add, points, [tails[i] for i in inverse.tolist()])))
+
+
 def records_to_csv(records, stream):
     """Columns w1..wn, bit, level, order1..ordern; rationals as strings.
 
     bit is 1 for presumed amoeba points.  level and order columns are
-    empty for them.
+    empty for them.  records is an ``approximate_amoeba`` result.  Lines
+    end in CRLF, as ``csv.writer`` ends them.
     """
-    if not records:
-        return
-    n = len(records[0].point)
-    writer = csv.writer(stream)
-    writer.writerow(
-        [f"w{d+1}" for d in range(n)]
-        + ["bit", "level"]
-        + [f"order{d+1}" for d in range(n)]
-    )
-    for rec in records:
-        row = [str(x) for x in rec.point]
-        row.append("1" if rec.in_amoeba else "0")
-        row.append("" if rec.level is None else str(rec.level))
-        row.extend([""] * n if rec.order is None else [str(v) for v in rec.order])
-        writer.writerow(row)
+    n = records.spec.nvars
+    header = [f"w{d+1}" for d in range(n)] + ["bit", "level"] + [f"order{d+1}" for d in range(n)]
+    stream.write(",".join(header) + "\r\n")
+
+    def tail(level, order):
+        if level is None:
+            return ",1," + "," * n + "\r\n"
+        return ",0," + ",".join(map(str, (level, *order))) + "\r\n"
+
+    _write_lines(records, stream, _point_texts(records.spec, str, ","), tail)
 
 
 def records_to_jsonl(records, stream):
-    """One JSON object per line with point, inAmoeba, level, order."""
-    for rec in records:
-        obj = {
-            "point": [str(x) for x in rec.point],
-            "inAmoeba": rec.in_amoeba,
-            "level": rec.level,
-            "order": None if rec.order is None else list(rec.order),
-        }
-        stream.write(json.dumps(obj) + "\n")
+    """One JSON object per line with point, inAmoeba, level, order.
 
-
-def complement_consistency_violations(records, spec):
-    """Adjacent certified points whose orders disagree.
-
-    Such pairs straddle a region where the amoeba separates two
-    complement components more finely than the grid resolves.  They are
-    expected near thin tentacles, so this is a diagnostic, not an error.
+    Each line is ``json.dumps`` of that object.
     """
-    counts = spec.counts
-    strides = [0] * len(counts)
-    acc = 1
-    for d in reversed(range(len(counts))):
-        strides[d] = acc
-        acc *= counts[d]
-    out = []
-    for flat, rec in enumerate(records):
-        if rec.in_amoeba:
-            continue
-        rem = flat
-        index = []
-        for d in range(len(counts)):
-            index.append(rem // strides[d])
-            rem %= strides[d]
-        for d in range(len(counts)):
-            if index[d] + 1 >= counts[d]:
-                continue
-            other = records[flat + strides[d]]
-            if not other.in_amoeba and other.order != rec.order:
-                out.append((rec.point, other.point, rec.order, other.order))
-    return out
+    points = _point_texts(records.spec, lambda x: json.dumps(str(x)), ", ")
+
+    def tail(level, order):
+        rest = json.dumps(
+            {"inAmoeba": level is None, "level": level, "order": None if order is None else list(order)}
+        )
+        return "], " + rest[1:] + "\n"
+
+    _write_lines(records, stream, ['{"point": [' + t for t in points], tail)

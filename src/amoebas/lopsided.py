@@ -114,13 +114,11 @@ class TermTable:
         self.orders = tuple(orders)
         self._has_order = np.array([o is not None for o in orders])
         try:
-            emat = np.array(self.exponents, dtype=np.int64)
+            self._emat = np.array(self.exponents, dtype=np.int64)
         except OverflowError:
-            emat = None
-        self._emat = emat
-        self._row_bound = (
-            int(np.abs(emat).sum(axis=1).max()) if emat is not None else 0
-        )
+            self._emat = None
+        # in Python ints: an int64 sum of magnitudes can wrap
+        self._row_bound = max(sum(map(abs, e)) for e in self.exponents)
         self._fmat = None
 
     def __len__(self):
@@ -129,20 +127,22 @@ class TermTable:
     def dots(self, rows, den):
         """Inner products <exponent, row>/den for every term, shape (N, T).
 
+        rows is a sequence of integer rows or an (N, nvars) array of them.
         Each entry is float(exact integer) / float(den).  The int64 fast
         path is taken only when the exactness of the integer part is
         guaranteed, so both paths round identically.
         """
-        nmax = max((abs(v) for row in rows for v in row), default=0)
-        if (
-            self._emat is not None
-            and nmax < _SAFE_DOT
-            and self._row_bound * nmax < _SAFE_DOT
-        ):
+        try:
             m = np.asarray(rows, dtype=np.int64)
-            return (m @ self._emat.T).astype(np.float64) / float(den)
+        except OverflowError:
+            m = None
+        if m is not None and self._emat is not None:
+            # |int64 min| wraps to itself; its uint64 view is exact
+            nmax = int(np.abs(m).view(np.uint64).max(initial=0))
+            if self._row_bound * nmax < _SAFE_DOT:
+                return (m @ self._emat.T).astype(np.float64) / float(den)
         out = np.empty((len(rows), len(self.exponents)))
-        for i, row in enumerate(rows):
+        for i, row in enumerate(np.asarray(rows, dtype=object).tolist()):
             for j, e in enumerate(self.exponents):
                 out[i, j] = float(sum(a * b for a, b in zip(e, row))) / float(den)
         return out

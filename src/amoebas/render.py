@@ -30,15 +30,19 @@ def level_color(record):
 
 
 def records_to_pixels(records, spec):
-    """Grid verdicts as an (H, W, 3) uint8 image, w2 up, w1 right."""
+    """Grid verdicts as an (H, W, 3) uint8 image, w2 up, w1 right.
+
+    records is an ``approximate_amoeba`` result; colors follow
+    ``level_color``, read from its level column.
+    """
     if spec.nvars != 2:
         raise ValueError("pixel maps need a 2-variable grid")
-    n1, n2 = spec.counts
-    img = np.zeros((n2, n1, 3), dtype=np.uint8)
-    for flat, rec in enumerate(records):
-        i, j = divmod(flat, n2)
-        img[n2 - 1 - j, i] = level_color(rec)
-    return img
+    level = np.asarray(records.level).reshape(spec.counts)
+    palette = np.array(
+        [COLOR_AMOEBA, COLOR_CERT_LOW, COLOR_CERT_MID, COLOR_CERT_HIGH], dtype=np.uint8
+    )
+    shade = np.select([level < 0, level <= 2, level == 3], [0, 1, 2], 3)
+    return palette[shade.T[::-1]]
 
 
 def write_ppm(stream, pixels):

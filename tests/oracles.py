@@ -152,3 +152,35 @@ def _bareiss_det(matrix, nvars):
 def sylvester_resultant_direct(a, b, nvars):
     """det of the explicit Sylvester matrix; cross-check for tiny inputs."""
     return _bareiss_det(_sylvester_matrix(a, b, nvars), nvars)
+
+
+def complement_consistency_violations(records, spec):
+    """Adjacent certified points whose orders disagree.
+
+    Such pairs straddle a region where the amoeba separates two
+    complement components more finely than the grid resolves.  They are
+    expected near thin tentacles, so this is a diagnostic, not an error.
+    """
+    records = list(records)
+    counts = spec.counts
+    strides = [0] * len(counts)
+    acc = 1
+    for d in reversed(range(len(counts))):
+        strides[d] = acc
+        acc *= counts[d]
+    out = []
+    for flat, rec in enumerate(records):
+        if rec.in_amoeba:
+            continue
+        rem = flat
+        index = []
+        for d in range(len(counts)):
+            index.append(rem // strides[d])
+            rem %= strides[d]
+        for d in range(len(counts)):
+            if index[d] + 1 >= counts[d]:
+                continue
+            other = records[flat + strides[d]]
+            if not other.in_amoeba and other.order != rec.order:
+                out.append((rec.point, other.point, rec.order, other.order))
+    return out

@@ -89,13 +89,20 @@ def test_criterion_03_baseline_equality():
             )
 
 
-# -- 4: at level 4 the quick route wins by 10x or the baseline times out ------
+# -- 4: at level 4 the quick route wins by 10x --------------------------------
+
+# the baseline deadline; a baseline that runs past it took at least this
+# long, so the factor is proven once the quick route is 10x under it
+BASELINE_TIMEOUT_S = 3.0
 
 
 def test_criterion_04_speed_factor(cubic):
-    r = run_case("cubic", cubic, 4, timeout=60.0)
+    r = run_case("cubic", cubic, 4, timeout=BASELINE_TIMEOUT_S)
     assert r.error is None
-    assert r.timed_out or r.factor >= 10.0
+    if r.timed_out:
+        assert 10 * r.quick_seconds <= BASELINE_TIMEOUT_S
+    else:
+        assert r.factor >= 10.0
 
 
 # -- 5: points of the zero set are never certified -----------------------------

@@ -1,17 +1,19 @@
 """Grid escalation: spec validation, record semantics, serializers."""
 
+import csv
 import io
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amoebas.gridsolver import (
     GridSpec,
     MembershipRecord,
+    _grid_rows,
     approximate_amoeba,
-    complement_consistency_violations,
     epsilon_for_grid,
     make_grid,
     records_to_csv,
@@ -20,7 +22,8 @@ from amoebas.gridsolver import (
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.lopsided import CertificateError, is_lopsided, order_from_certificate, thread_count
 from amoebas.poly import LaurentPoly, parse
-from oracles import CUBIC_B2, LINE
+from amoebas.render import level_color, records_to_pixels
+from oracles import CUBIC_B2, LINE, complement_consistency_violations
 
 
 class TestGridSpec:
@@ -79,27 +82,52 @@ def test_level_zero_matches_direct_test(cubic):
             assert rec.order == cert.dominant
 
 
-def test_escalated_records_match_scalar_route():
-    # each record is the first level whose scalar certificate passes and
-    # yields an order, as the escalation defines; b = 2 certifies its
-    # central hole from level 2 on
-    f = parse(CUBIC_B2, 2)
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 5), 2)
-    folds = [f] + [quick_cyclic_resultant(f, k) for k in (1, 2)]
-    records = approximate_amoeba(f, spec, kmax=2)
-    assert any(not rec.in_amoeba and rec.level == 2 for rec in records)
+def _scalar_verdict(folds, pt):
+    # the first level whose scalar certificate passes and yields an
+    # order, as the escalation defines
+    for level, g in enumerate(folds):
+        cert = is_lopsided(g, pt, level)
+        if not cert.lopsided:
+            continue
+        try:
+            return (False, level, order_from_certificate(cert))
+        except CertificateError:
+            continue
+    return (True, None, None)
+
+
+def _assert_scalar_route(f, spec, kmax):
+    folds = [f] + [quick_cyclic_resultant(f, k) for k in range(1, kmax + 1)]
+    records = approximate_amoeba(f, spec, kmax=kmax)
+    assert len(records) == spec.npoints
     for rec, pt in zip(records, make_grid(spec)):
-        expect = (True, None, None)
-        for level, g in enumerate(folds):
-            cert = is_lopsided(g, pt, level)
-            if not cert.lopsided:
-                continue
-            try:
-                expect = (False, level, order_from_certificate(cert))
-            except CertificateError:
-                continue
-            break
-        assert (rec.in_amoeba, rec.level, rec.order) == expect, pt
+        assert rec.point == pt
+        assert (rec.in_amoeba, rec.level, rec.order) == _scalar_verdict(folds, pt), pt
+    return records
+
+
+def test_escalated_records_match_scalar_route():
+    # b = 2 certifies its central hole from level 2 on
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 5), 2)
+    records = _assert_scalar_route(parse(CUBIC_B2, 2), spec, 2)
+    assert any(not rec.in_amoeba and rec.level == 2 for rec in records)
+
+
+def test_numerators_past_int64_match_scalar_route():
+    # the rows are Python ints and every inner product takes the exact
+    # route, so the exponent differences w1 - w2 survive at 10**19
+    spec = GridSpec.from_box(10**19, 10**19 + 2, 1, 2)
+    assert _grid_rows(spec, 1).dtype == object
+    records = _assert_scalar_route(parse("z1*z2^-1 + z1^-1*z2 + 2", 2), spec, 1)
+    assert {rec.in_amoeba for rec in records} == {True, False}
+
+
+def test_orders_past_int64_match_scalar_route():
+    # level-0 orders are the exponents themselves, kept as Python ints
+    big = 2**70
+    spec = GridSpec.from_box(-1, 1, Fraction(1, 2), 2)
+    records = _assert_scalar_route(parse(f"z1^{big} + z2 + 1", 2), spec, 0)
+    assert (big, 0) in {rec.order for rec in records}
 
 
 def test_escalation_only_adds_certificates(cubic):
@@ -172,41 +200,128 @@ def test_record_invariant():
         MembershipRecord(pt, False, None, (1, 0))
 
 
-SAMPLE_RECORDS = [
-    MembershipRecord((Fraction(1, 2), Fraction(-1)), False, 1, (1, 0)),
-    MembershipRecord((Fraction(0), Fraction(0)), True, None, None),
-]
+# a 3x3 grid whose verdicts span levels 0, 1 and 2, three orders and
+# presumed amoeba points; the expected text is what csv.writer and
+# json.dumps write record by record (the reference writers below)
+SAMPLE_POLY = "z1 + z2 + z1*z2 + 1/2"
+SAMPLE_SPEC = GridSpec((Fraction(-5, 4), Fraction(-3, 2)), (Fraction(1, 4), Fraction(0)), Fraction(3, 4))
 
 
-def test_csv_golden():
+@pytest.fixture(scope="module")
+def sample_records():
+    return approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=2)
+
+
+def test_csv_golden(sample_records):
     out = io.StringIO()
-    records_to_csv(SAMPLE_RECORDS, out)
+    records_to_csv(sample_records, out)
     assert out.getvalue() == (
         "w1,w2,bit,level,order1,order2\r\n"
-        "1/2,-1,0,1,1,0\r\n"
-        "0,0,1,,,\r\n"
+        "-5/4,-3/2,0,2,0,0\r\n"
+        "-5/4,-3/4,1,,,\r\n"
+        "-5/4,0,0,1,0,1\r\n"
+        "-1/2,-3/2,1,,,\r\n"
+        "-1/2,-3/4,1,,,\r\n"
+        "-1/2,0,1,,,\r\n"
+        "1/4,-3/2,0,0,1,0\r\n"
+        "1/4,-3/4,0,2,1,0\r\n"
+        "1/4,0,1,,,\r\n"
     )
-    empty = io.StringIO()
-    records_to_csv([], empty)
-    assert empty.getvalue() == ""
 
 
-def test_jsonl_golden():
+def test_jsonl_golden(sample_records):
     out = io.StringIO()
-    records_to_jsonl(SAMPLE_RECORDS, out)
-    lines = out.getvalue().splitlines()
-    assert json.loads(lines[0]) == {
-        "point": ["1/2", "-1"],
-        "inAmoeba": False,
-        "level": 1,
-        "order": [1, 0],
-    }
-    assert json.loads(lines[1]) == {
-        "point": ["0", "0"],
-        "inAmoeba": True,
-        "level": None,
-        "order": None,
-    }
+    records_to_jsonl(sample_records, out)
+    assert out.getvalue() == (
+        '{"point": ["-5/4", "-3/2"], "inAmoeba": false, "level": 2, "order": [0, 0]}\n'
+        '{"point": ["-5/4", "-3/4"], "inAmoeba": true, "level": null, "order": null}\n'
+        '{"point": ["-5/4", "0"], "inAmoeba": false, "level": 1, "order": [0, 1]}\n'
+        '{"point": ["-1/2", "-3/2"], "inAmoeba": true, "level": null, "order": null}\n'
+        '{"point": ["-1/2", "-3/4"], "inAmoeba": true, "level": null, "order": null}\n'
+        '{"point": ["-1/2", "0"], "inAmoeba": true, "level": null, "order": null}\n'
+        '{"point": ["1/4", "-3/2"], "inAmoeba": false, "level": 0, "order": [1, 0]}\n'
+        '{"point": ["1/4", "-3/4"], "inAmoeba": false, "level": 2, "order": [1, 0]}\n'
+        '{"point": ["1/4", "0"], "inAmoeba": true, "level": null, "order": null}\n'
+    )
+
+
+def _csv_writer_reference(records):
+    # the record-by-record writer the columnar one replaced
+    out = io.StringIO()
+    records = list(records)
+    n = len(records[0].point)
+    writer = csv.writer(out)
+    writer.writerow([f"w{d+1}" for d in range(n)] + ["bit", "level"] + [f"order{d+1}" for d in range(n)])
+    for rec in records:
+        row = [str(x) for x in rec.point]
+        row.append("1" if rec.in_amoeba else "0")
+        row.append("" if rec.level is None else str(rec.level))
+        row.extend([""] * n if rec.order is None else [str(v) for v in rec.order])
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _jsonl_reference(records):
+    return "".join(
+        json.dumps(
+            {
+                "point": [str(x) for x in rec.point],
+                "inAmoeba": rec.in_amoeba,
+                "level": rec.level,
+                "order": None if rec.order is None else list(rec.order),
+            }
+        )
+        + "\n"
+        for rec in records
+    )
+
+
+@pytest.mark.parametrize(
+    "text, spec, kmax",
+    [
+        ("z1^3 - 2*z1 + 1", GridSpec.from_box(-3, 3, Fraction(1, 8), 1), 2),
+        (CUBIC_B2, GridSpec.from_box(-2, 2, Fraction(2, 5), 2), 2),
+        ("z1*z2*z3 + z1^2 + z2 + z3 + 1", GridSpec.from_box(-1, 1, Fraction(1, 2), 3), 1),
+    ],
+)
+def test_writers_match_record_reference(text, spec, kmax):
+    records = approximate_amoeba(parse(text, spec.nvars), spec, kmax=kmax)
+    out = io.StringIO()
+    records_to_csv(records, out)
+    assert out.getvalue() == _csv_writer_reference(records)
+    out = io.StringIO()
+    records_to_jsonl(records, out)
+    assert out.getvalue() == _jsonl_reference(records)
+
+
+def test_verdicts_index_like_a_list(sample_records):
+    listed = list(sample_records)
+    assert len(sample_records) == len(listed) == SAMPLE_SPEC.npoints
+    assert [sample_records[i] for i in range(len(listed))] == listed
+    assert sample_records[-1] == listed[-1]
+    assert sample_records[1:8:3] == listed[1:8:3]
+    assert [rec.point for rec in listed] == make_grid(SAMPLE_SPEC)
+    with pytest.raises(IndexError):
+        sample_records[len(listed)]
+    again = approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=2)
+    assert again == sample_records
+    assert approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=1) != sample_records
+
+
+def test_pixels_match_level_colors():
+    # the per-record loop the level-column palette lookup replaced;
+    # kmax 4 reaches every color of the palette
+    spec = GridSpec((Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(3, 2)), Fraction(1, 10))
+    records = approximate_amoeba(parse(CUBIC_B2, 2), spec, kmax=4)
+    n1, n2 = spec.counts
+    want = np.zeros((n2, n1, 3), dtype=np.uint8)
+    for flat, rec in enumerate(records):
+        i, j = divmod(flat, n2)
+        want[n2 - 1 - j, i] = level_color(rec)
+    got = records_to_pixels(records, spec)
+    assert got.dtype == np.uint8 and got.shape == (n2, n1, 3)
+    assert np.array_equal(got, want)
+    assert len({level_color(rec) for rec in records}) == 4
 
 
 def test_consistency_check_reports_pairs(cubic):

@@ -161,6 +161,45 @@ def test_undivisible_peak_certifies_nothing():
         order_from_certificate(cert)
 
 
+# exponents up to 7 in magnitude, so the int64 route would need
+# |row entries| below 2**62 / 10
+FALLBACK_POLY = "z1^7*z2^-3 - 2*z1^-2*z2^5 + 3*z2 + 1"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(10**19, 3), (-5, 10**20)],  # overflows int64
+        [(2**61, -5), (3, 2**60 + 1)],  # fits int64, row bound * 2**61 >= 2**62
+        [(-(2**63), 1), (0, -(2**63))],  # |int64 min| wraps to itself in int64
+    ],
+)
+def test_dots_exact_fallback(rows):
+    table = TermTable(parse(FALLBACK_POLY, 2))
+    den = 3
+    want = np.array(
+        [[float(sum(a * b for a, b in zip(e, row))) / float(den) for e in table.exponents] for row in rows]
+    )
+    try:
+        as_array = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        as_array = np.array(rows, dtype=object)
+    for form in (rows, as_array, np.array(rows, dtype=object)):
+        got = table.dots(form, den)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_huge_exponent_sums_take_the_exact_route():
+    # each exponent fits int64 but their magnitudes sum to 2**63, which
+    # an int64 row bound would wrap to a negative number
+    big = 2**62
+    table = TermTable(parse(f"z1^{big}*z2^{big} + 1", 2))
+    assert np.array_equal(table.dots([(1, 1), (-1, 0)], 1), [[2.0**63, 0.0], [-(2.0**62), 0.0]])
+    cert = table.certificate((1, 1))
+    assert cert.lopsided and cert.dominant == (big, big)
+
+
 def test_point_numerators():
     nums, den = point_numerators((Fraction(1, 2), Fraction(3, 4)), 2)
     assert (nums, den) == ((2, 3), 4)
