@@ -37,8 +37,8 @@ def main():
         records = approximate_amoeba(f, spec, kmax=args.kmax)
         tag = f"b{b}".replace("-", "m")
         with open(out / f"figure1_{tag}.ppm", "wb") as fh:
-            write_ppm(fh, records_to_pixels(records, spec))
-        (out / f"figure1_{tag}.svg").write_text(scatter_svg(records, spec))
+            write_ppm(fh, records_to_pixels(records))
+        (out / f"figure1_{tag}.svg").write_text(scatter_svg(records))
         orders = Counter(r.order for r in records if r.order is not None)
         red = sum(1 for r in records if r.in_amoeba)
         print(f"b={b}: {red} presumed amoeba points, orders {dict(orders)}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .bench import format_table, run_bench, to_csv
@@ -86,12 +87,18 @@ def _add_poly_args(sub):
     sub.add_argument("-n", "--nvars", type=int, help="variable count (default: inferred)")
 
 
-def _open_out(args, binary=False):
+@contextmanager
+def _output(args, binary=False):
+    """The -o stream: stdout, left open, or the named file, closed after."""
     if args.out is None or args.out == "-":
-        return (sys.stdout.buffer if binary else sys.stdout), False
+        yield sys.stdout.buffer if binary else sys.stdout
+        return
     if binary:
-        return open(args.out, "wb"), True
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+        stream = open(args.out, "wb")
+    else:
+        stream = open(args.out, "w", encoding="utf-8", newline="")
+    with stream:
+        yield stream
 
 
 def _cmd_cres(args):
@@ -99,12 +106,8 @@ def _cmd_cres(args):
     from .cycres import quick_cyclic_resultant
 
     g = quick_cyclic_resultant(f, args.level, max_terms=args.max_terms)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         stream.write(format_poly(g) + "\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -120,24 +123,16 @@ def _cmd_amoeba(args):
         max_points=args.max_grid,
     )
     if args.format == "ppm":
-        stream, close = _open_out(args, binary=True)
-        try:
-            write_ppm(stream, records_to_pixels(records, spec))
-        finally:
-            if close:
-                stream.close()
+        with _output(args, binary=True) as stream:
+            write_ppm(stream, records_to_pixels(records))
         return 0
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         if args.format == "csv":
             records_to_csv(records, stream)
         elif args.format == "svg":
-            stream.write(scatter_svg(records, spec))
+            stream.write(scatter_svg(records))
         else:
             records_to_jsonl(records, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -151,12 +146,8 @@ def _cmd_semialg(args):
         if len(systems) != 1:
             raise CliError("ppm output draws exactly one level")
         raster = systems[0].rasterize(args.box[0], args.box[1], args.res)
-        stream, close = _open_out(args, binary=True)
-        try:
+        with _output(args, binary=True) as stream:
             write_ppm(stream, mask_to_pixels(raster.mask))
-        finally:
-            if close:
-                stream.close()
         return 0
     if args.format == "svg":
         layers = [
@@ -169,12 +160,8 @@ def _cmd_semialg(args):
         text = "[\n" + ",\n".join(blocks) + "\n]" if len(blocks) > 1 else blocks[0]
     else:
         text = "\n\n".join(system.pretty() for system in systems)
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         stream.write(text + "\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -200,15 +187,11 @@ def _cmd_bench(args):
         timeout=args.timeout,
         max_terms=args.max_terms,
     )
-    stream, close = _open_out(args)
-    try:
+    with _output(args) as stream:
         if args.format == "csv":
             to_csv(results, stream)
         else:
             stream.write(format_table(results) + "\n")
-    finally:
-        if close:
-            stream.close()
     return 0 if all(r.error is None for r in results) else 1
 
 

@@ -1,48 +1,50 @@
 """Image output for grid classifications and region rasters.
 
-Two-variable only.  Grid verdicts become pixel maps or SVG scatters
-colored by the level that certified each point; region bitmaps become
-contour overlays via marching squares.  Everything is written with the
-math orientation w2 increasing upward.
+Two-variable only.  Grid pictures color each point by one palette rule
+on the ``GridVerdicts`` level column, formatting each SVG axis
+coordinate once.  Region rasters are read through ``cell_codes``, whose
+crossed cells are the one definition of where the boundary runs: the
+marching-squares contour and ``Raster.boundary`` visit only those.
+Everything is written with the math orientation w2 increasing upward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+SIZE = 640  # width and height of every SVG picture, in pixels
+
 # certified points, by escalation depth
 COLOR_CERT_LOW = (64, 224, 208)  # levels 0..2
 COLOR_CERT_MID = (173, 216, 230)  # level 3
 COLOR_CERT_HIGH = (0, 0, 139)  # level 4 and up
 COLOR_AMOEBA = (255, 0, 0)  # never certified
+COLOR_OUTSIDE = (255, 255, 255)  # raster samples outside the region
+
+PALETTE = (COLOR_AMOEBA, COLOR_CERT_LOW, COLOR_CERT_MID, COLOR_CERT_HIGH)
 
 CONTOUR_PALETTE = ("#40E0D0", "#ADD8E6", "#00008B", "#FF0000", "#228B22", "#FF8C00")
 
 
-def level_color(record):
-    if record.in_amoeba:
-        return COLOR_AMOEBA
-    if record.level <= 2:
-        return COLOR_CERT_LOW
-    if record.level == 3:
-        return COLOR_CERT_MID
-    return COLOR_CERT_HIGH
+def _shades(records):
+    """PALETTE index of every grid point, shape spec.counts.
+
+    The level column's -1 (never certified) is the amoeba color; certified
+    levels 0..2, 3 and 4 up get the three certified shades.
+    """
+    spec = records.spec
+    if spec.nvars != 2:
+        raise ValueError("grid pictures need a 2-variable grid")
+    level = np.asarray(records.level).reshape(spec.counts)
+    return np.select([level < 0, level <= 2, level == 3], [0, 1, 2], 3)
 
 
-def records_to_pixels(records, spec):
+def records_to_pixels(records):
     """Grid verdicts as an (H, W, 3) uint8 image, w2 up, w1 right.
 
-    records is an ``approximate_amoeba`` result; colors follow
-    ``level_color``, read from its level column.
+    records is an ``approximate_amoeba`` result.
     """
-    if spec.nvars != 2:
-        raise ValueError("pixel maps need a 2-variable grid")
-    level = np.asarray(records.level).reshape(spec.counts)
-    palette = np.array(
-        [COLOR_AMOEBA, COLOR_CERT_LOW, COLOR_CERT_MID, COLOR_CERT_HIGH], dtype=np.uint8
-    )
-    shade = np.select([level < 0, level <= 2, level == 3], [0, 1, 2], 3)
-    return palette[shade.T[::-1]]
+    return np.array(PALETTE, dtype=np.uint8)[_shades(records).T[::-1]]
 
 
 def write_ppm(stream, pixels):
@@ -54,40 +56,60 @@ def write_ppm(stream, pixels):
     stream.write(np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
 
 
-def _svg_head(lo, hi, size):
-    span = float(hi - lo)
+def _svg_head(lo, hi):
+    """SVG preamble, and the map of data (x, y) on [lo, hi]^2 to pixels, y up."""
+    lo, span = float(lo), float(hi - lo)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n'
-        f'<rect width="{size}" height="{size}" fill="white"/>\n',
-        lambda x, y: (
-            (float(x) - float(lo)) / span * size,
-            size - (float(y) - float(lo)) / span * size,
-        ),
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">\n'
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>\n',
+        lambda x, y: ((x - lo) / span * SIZE, SIZE - (y - lo) / span * SIZE),
     )
 
 
-def scatter_svg(records, spec, size=640):
+def scatter_svg(records):
     """Colored dot per grid verdict, same palette as the pixel map."""
-    if spec.nvars != 2:
-        raise ValueError("scatter plots need a 2-variable grid")
-    lo = min(spec.lo)
-    hi = max(spec.hi)
-    head, to_px = _svg_head(lo, hi, size)
-    radius = max(1.0, size / (max(spec.counts) * 2.5))
+    shades = _shades(records)
+    spec = records.spec
+    head, to_px = _svg_head(min(spec.lo), max(spec.hi))
+    xs, ys = to_px(*(np.array([float(v) for v in spec.axis_values(d)]) for d in range(2)))
+    radius = max(1.0, SIZE / (max(spec.counts) * 2.5))
+    # each circle's text after cx, by shade and w2 index
+    tails = [
+        [f'{y:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>\n' for y in ys.tolist()]
+        for r, g, b in PALETTE
+    ]
     parts = [head]
-    for rec in records:
-        x, y = to_px(rec.point[0], rec.point[1])
-        r, g, b = level_color(rec)
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>\n'
-        )
+    for x, row in zip(xs.tolist(), shades.tolist()):
+        cx = f'<circle cx="{x:.2f}" cy="'
+        parts.extend(cx + tails[s][j] for j, s in enumerate(row))
     parts.append("</svg>\n")
     return "".join(parts)
 
 
-# marching squares: corner bits a=(i,j) b=(i+1,j) c=(i+1,j+1) d=(i,j+1),
-# segment endpoints on cell edge midpoints named by the corner pair
+def cell_codes(mask):
+    """Marching-squares code of every lattice cell, shape (r1 - 1, r2 - 1).
+
+    Cell (i, j) has corners a=(i,j) b=(i+1,j) c=(i+1,j+1) d=(i,j+1);
+    bit 0 is mask[a], bit 1 mask[b], bit 2 mask[c], bit 3 mask[d].
+    """
+    m = np.asarray(mask, dtype=np.uint8)
+    return m[:-1, :-1] | m[1:, :-1] << 1 | m[1:, 1:] << 2 | m[:-1, 1:] << 3
+
+
+def crossed_cells(mask):
+    """Row-major (i, j, code) arrays of the cells the boundary crosses.
+
+    A cell is crossed when its corner samples disagree, so its code is
+    neither 0 nor 15.
+    """
+    codes = cell_codes(mask)
+    i, j = np.nonzero((codes != 0) & (codes != 15))
+    return i, j, codes[i, j]
+
+
+# segment endpoints on cell edge midpoints named by the corner pair, as
+# (di, dj) offsets from corner a of the cell
 _EDGES = {"ab": (0.5, 0.0), "bc": (1.0, 0.5), "cd": (0.5, 1.0), "da": (0.0, 0.5)}
 _CASES = {
     1: [("ab", "da")],
@@ -113,63 +135,53 @@ def boundary_segments(bitmap, lo, hi):
     bitmap[i, j] is the sample at lattice point i along the first axis,
     j along the second, spanning [lo, hi] with endpoints included.
     Returns a list of ((x1, y1), (x2, y2)) segments in data
-    coordinates; saddle cells split arbitrarily.
+    coordinates, crossed cells in row-major order; saddle cells split
+    arbitrarily.
     """
     r1, r2 = bitmap.shape
     lo = float(lo)
     s1 = (float(hi) - lo) / (r1 - 1)
     s2 = (float(hi) - lo) / (r2 - 1)
-    segs = []
-    for i in range(r1 - 1):
-        for j in range(r2 - 1):
-            code = (
-                int(bitmap[i, j])
-                | int(bitmap[i + 1, j]) << 1
-                | int(bitmap[i + 1, j + 1]) << 2
-                | int(bitmap[i, j + 1]) << 3
-            )
-            for e1, e2 in _CASES.get(code, ()):
-                pts = []
-                for name in (e1, e2):
-                    di, dj = _EDGES[name]
-                    pts.append((lo + (i + di) * s1, lo + (j + dj) * s2))
-                segs.append(tuple(pts))
-    return segs
+    return [
+        tuple((lo + (i + di) * s1, lo + (j + dj) * s2) for di, dj in (_EDGES[e1], _EDGES[e2]))
+        for i, j, code in zip(*(a.tolist() for a in crossed_cells(bitmap)))
+        for e1, e2 in _CASES[code]
+    ]
 
 
-def mask_to_pixels(mask, inside=COLOR_AMOEBA, outside=(255, 255, 255)):
+def mask_to_pixels(mask):
     """Boolean raster as an (H, W, 3) image, first axis right, second up."""
     r1, r2 = mask.shape
     img = np.empty((r2, r1, 3), dtype=np.uint8)
-    img[...] = outside
-    img[np.asarray(mask).T[::-1]] = inside
+    img[...] = COLOR_OUTSIDE
+    img[np.asarray(mask).T[::-1]] = COLOR_AMOEBA
     return img
 
 
-def overlay_svg(layers, lo, hi, size=640, base=None):
+def overlay_svg(layers, lo, hi, base=None):
     """Contour overlay: layers are (label, bitmap, color | None) triples.
 
     Bitmaps follow the boundary_segments convention.  base, when given,
     is painted as a light gray underlay so the contours have context.
     Colors default to a fixed palette.
     """
-    head, to_px = _svg_head(lo, hi, size)
+    head, to_px = _svg_head(lo, hi)
     parts = [head]
     if base is not None:
         r1, r2 = base.shape
         span = float(hi) - float(lo)
         s1 = span / (r1 - 1)
         s2 = span / (r2 - 1)
-        w = s1 / span * size
-        h = s2 / span * size
-        for i in range(r1 - 1):
-            for j in range(r2 - 1):
-                if base[i, j]:
-                    x, y = to_px(float(lo) + i * s1, float(lo) + (j + 1) * s2)
-                    parts.append(
-                        f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
-                        f'height="{h:.2f}" fill="#dddddd"/>\n'
-                    )
+        w = s1 / span * SIZE
+        h = s2 / span * SIZE
+        # a square per cell whose corner a is inside, placed by corner d
+        i, j = np.nonzero(base[:-1, :-1])
+        xs, ys = to_px(float(lo) + i * s1, float(lo) + (j + 1) * s2)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
+                f'height="{h:.2f}" fill="#dddddd"/>\n'
+            )
     for pos, (label, bitmap, color) in enumerate(layers):
         stroke = color or CONTOUR_PALETTE[pos % len(CONTOUR_PALETTE)]
         path = []

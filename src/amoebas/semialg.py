@@ -32,6 +32,7 @@ from .lopsided import TermTable, point_numerators, pool_map, thread_count
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _grade_key
+from .render import crossed_cells
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,21 @@ class Raster:
     """Point-sampled membership image of a system over a magnitude box.
 
     mask[i, j] is True where the approximation holds at sample
-    (axes[0][i], axes[1][j]); boundary lists the centers of lattice
-    cells whose four corner samples disagree.
+    (axes[0][i], axes[1][j]).
     """
 
     axes: tuple[tuple[Fraction, ...], ...]
     mask: np.ndarray
-    boundary: tuple[tuple[Fraction, Fraction], ...]
+
+    @property
+    def boundary(self):
+        """Exact centers of the mask's ``render.crossed_cells``, row major."""
+        a1, a2 = self.axes
+        i, j, _ = crossed_cells(self.mask)
+        return tuple(
+            ((a1[p] + a1[p + 1]) / 2, (a2[q] + a2[q + 1]) / 2)
+            for p, q in zip(i.tolist(), j.tolist())
+        )
 
 
 def _axis_pair(v, name):
@@ -189,18 +198,7 @@ class SemiAlgSystem:
             return ~self._table.float_classify(wmat)[0]
 
         mask = np.array(pool_map(row, range(ress[0]), thread_count(threads)))
-        same = mask[:-1, :-1]
-        agree = (
-            (same == mask[1:, :-1]) & (same == mask[:-1, 1:]) & (same == mask[1:, 1:])
-        )
-        boundary = tuple(
-            (
-                (axes[0][i] + axes[0][i + 1]) / 2,
-                (axes[1][j] + axes[1][j + 1]) / 2,
-            )
-            for i, j in np.argwhere(~agree)
-        )
-        return Raster(axes, mask, boundary)
+        return Raster(axes, mask)
 
     # -- presentation -------------------------------------------------------
 

@@ -57,6 +57,33 @@ FOLD_LISTING_SHA256 = {
         "28b095029a100196613d5576b0dbf280d43f01691ac78d76054395cac92b732d",
 }
 
+# sha256 of the pictures the command line writes, argv -> digest, and of
+# the files the figure scripts write at small sizes, recorded with the
+# per-record and per-cell render loops that the level column and the
+# cell codes replaced.  The amoeba grid reaches all four palette shades.
+_PICTURE_GRID = ("amoeba", "-f", CUBIC_B2, "--box", "-1", "3/2", "--step", "1/10", "--kmax", "4")
+PICTURE_SHA256 = {
+    (*_PICTURE_GRID, "--format", "svg"):
+        "d062c2763e5438c322c58c360ff9b77cbbecef570b6cd88a368ae91e5d80219c",
+    (*_PICTURE_GRID, "--format", "ppm"):
+        "fdeab1ad7d89c5cda8dc2fde55470970cae95f3e883fbac9eec8a519b23a6897",
+    ("semialg", "-f", CUBIC, "-k", "1,2", "--format", "svg", "--res", "64"):
+        "14e6fb774e2fc213c5334dd58fbb81fb0b9fe0715904fde0b7efce56ea9dd63b",
+    ("semialg", "-f", CUBIC, "--format", "ppm", "--res", "64"):
+        "8f3d95ca72866331e1113d635dadffcf6189c6e45408aea334e06dada5da6afd",
+}
+FIGURE_RUNS = {
+    "reproduce_figure1.py": ("--step", "1/4", "--kmax", "3"),
+    "reproduce_figure2.py": ("--res", "32"),
+}
+FIGURE_SHA256 = {
+    "figure1_b2.ppm": "58520825db024d9c87f185ebd8a6127ff2b6c348a722dfd47a79d7053a682a57",
+    "figure1_b2.svg": "eb089629f0c47b23c7fe1f8b5599622d672e413fe588ff769d3551b1ba559ab2",
+    "figure1_bm4.ppm": "b6cb9abd941aa8854a7360a0cbfaab8798c16faae164492b8d81b5a0693d5010",
+    "figure1_bm4.svg": "e06d7cf420977078613b4a6dd1ccf7493524233cd84185e0ca781a72a5f0972b",
+    "figure2_overlay.svg": "f585bf60ca3d7d037d37a17fb9e6b1e51ea2635e9fbedb68fa56a635c116eb95",
+}
+
 # level-1 fold of LINE and its candidate branches
 LINE_K1 = {
     (4, 0): 1, (0, 4): 1, (2, 2): -2, (2, 0): -2, (0, 2): -2, (0, 0): 1,

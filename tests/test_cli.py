@@ -1,5 +1,6 @@
 """End-to-end command line checks through main(argv)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from amoebas.cli import main
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
-from oracles import CUBIC, LINE
+from oracles import CUBIC, LINE, PICTURE_SHA256
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -112,6 +113,13 @@ def test_amoeba_ppm(tmp_path, capsys):
     data = target.read_bytes()
     assert data.startswith(b"P6\n3 3\n255\n")
     assert len(data) == len(b"P6\n3 3\n255\n") + 27
+
+
+@pytest.mark.parametrize("argv", list(PICTURE_SHA256), ids=lambda a: f"{a[0]}-{a[a.index('--format') + 1]}")
+def test_picture_bytes_pinned(argv, tmp_path):
+    target = tmp_path / "picture"
+    assert main([*argv, "-o", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PICTURE_SHA256[argv]
 
 
 def test_semialg_json_default(capsys):

@@ -22,7 +22,13 @@ from amoebas.gridsolver import (
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.lopsided import CertificateError, is_lopsided, order_from_certificate, thread_count
 from amoebas.poly import LaurentPoly, parse
-from amoebas.render import level_color, records_to_pixels
+from amoebas.render import (
+    COLOR_AMOEBA,
+    COLOR_CERT_HIGH,
+    COLOR_CERT_LOW,
+    COLOR_CERT_MID,
+    records_to_pixels,
+)
 from oracles import CUBIC_B2, LINE, complement_consistency_violations
 
 
@@ -308,9 +314,20 @@ def test_verdicts_index_like_a_list(sample_records):
     assert approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=1) != sample_records
 
 
+def level_color(record):
+    # the per-record color rule the level-column palette lookup replaced
+    if record.in_amoeba:
+        return COLOR_AMOEBA
+    if record.level <= 2:
+        return COLOR_CERT_LOW
+    if record.level == 3:
+        return COLOR_CERT_MID
+    return COLOR_CERT_HIGH
+
+
 def test_pixels_match_level_colors():
-    # the per-record loop the level-column palette lookup replaced;
-    # kmax 4 reaches every color of the palette
+    # the per-record loop as the reference; kmax 4 reaches every color of
+    # the palette
     spec = GridSpec((Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(3, 2)), Fraction(1, 10))
     records = approximate_amoeba(parse(CUBIC_B2, 2), spec, kmax=4)
     n1, n2 = spec.counts
@@ -318,7 +335,7 @@ def test_pixels_match_level_colors():
     for flat, rec in enumerate(records):
         i, j = divmod(flat, n2)
         want[n2 - 1 - j, i] = level_color(rec)
-    got = records_to_pixels(records, spec)
+    got = records_to_pixels(records)
     assert got.dtype == np.uint8 and got.shape == (n2, n1, 3)
     assert np.array_equal(got, want)
     assert len({level_color(rec) for rec in records}) == 4

@@ -1,0 +1,73 @@
+"""Marching squares: cell codes and the exact contour segment list."""
+
+import numpy as np
+
+from amoebas.render import boundary_segments, cell_codes, crossed_cells
+
+# code -> segments of the one cell of a 2x2 mask over [0, 2]^2, whose
+# corners a=(0,0) b=(1,0) c=(1,1) d=(0,1) carry bits 0..3 of the code;
+# edge midpoints land on whole numbers, saddles 5 and 10 split in two
+ONE_CELL = {
+    0: [],
+    1: [((1.0, 0.0), (0.0, 1.0))],
+    2: [((1.0, 0.0), (2.0, 1.0))],
+    3: [((0.0, 1.0), (2.0, 1.0))],
+    4: [((2.0, 1.0), (1.0, 2.0))],
+    5: [((1.0, 0.0), (2.0, 1.0)), ((1.0, 2.0), (0.0, 1.0))],
+    6: [((1.0, 0.0), (1.0, 2.0))],
+    7: [((0.0, 1.0), (1.0, 2.0))],
+    8: [((1.0, 2.0), (0.0, 1.0))],
+    9: [((1.0, 0.0), (1.0, 2.0))],
+    10: [((1.0, 0.0), (0.0, 1.0)), ((2.0, 1.0), (1.0, 2.0))],
+    11: [((2.0, 1.0), (1.0, 2.0))],
+    12: [((0.0, 1.0), (2.0, 1.0))],
+    13: [((1.0, 0.0), (2.0, 1.0))],
+    14: [((1.0, 0.0), (0.0, 1.0))],
+    15: [],
+}
+
+# a 4x5 mask over [0, 12]^2 (steps 4 and 3) whose cells mix both saddles
+# with one-segment codes, and its segments in row-major cell order
+GRID = np.array(
+    [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1], [1, 1, 0, 0, 1], [0, 1, 1, 0, 1]], dtype=bool
+)
+GRID_CODES = [[5, 10, 5, 6], [14, 3, 8, 13], [13, 7, 2, 12]]
+GRID_SEGMENTS = [
+    ((2.0, 0.0), (4.0, 1.5)),
+    ((2.0, 3.0), (0.0, 1.5)),
+    ((2.0, 3.0), (0.0, 4.5)),
+    ((4.0, 4.5), (2.0, 6.0)),
+    ((2.0, 6.0), (4.0, 7.5)),
+    ((2.0, 9.0), (0.0, 7.5)),
+    ((2.0, 9.0), (2.0, 12.0)),
+    ((6.0, 0.0), (4.0, 1.5)),
+    ((4.0, 4.5), (8.0, 4.5)),
+    ((6.0, 9.0), (4.0, 7.5)),
+    ((6.0, 9.0), (8.0, 10.5)),
+    ((10.0, 0.0), (12.0, 1.5)),
+    ((8.0, 4.5), (10.0, 6.0)),
+    ((10.0, 6.0), (12.0, 7.5)),
+    ((8.0, 10.5), (12.0, 10.5)),
+]
+
+
+def _one_cell(code):
+    m = np.zeros((2, 2), dtype=bool)
+    m[0, 0], m[1, 0], m[1, 1], m[0, 1] = (bool(code >> bit & 1) for bit in range(4))
+    return m
+
+
+def test_every_cell_code_segments():
+    for code, want in ONE_CELL.items():
+        mask = _one_cell(code)
+        assert cell_codes(mask).tolist() == [[code]]
+        assert boundary_segments(mask, 0, 2) == want, code
+
+
+def test_segments_follow_row_major_cells():
+    assert cell_codes(GRID).tolist() == GRID_CODES
+    i, j, codes = crossed_cells(GRID)
+    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(3) for b in range(4)]
+    assert codes.tolist() == sum(GRID_CODES, [])
+    assert boundary_segments(GRID, 0, 12) == GRID_SEGMENTS
+

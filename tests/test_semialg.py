@@ -203,6 +203,24 @@ def test_raster_thread_determinism(line_system):
     assert solo.boundary == pooled.boundary
 
 
+def corner_disagreement_centers(raster):
+    # the cells whose four corner samples disagree, by direct comparison
+    mask, (a1, a2) = raster.mask, raster.axes
+    same = mask[:-1, :-1]
+    agree = (same == mask[1:, :-1]) & (same == mask[:-1, 1:]) & (same == mask[1:, 1:])
+    return tuple(((a1[i] + a1[i + 1]) / 2, (a2[j] + a2[j + 1]) / 2) for i, j in np.argwhere(~agree))
+
+
+def test_raster_boundary_is_corner_disagreement(line_system):
+    rasters = [
+        line_system.rasterize(Fraction(1, 20), 3, 128),
+        line_system.rasterize((Fraction(1, 10), Fraction(1, 5)), (2, 3), (5, 9)),
+        semialg_description(parse(CUBIC, 2), 2).rasterize(Fraction(1, 20), 3, (48, 31)),
+    ]
+    for raster in rasters:
+        assert raster.boundary == corner_disagreement_centers(raster)
+
+
 def test_raster_monomial_is_all_certified():
     system = semialg_description(parse("3*z1*z2", 2), 1)
     raster = system.rasterize(Fraction(1, 2), 2, 16)
