@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .lopsided import TAU, TermTable, choose_level, pool_map, thread_count
+from .lopsided import TermTable, choose_level, pool_map, thread_count
 from .poly import LaurentPoly
 
 MAX_GRID_POINTS = 10**7
@@ -253,8 +253,8 @@ def approximate_amoeba(
             break
         g = f if k == 0 else quick_cyclic_resultant(f, k, max_terms=max_terms)
         table = TermTable(g, k)
-        ok, idx, margin = _classify_chunked(table, rows[pending], den, threads)
-        dropped = int(np.count_nonzero(margin > TAU)) - int(np.count_nonzero(ok))
+        ok, idx, lopsided = _classify_chunked(table, rows[pending], den, threads)
+        dropped = int(np.count_nonzero(lopsided)) - int(np.count_nonzero(ok))
         if dropped:
             warnings.warn(
                 f"level {k}: dropped {dropped} certificate(s) whose dominating "

@@ -23,6 +23,17 @@ equal values resolve to the earliest term in graded-lex descending
 order.  A point is therefore classified identically no matter which
 route tested it, how the batch was chunked or how many worker threads
 (``pool_map``) ran the chunks.
+
+Most verdicts need only the peak p and the second-largest value m2
+(the gap bracket).  The computed margin is p - (m2 + log S), where S
+is the sequential sum of the t - 1 values exp(v - m2) <= 1, one of
+them exp(0) = 1.  Round-to-nearest is monotone, so S >= 1, and every
+partial sum stays at most its index, so S <= t - 1; the log is
+accurate to a few ulps and keeps log(x >= 1) >= 0, so 0 <= log S <
+L = log(t - 1) + 1e-6.  By monotone rounding again, p - m2 <= TAU
+rejects and p - (m2 + L) > TAU accepts, each with the verdict the full
+sum would give, bit for bit.  Only the rows in between, and rows whose
+p or m2 is not finite, take the exp, sort and sum.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ class Certificate:
 
 def point_numerators(w, nvars):
     """Rational point -> (integer numerators, common denominator)."""
-    coords = [Fraction(x) for x in w]
+    coords = [x if isinstance(x, Fraction) else Fraction(x) for x in w]
     if len(coords) != nvars:
         raise ValueError(f"point has {len(coords)} coordinates, expected {nvars}")
     den = math.lcm(*(c.denominator for c in coords)) if coords else 1
@@ -164,10 +175,12 @@ class TermTable:
         return self.logb + np.asarray(wmat, dtype=np.float64) @ self._fmat.T
 
     def classify(self, rows, den):
-        """Batched test at rational rows: (certified, peak indices, margins).
+        """Batched test at rational rows: (certified, peak indices, lopsided).
 
-        A row is certified when its peak term outweighs the rest by more
-        than TAU and carries an order; orders[idx] is then its order.
+        A row is lopsided when its peak term outweighs the rest by more
+        than TAU, and certified when it is lopsided and the peak carries
+        an order; orders[idx] is then its order.  ``peak_margins`` gives
+        the margins themselves.
         """
         return self._certify(self.values(rows, den))
 
@@ -176,8 +189,28 @@ class TermTable:
         return self._certify(self.float_values(wmat))
 
     def _certify(self, values):
-        idx, margin = peak_margins(values)
-        return (margin > TAU) & self._has_order[idx], idx, margin
+        """``peak_margins(values)[1] > TAU`` per row, by the gap bracket.
+
+        Rows whose gap p - m2 is at most TAU are rejected, and rows where
+        p - (m2 + log(t - 1) + 1e-6) exceeds TAU are accepted, without
+        an exp (see the module docstring for why both verdicts equal
+        the full margin's).  The rest, and rows whose gap is not finite
+        (a non-finite p or m2), run the exact tail of ``peak_margins`` on
+        their own slice.  values is overwritten.
+        """
+        n, t = values.shape
+        if t == 1:
+            idx = np.zeros(n, dtype=np.intp)
+            lopsided = np.ones(n, dtype=bool)
+        else:
+            idx, peak, rest, m2 = _mask_peaks(values)
+            gap = peak - m2
+            lopsided = peak - (m2 + (math.log(t - 1) + 1e-6)) > TAU
+            band = ~(np.isfinite(gap) & (lopsided | (gap <= TAU)))
+            if band.any():
+                m2b = m2[band]
+                lopsided[band] = peak[band] - (m2b + _log_rest_sum(rest[band], m2b)) > TAU
+        return lopsided & self._has_order[idx], idx, lopsided
 
     def certificate(self, w, level=None):
         """Test a single rational point; w entries coerce via Fraction.
@@ -185,7 +218,7 @@ class TermTable:
         The certificate's level defaults to the table's.
         """
         nums, den = point_numerators(w, self.nvars)
-        _, idx, margin = self.classify([nums], den)
+        idx, margin = peak_margins(self.values([nums], den))
         return Certificate(
             bool(margin[0] > TAU),
             self.exponents[int(idx[0])],
@@ -203,18 +236,31 @@ def peak_margins(values):
     callers chunk their batches.
     """
     n, t = values.shape
-    idx = np.argmax(values, axis=1)
     if t == 1:
-        return idx, np.full(n, math.inf)
-    rows = np.arange(n)
+        return np.zeros(n, dtype=np.intp), np.full(n, math.inf)
+    idx, peak, rest, m2 = _mask_peaks(values.copy())
+    return idx, peak - (m2 + _log_rest_sum(rest, m2))
+
+
+def _mask_peaks(values):
+    """(peak index, peak, values with the peak set to -inf, m2) per row.
+
+    m2 is the largest value left; values is overwritten and returned.
+    """
+    idx = np.argmax(values, axis=1)
+    rows = np.arange(len(values))
     peak = values[rows, idx]
-    rest = values.copy()
-    rest[rows, idx] = -math.inf
-    m2 = rest.max(axis=1)
-    z = np.exp(rest - m2[:, None])
+    values[rows, idx] = -math.inf
+    return idx, peak, values, values.max(axis=1)
+
+
+def _log_rest_sum(z, m2):
+    """log(sum of exp(z - m2)) per row, summed ascending; z is overwritten."""
+    z -= m2[:, None]
+    np.exp(z, out=z)
     z.sort(axis=1)
-    total = np.cumsum(z, axis=1)[:, -1]
-    return idx, peak - (m2 + np.log(total))
+    np.cumsum(z, axis=1, out=z)
+    return np.log(z[:, -1])
 
 
 def thread_count(threads=None):

@@ -78,11 +78,17 @@ class Raster:
     """Point-sampled membership image of a system over a magnitude box.
 
     mask[i, j] is True where the approximation holds at sample
-    (axes[0][i], axes[1][j]).
+    (axes[0][i], axes[1][j]).  Two rasters are equal when their axes
+    and masks are.
     """
 
     axes: tuple[tuple[Fraction, ...], ...]
     mask: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, Raster):
+            return NotImplemented
+        return self.axes == other.axes and np.array_equal(self.mask, other.mask)
 
     @property
     def boundary(self):

@@ -1,5 +1,6 @@
 """One-term-beats-the-rest tests: margins, ties, certificates, level picking."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoebas.lopsided import (
     LEVEL_CAP,
@@ -17,6 +19,7 @@ from amoebas.lopsided import (
     choose_level,
     is_lopsided,
     order_from_certificate,
+    peak_margins,
     point_numerators,
 )
 from amoebas.cycres import quick_cyclic_resultant
@@ -62,10 +65,12 @@ def test_batched_rows_match_single_points(cubic):
     ]
     den = math.lcm(*(x.denominator for pt in pts for x in pt))
     rows = [tuple(int(x * den) for x in pt) for pt in pts]
-    ok, idx, margin = table.classify(rows, den)
+    ok, idx, lopsided = table.classify(rows, den)
+    peaks, margin = peak_margins(table.values(rows, den))
+    assert (idx == peaks).all()
     for i, pt in enumerate(pts):
         cert = table.certificate(pt)
-        assert cert.lopsided == bool(ok[i])
+        assert cert.lopsided == bool(ok[i]) == bool(lopsided[i])
         assert cert.dominant == table.exponents[int(idx[i])]
         assert cert.margin == float(margin[i])  # same floats, not just close
 
@@ -74,8 +79,8 @@ def test_denominator_scaling_is_exact(cubic):
     # scaling numerators and denominator together must not move a single bit
     table = TermTable(cubic)
     rows = [(3, -2), (7, 5), (-1, 0)]
-    _, idx1, m1 = table.classify(rows, 4)
-    _, idx2, m2 = table.classify([(3 * r[0], 3 * r[1]) for r in rows], 12)
+    idx1, m1 = peak_margins(table.values(rows, 4))
+    idx2, m2 = peak_margins(table.values([(3 * r[0], 3 * r[1]) for r in rows], 12))
     assert (idx1 == idx2).all()
     assert (m1 == m2).all()
 
@@ -150,15 +155,102 @@ def test_undivisible_peak_certifies_nothing():
     # z1 + 1 read as a level-1 fold: at w = 1 the peak z1 is lopsided,
     # but its exponent 1 is not divisible by 2, so it has no order
     table = TermTable(parse("z1 + 1", 1), 1)
-    ok, idx, margin = table.classify([(1,)], 1)
-    assert margin[0] > TAU and table.exponents[int(idx[0])] == (1,)
+    ok, idx, lopsided = table.classify([(1,)], 1)
+    assert lopsided[0] and table.exponents[int(idx[0])] == (1,)
     assert not ok[0]
-    fok, _, _ = table.float_classify(np.array([[1.0]]))
-    assert not fok[0]
+    fok, _, flopsided = table.float_classify(np.array([[1.0]]))
+    assert flopsided[0] and not fok[0]
     cert = table.certificate((1,))
     assert cert.lopsided and cert.level == 1
     with pytest.raises(CertificateError):
         order_from_certificate(cert)
+
+
+@functools.lru_cache(maxsize=None)
+def unit_table(t):
+    """t terms z1..zt with coefficient 1: float_values(w) is w itself."""
+    return TermTable(parse(" + ".join(f"z{i}" for i in range(1, t + 1)), t))
+
+
+@st.composite
+def bracket_rows(draw, t):
+    """One row of t log magnitudes with a gap planted near a bracket edge.
+
+    The second-largest value m2 is repeated ``ties`` times; with every
+    other value at m2 the margin is exactly gap - log(t - 1), so a gap
+    of log(t - 1) + TAU sits on the margin threshold, log(t - 1) + 1e-6
+    + TAU on the accept edge and TAU on the reject edge.  Each is moved
+    a few ulps either way.
+    """
+    m2 = draw(st.floats(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if t == 1:
+        row = [m2]
+    else:
+        ln = math.log(t - 1)
+        gap = draw(st.sampled_from([0.0, TAU, ln + TAU, ln + 1e-6 + TAU, 2 * ln + 1.0, 40.0]))
+        peak = m2 + gap
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            peak = math.nextafter(peak, math.copysign(math.inf, ulps))
+        ties = draw(st.one_of(st.just(t - 1), st.integers(1, t - 1)))
+        lows = m2 - rng.uniform(0, 800, t - 1 - ties)  # exp underflows to 0 below -745
+        row = [peak] + [m2] * ties + lows.tolist()
+    if draw(st.integers(0, 4)) == 0:  # non-finite entries in one row of five
+        for j in draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=3)):
+            row[j] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return rng.permutation(row).tolist()
+
+
+@st.composite
+def bracket_batches(draw):
+    t = draw(st.sampled_from([1, 2, 3, 4, 7, 30, 257]))
+    n = draw(st.sampled_from([1, 2, 17]))
+    return np.array(draw(st.lists(bracket_rows(t), min_size=n, max_size=n)), dtype=np.float64)
+
+
+@given(bracket_batches())
+@settings(max_examples=400)
+def test_gap_bracket_matches_full_margins(values):
+    # every verdict the bracket decides without an exp must be the one
+    # the full log-sum gives, bit for bit, whatever the batch
+    table = unit_table(values.shape[1])
+    with np.errstate(invalid="ignore"):  # inf - inf in the planted rows
+        peaks, margin = peak_margins(values)
+        want = margin > TAU
+        ok, idx, lopsided = table._certify(values.copy())
+        assert (idx == peaks).all()
+        assert (lopsided == want).all()
+        assert (ok == want).all()  # every unit exponent carries an order at level 0
+        for i in range(len(values)):
+            _, one_idx, one = table._certify(values[i : i + 1].copy())
+            assert one_idx[0] == peaks[i] and one[0] == want[i]
+    if np.isfinite(values).all():
+        assert np.array_equal(table.float_values(values), values)
+        _, fidx, flopsided = table.float_classify(values)
+        assert (fidx == peaks).all() and (flopsided == want).all()
+
+
+def test_bracket_numpy_primitives_hold_on_simd_lengths():
+    # the bracket proof needs exp(0) == 1, exp(x <= 0) <= 1 and
+    # log(x >= 1) >= 0 from the vectorised loops, in place as well
+    rng = np.random.default_rng(7)
+    tiny = np.nextafter(0.0, -1.0)
+    for n in (1, 7, 64, 1023, 4099):
+        zeros = np.zeros(n)
+        assert (np.exp(zeros) == 1.0).all()
+        np.exp(zeros, out=zeros)
+        assert (zeros == 1.0).all()
+        neg = -rng.exponential(rng.choice([1e-12, 1e-6, 1.0, 50.0, 800.0]), n)
+        neg[::3] = tiny
+        neg[1::5] = -0.0
+        assert (np.exp(neg) <= 1.0).all()
+        np.exp(neg, out=neg)
+        assert (neg <= 1.0).all()
+        ones = 1.0 + rng.exponential(rng.choice([1e-15, 1e-6, 1.0, 1e6]), n)
+        ones[::4] = 1.0
+        ones[1::6] = np.nextafter(1.0, 2.0)
+        assert (np.log(ones) >= 0.0).all()
 
 
 # exponents up to 7 in magnitude, so the int64 route would need

@@ -203,6 +203,17 @@ def test_raster_thread_determinism(line_system):
     assert solo.boundary == pooled.boundary
 
 
+def test_rasters_compare_by_value(line_system):
+    first = line_system.rasterize(Fraction(1, 20), 3, 8)
+    second = line_system.rasterize(Fraction(1, 20), 3, 8)
+    assert first.mask is not second.mask
+    assert first == second
+    flipped = first.mask.copy()
+    flipped[0, 0] = not flipped[0, 0]
+    assert first != Raster(first.axes, flipped)
+    assert first != line_system.rasterize(Fraction(1, 20), 3, (8, 9))
+
+
 def corner_disagreement_centers(raster):
     # the cells whose four corner samples disagree, by direct comparison
     mask, (a1, a2) = raster.mask, raster.axes
