@@ -6,22 +6,17 @@ digits of the largest coefficient, and the wall time of the fast route.
 """
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from amoebas.bench import coeff_digits
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import max_variable_index, parse
 
 DEFAULT_POLY = "z1^3 + z1*z2 + z2^3 + 1"
-
-
-def coeff_digits(p):
-    worst = max(c.abs_squared() for c in p.terms.values())
-    return len(str(math.isqrt(worst.numerator // worst.denominator)))
 
 
 def main():

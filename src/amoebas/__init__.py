@@ -22,8 +22,6 @@ from .gridsolver import (
     GridSpec,
     MembershipRecord,
     approximate_amoeba,
-    epsilon_for_grid,
-    make_grid,
     records_to_csv,
     records_to_jsonl,
 )
@@ -60,13 +58,11 @@ __all__ = [
     "TermTable",
     "approximate_amoeba",
     "choose_level",
-    "epsilon_for_grid",
     "estimate_result_terms",
     "format_poly",
     "is_lopsided",
     "iterated_resultant_baseline",
     "log_abs",
-    "make_grid",
     "newton",
     "order_from_certificate",
     "parse",

@@ -38,7 +38,8 @@ class BenchResult:
     error: str | None
 
 
-def _coeff_digits(p):
+def coeff_digits(p):
+    """Decimal digits of the integer part of p's largest coefficient magnitude."""
     worst = max(c.abs_squared() for c in p.terms.values())
     return len(str(math.isqrt(worst.numerator // worst.denominator)))
 
@@ -68,9 +69,12 @@ def run_case(
 ):
     """Time one polynomial at one level; never raises on budget errors.
 
-    Reported seconds are the mean over runs.  timeout of None means
-    DEFAULT_TIMEOUT; it bounds each baseline run separately.
+    Reported seconds are the mean over runs, which must be at least 1.
+    timeout of None means DEFAULT_TIMEOUT; it bounds each baseline run
+    separately.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     if timeout is None:
         timeout = DEFAULT_TIMEOUT
     try:
@@ -81,7 +85,7 @@ def run_case(
         return BenchResult(
             poly_id, level, runs, None, None, None, None, None, None, False, str(exc)
         )
-    stats = (g.num_terms, g.total_degree(), _coeff_digits(g))
+    stats = (g.num_terms, g.total_degree(), coeff_digits(g))
     if not baseline:
         return BenchResult(
             poly_id, level, runs, tq, None, None, *stats, False, None

@@ -252,7 +252,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, TermBudgetError, ValueError) as exc:
+    except (CliError, TermBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

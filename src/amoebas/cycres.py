@@ -2,7 +2,7 @@
 
 The cyclic resultant cres(f; r) is the product of f over all n-tuples of
 r-th root-of-unity scalings of the variables, a single polynomial whose
-coefficients are exact Gaussian rationals. Three independent routes:
+coefficients are exact Gaussian rationals. Two independent routes:
 
 * :func:`quick_cyclic_resultant`, for r = 2^k. One doubling step multiplies
   the current product P by its sign-flipped twin (terms with an odd multiple
@@ -19,9 +19,9 @@ coefficients are exact Gaussian rationals. Three independent routes:
   Res(f(u * z), u^r - 1), any r >= 1, evaluated by fraction-free
   subresultant elimination of the Sylvester system. Dramatically slower;
   exists to cross-check the quick route term by term.
-* :func:`poisson_numeric_oracle`, the defining product evaluated numerically
-  at one point in double-range complex arithmetic with magnitudes tracked in
-  log form. Validates both exact routes to float accuracy.
+
+The tests add a third, numeric route: the defining product evaluated at
+one complex point (``tests/oracles.py``).
 
 Useful invariants: every exponent of cres(f; 2^k) is divisible by 2^k in
 every variable; for polynomial (non-Laurent) f the total degree is exactly
@@ -30,7 +30,6 @@ every variable; for polynomial (non-Laurent) f the total degree is exactly
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -48,7 +47,6 @@ from .poly import (
 )
 
 DEFAULT_MAX_TERMS = 10_000_000
-ORACLE_MAX_FACTORS = 65_536
 
 
 class TermBudgetError(RuntimeError):
@@ -100,11 +98,7 @@ def estimate_result_terms(f: LaurentPoly, copies_per_var: int) -> int:
 
 
 def quick_cyclic_resultant(
-    f: LaurentPoly,
-    k: int,
-    *,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    var_order: tuple[int, ...] | None = None,
+    f: LaurentPoly, k: int, *, max_terms: int = DEFAULT_MAX_TERMS
 ) -> LaurentPoly:
     """cres(f; 2^k) by k Graeffe doubling steps per variable.
 
@@ -117,8 +111,7 @@ def quick_cyclic_resultant(
     each step computes as two squarings over packed integer exponents;
     the split takes the parity from the unpacked exponent, since the
     packing offset need not keep it (see :func:`_graeffe_step`).
-    Variables are processed in ``var_order`` (default 1..n); the factors
-    commute, so the order does not change the result.
+    Variables fold in the order 1..n.
     """
     if f.is_zero:
         raise ValueError("cyclic resultant of the zero polynomial")
@@ -126,10 +119,6 @@ def quick_cyclic_resultant(
         raise ValueError("level must be nonnegative")
     if k == 0:
         return f
-    n = f.nvars
-    order = tuple(var_order) if var_order is not None else tuple(range(1, n + 1))
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"var_order must be a permutation of 1..{n}")
     estimate = estimate_result_terms(f, 2 ** k)
     if estimate > max_terms:
         raise TermBudgetError(
@@ -137,13 +126,12 @@ def quick_cyclic_resultant(
         )
 
     den, table, all_real = _int_form(f)
-    for var in order:
-        j = var - 1
+    for j in range(f.nvars):
         for level in range(1, k + 1):
             table = _graeffe_step(table, j, (1 << level) - 1, all_real)
             den *= den
             den, table = _content_reduce(den, table)
-    return _from_int_form(n, den, table)
+    return _from_int_form(f.nvars, den, table)
 
 
 def _graeffe_step(
@@ -404,52 +392,3 @@ def iterated_resultant_baseline(
         current = _eliminate_variable(current, var, r, deadline)
     return current
 
-
-# -- numeric oracle -----------------------------------------------------------
-
-
-def poisson_numeric_oracle(f: LaurentPoly, r: int, point) -> complex:
-    """Defining product of cres(f; r) evaluated at one complex point.
-
-    Magnitudes accumulate in log form, so only the final answer must fit a
-    double; overflow is reported, never silently saturated. Factors iterate
-    in a fixed row-major order, making the result deterministic.
-    """
-    if f.is_zero:
-        raise ValueError("cyclic resultant of the zero polynomial")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    n = f.nvars
-    if r ** n > ORACLE_MAX_FACTORS:
-        raise ValueError(f"{r}^{n} factors exceed the oracle bound of {ORACLE_MAX_FACTORS}")
-    values = [complex(z) for z in point]
-    if len(values) != n:
-        raise ValueError("point dimension mismatch")
-    if any(v == 0 for v in values):
-        raise ValueError("oracle point must avoid the coordinate hyperplanes")
-    try:
-        coeffs = [(e, complex(c)) for e, c in f.sorted_terms()]
-    except OverflowError as exc:
-        raise OverflowError("coefficient too large for the numeric oracle") from exc
-    roots = [cmath.exp(2j * math.pi * t / r) for t in range(r)]
-
-    log_mag = 0.0
-    phase = 1 + 0j
-    for combo in itertools.product(range(r), repeat=n):
-        scaled = [values[i] * roots[combo[i]] for i in range(n)]
-        value = 0j
-        for e, c in coeffs:
-            term = c
-            for z, exp in zip(scaled, e):
-                term *= z ** exp
-            value += term
-        if value == 0:
-            return 0j
-        mag = abs(value)
-        log_mag += math.log(mag)
-        phase *= value / mag
-    if log_mag > 709.0:
-        raise OverflowError(
-            f"product magnitude exp({log_mag:.3g}) exceeds double range despite log tracking"
-        )
-    return math.exp(log_mag) * phase

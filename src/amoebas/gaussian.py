@@ -53,9 +53,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return not self.im
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs_squared(self) -> Fraction:
         """|a + b*i|^2 = a^2 + b^2, exact."""
         return self.re * self.re + self.im * self.im
@@ -162,12 +159,6 @@ def _ln_positive_ratio(num: int, den: int) -> tuple[float, int]:
     else:
         m = (num << -e) / den
     return math.log(m), e
-
-
-def ln_fraction(value: Fraction) -> float:
-    """Natural log of a positive rational of any size."""
-    mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)
-    return mant + exp2 * LN2
 
 
 def half_ln_fraction(value: Fraction) -> float:

@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .lopsided import TermTable, choose_level, pool_map, thread_count
+from .lopsided import TermTable, choose_level, pool_map
 from .poly import LaurentPoly
 
 MAX_GRID_POINTS = 10**7
@@ -86,27 +86,16 @@ class GridSpec:
         return [self.lo[d] + m * self.step for m in range(self.counts[d])]
 
 
-def _check_size(spec, max_points):
-    if spec.npoints > max_points:
-        raise ValueError(f"grid has {spec.npoints} points, limit is {max_points}")
-
-
 def _points(spec):
     return product(*(spec.axis_values(d) for d in range(spec.nvars)))
-
-
-def make_grid(spec, max_points=MAX_GRID_POINTS):
-    """All grid points, row major (last axis varies fastest)."""
-    _check_size(spec, max_points)
-    return list(_points(spec))
 
 
 def _grid_rows(spec, den):
     """Integer numerators over den of every grid point, shape (N, nvars).
 
-    Row major like ``make_grid``.  int64 when every axis numerator fits,
-    Python ints (dtype object) otherwise, which ``TermTable.dots`` sends
-    down its exact route.
+    Row major (last axis varies fastest).  int64 when every axis
+    numerator fits, Python ints (dtype object) otherwise, which
+    ``TermTable.dots`` sends down its exact route.
     """
     axes = [
         list(range(int(lo * den), int(hi * den) + 1, int(spec.step * den)))
@@ -117,11 +106,6 @@ def _grid_rows(spec, den):
     except OverflowError:
         cols = [np.array(a, dtype=object) for a in axes]
     return np.stack([g.ravel() for g in np.meshgrid(*cols, indexing="ij")], axis=1)
-
-
-def epsilon_for_grid(spec):
-    """Half the cell diagonal: every box point is this close to a grid point."""
-    return float(spec.step) * math.sqrt(spec.nvars) / 2.0
 
 
 @dataclass(frozen=True)
@@ -201,11 +185,11 @@ class GridVerdicts(Sequence):
         return verdicts, inverse
 
 
-def _classify_chunked(table, rows, den, threads):
+def _classify_chunked(table, rows, den):
     # bound the N x T value matrix at roughly 32 MB per chunk
     chunk = max(1, min(4096, (1 << 22) // max(1, len(table))))
     pieces = [rows[i : i + chunk] for i in range(0, len(rows), chunk)]
-    outs = pool_map(lambda part: table.classify(part, den), pieces, threads)
+    outs = pool_map(lambda part: table.classify(part, den), pieces)
     return tuple(np.concatenate([o[k] for o in outs]) for k in range(3))
 
 
@@ -217,7 +201,6 @@ def approximate_amoeba(
     eps=None,
     max_terms=DEFAULT_MAX_TERMS,
     max_points=MAX_GRID_POINTS,
-    threads=None,
 ):
     """Classify every grid point, escalating levels until certified.
 
@@ -238,9 +221,9 @@ def approximate_amoeba(
     kmax = int(kmax)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    threads = thread_count(threads)
 
-    _check_size(spec, max_points)
+    if spec.npoints > max_points:
+        raise ValueError(f"grid has {spec.npoints} points, limit is {max_points}")
     den = math.lcm(*(x.denominator for x in spec.lo), spec.step.denominator)
     rows = _grid_rows(spec, den)
 
@@ -253,7 +236,7 @@ def approximate_amoeba(
             break
         g = f if k == 0 else quick_cyclic_resultant(f, k, max_terms=max_terms)
         table = TermTable(g, k)
-        ok, idx, lopsided = _classify_chunked(table, rows[pending], den, threads)
+        ok, idx, lopsided = _classify_chunked(table, rows[pending], den)
         dropped = int(np.count_nonzero(lopsided)) - int(np.count_nonzero(ok))
         if dropped:
             warnings.warn(

@@ -101,8 +101,7 @@ class TermTable:
 
     level is the fold level of p.  orders[j] is the complement-component
     order that term j stands for when it dominates: its exponent divided
-    by 2^(level*nvars), or None when that does not divide or, given
-    explicit candidate orders, is not one of them.
+    by 2^(level*nvars), or None when that does not divide.
     """
 
     __slots__ = (
@@ -110,7 +109,7 @@ class TermTable:
         "_has_order", "_emat", "_row_bound", "_fmat",
     )
 
-    def __init__(self, p: LaurentPoly, level=0, candidates=None):
+    def __init__(self, p: LaurentPoly, level=0):
         if p.is_zero:
             raise ValueError("the zero polynomial has no lopsided points")
         terms = p.sorted_terms()
@@ -118,12 +117,8 @@ class TermTable:
         self.level = level
         self.exponents = tuple(e for e, _ in terms)
         self.logb = np.array([log_abs(c) for _, c in terms])
-        orders = [exponent_order(e, level) for e in self.exponents]
-        if candidates is not None:
-            allowed = set(candidates)
-            orders = [o if o in allowed else None for o in orders]
-        self.orders = tuple(orders)
-        self._has_order = np.array([o is not None for o in orders])
+        self.orders = tuple(exponent_order(e, level) for e in self.exponents)
+        self._has_order = np.array([o is not None for o in self.orders])
         try:
             self._emat = np.array(self.exponents, dtype=np.int64)
         except OverflowError:
@@ -212,18 +207,12 @@ class TermTable:
                 lopsided[band] = peak[band] - (m2b + _log_rest_sum(rest[band], m2b)) > TAU
         return lopsided & self._has_order[idx], idx, lopsided
 
-    def certificate(self, w, level=None):
-        """Test a single rational point; w entries coerce via Fraction.
-
-        The certificate's level defaults to the table's.
-        """
+    def certificate(self, w):
+        """Test one rational point at the table's level; w coerces via Fraction."""
         nums, den = point_numerators(w, self.nvars)
         idx, margin = peak_margins(self.values([nums], den))
         return Certificate(
-            bool(margin[0] > TAU),
-            self.exponents[int(idx[0])],
-            float(margin[0]),
-            self.level if level is None else level,
+            bool(margin[0] > TAU), self.exponents[int(idx[0])], float(margin[0]), self.level
         )
 
 
@@ -263,10 +252,8 @@ def _log_rest_sum(z, m2):
     return np.log(z[:, -1])
 
 
-def thread_count(threads=None):
-    """Worker count: the argument if given, else AMOEBA_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
+def thread_count():
+    """Worker count: AMOEBA_THREADS when it is an integer, at least 1; else 1."""
     raw = os.environ.get("AMOEBA_THREADS", "")
     try:
         return max(1, int(raw))
@@ -274,11 +261,12 @@ def thread_count(threads=None):
         return 1
 
 
-def pool_map(fn, items, threads):
-    """[fn(x) for x in items], on ``threads`` workers when more than one.
+def pool_map(fn, items):
+    """[fn(x) for x in items], on ``thread_count()`` workers when more than one.
 
     Results come back in item order whatever the worker count.
     """
+    threads = thread_count()
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))

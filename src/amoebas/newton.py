@@ -26,25 +26,13 @@ Constraint = tuple[IntVector, int]
 
 @dataclass(frozen=True)
 class NewtonData:
-    """Convex hull of a support set, with exact membership tests."""
+    """Convex hull of a support set and its exact constraints."""
 
     dim: int
     vertices: tuple[IntVector, ...]
     lattice_points: tuple[IntVector, ...]
     equalities: tuple[Constraint, ...] = field(default=(), repr=False)
     inequalities: tuple[Constraint, ...] = field(default=(), repr=False)
-
-    def contains(self, point: IntVector) -> bool:
-        """Exact membership of an integer (or rational) point in the hull."""
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        for normal, rhs in self.equalities:
-            if sum(a * x for a, x in zip(normal, point)) != rhs:
-                return False
-        for normal, rhs in self.inequalities:
-            if sum(a * x for a, x in zip(normal, point)) > rhs:
-                return False
-        return True
 
 
 def _primitive(vector: tuple[int, ...]) -> tuple[int, ...]:

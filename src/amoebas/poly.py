@@ -93,18 +93,8 @@ class LaurentPoly:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, value: GaussianRational | int | Fraction) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def monomial(
-        cls, nvars: int, exponent: ExponentVector, coeff: GaussianRational | int | Fraction = 1
-    ) -> "LaurentPoly":
-        return cls(nvars, {tuple(exponent): coeff})
 
     # -- inspection -----------------------------------------------------
 
@@ -177,23 +167,6 @@ class LaurentPoly:
         if value.is_zero:
             return LaurentPoly(self.nvars)
         return LaurentPoly(self.nvars, {e: c * value for e, c in self.terms.items()})
-
-    def evaluate_complex(self, point) -> complex:
-        """Evaluate at a complex point, in doubles.
-
-        Diagnostic helper only: coefficients and values must fit float
-        range. Raises OverflowError otherwise.
-        """
-        values = list(point)
-        if len(values) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        acc = 0j
-        for e, c in self.terms.items():
-            term = complex(c)
-            for z, k in zip(values, e):
-                term *= z ** k
-            acc += term
-        return acc
 
     def to_string(self) -> str:
         return format_poly(self)

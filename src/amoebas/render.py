@@ -4,7 +4,7 @@ Two-variable only.  Grid pictures color each point by one palette rule
 on the ``GridVerdicts`` level column, formatting each SVG axis
 coordinate once.  Region rasters are read through ``cell_codes``, whose
 crossed cells are the one definition of where the boundary runs: the
-marching-squares contour and ``Raster.boundary`` visit only those.
+marching-squares contour visits only those.
 Everything is written with the math orientation w2 increasing upward.
 """
 

@@ -8,11 +8,12 @@ s = 2^(k*nvars), outweighs all the others together:
 
     2 * |b_{s alpha}| * x^(s alpha) > g(x),    x in the open orthant.
 
-Candidate orders range over the lattice points of the input's exponent
-hull; a certified point's dominating exponent is always s times one of
-them, so restricting to candidates loses nothing.  Term magnitudes are
-carried exactly as squared rationals and never rounded in the data
-model.  Point queries at rational log coordinates reuse the canonical
+The candidate orders are the lattice points of the input's exponent
+hull: the fold's exponents lie in s times that hull, so a dominating
+exponent that s divides is s times one of them, and every certified
+point falls in a candidate's branch.  Term magnitudes are carried
+exactly as squared rationals and never rounded in the data model.
+Point queries at rational log coordinates reuse the canonical
 integer pipeline from ``lopsided`` and so agree with the grid
 classifier bit for bit; rasterization samples magnitudes whose logs are
 irrational and runs the same margin test on float log coordinates.
@@ -28,11 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .lopsided import TermTable, point_numerators, pool_map, thread_count
+from .lopsided import TermTable, point_numerators, pool_map
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _grade_key
-from .render import crossed_cells
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,6 @@ class Raster:
             return NotImplemented
         return self.axes == other.axes and np.array_equal(self.mask, other.mask)
 
-    @property
-    def boundary(self):
-        """Exact centers of the mask's ``render.crossed_cells``, row major."""
-        a1, a2 = self.axes
-        i, j, _ = crossed_cells(self.mask)
-        return tuple(
-            ((a1[p] + a1[p + 1]) / 2, (a2[q] + a2[q + 1]) / 2)
-            for p, q in zip(i.tolist(), j.tolist())
-        )
-
 
 def _axis_pair(v, name):
     if isinstance(v, (tuple, list)):
@@ -132,18 +122,22 @@ def _x_monomial(e):
 class SemiAlgSystem:
     """Union-of-branches description at a fixed folding level.
 
-    table is the level's ``TermTable``; its orders are limited to the
-    candidate orders, so a certified peak is always one of the branches.
+    g is the level's fold of f; orders, the lattice points of f's
+    exponent hull, give one candidate each.  The module docstring shows
+    why the order of every certified peak is among them.
     """
 
     __slots__ = ("level", "nvars", "base", "candidates", "_table")
 
-    def __init__(self, level, base: AbsolutePoly, candidates, table: TermTable):
+    def __init__(self, level, g: LaurentPoly, orders):
         self.level = level
-        self.nvars = base.nvars
-        self.base = base
-        self.candidates = tuple(candidates)
-        self._table = table
+        self.nvars = g.nvars
+        self._table = TermTable(g, level)
+        scale = 1 << (level * g.nvars)
+        sq = {e: c.abs_squared() for e, c in g.terms.items()}
+        scaled = [(o, tuple(scale * v for v in o)) for o in sorted(orders, key=_grade_key)]
+        self.candidates = tuple(Candidate(o, s, sq.get(s, Fraction(0))) for o, s in scaled)
+        self.base = AbsolutePoly.from_poly(g)
 
     # -- point queries ----------------------------------------------------
 
@@ -153,32 +147,18 @@ class SemiAlgSystem:
         ok, idx, _ = self._table.classify([nums], den)
         return self._table.orders[idx[0]] if ok[0] else None
 
-    def contains_log(self, w):
-        """True when w is NOT certified: the point of the approximation."""
-        return self.certify_log(w) is None
-
-    def contains(self, x):
-        """Magnitude-space membership; x must be strictly positive floats."""
-        coords = []
-        for v in x:
-            v = float(v)
-            if not v > 0:
-                raise ValueError("magnitude coordinates must be positive")
-            coords.append(Fraction(math.log(v)))
-        return self.contains_log(coords)
-
     # -- rasterization ------------------------------------------------------
 
-    def rasterize(self, lo, hi, res, threads=None):
+    def rasterize(self, lo, hi, res):
         """Sample a magnitude-space box on a res1 x res2 point lattice.
 
         lo and hi bound an axis-aligned rectangle in the open positive
         orthant (scalars broadcast to both axes); sample i along an
         axis sits at lo + i*(hi - lo)/(res - 1), endpoints included.
         Membership runs in log coordinates, so huge exponents cannot
-        overflow, and is mapped over rows of the lattice (AMOEBA_THREADS
-        workers unless overridden) with the output assembled in index
-        order.  Two variables only.
+        overflow, and is mapped over rows of the lattice (``pool_map``,
+        AMOEBA_THREADS workers) with the output assembled in index order.
+        Two variables only.
         """
         if self.nvars != 2:
             raise ValueError("rasterize draws 2-variable systems only")
@@ -203,7 +183,7 @@ class SemiAlgSystem:
             wmat = np.column_stack([np.full(len(w2), logs[0][i]), w2])
             return ~self._table.float_classify(wmat)[0]
 
-        mask = np.array(pool_map(row, range(ress[0]), thread_count(threads)))
+        mask = np.array(pool_map(row, range(ress[0])))
         return Raster(axes, mask)
 
     # -- presentation -------------------------------------------------------
@@ -252,35 +232,16 @@ class SemiAlgSystem:
         return "\n".join(lines)
 
 
-def semialg_description(f: LaurentPoly, level, candidates=None, *, max_terms=DEFAULT_MAX_TERMS):
+def semialg_description(f: LaurentPoly, level, *, max_terms=DEFAULT_MAX_TERMS):
     """Build the level-k region description for f.
 
-    candidates defaults to every lattice point of f's exponent hull,
-    the complete set of possible component orders.
+    The candidates are every lattice point of f's exponent hull, the
+    complete set of possible component orders.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no complement to describe")
     level = int(level)
     if level < 1:
         raise ValueError("level must be at least 1")
-    if candidates is None:
-        orders = newton(f).lattice_points
-    else:
-        orders = [tuple(int(v) for v in o) for o in candidates]
-        for o in orders:
-            if len(o) != f.nvars:
-                raise ValueError(f"candidate {o} has wrong dimension")
-    if not orders:
-        raise ValueError("no candidate orders")
-    g = quick_cyclic_resultant(f, level, max_terms=max_terms)
-    scale = 1 << (level * f.nvars)
-    # by default every order the table finds is a hull lattice point:
-    # g's exponents lie in scale * hull, so a divisible one is scale * a
-    # lattice point of the hull
-    table = TermTable(g, level, None if candidates is None else orders)
-    sq = {e: c.abs_squared() for e, c in g.terms.items()}
-    cands = [
-        Candidate(o, tuple(scale * v for v in o), sq.get(tuple(scale * v for v in o), Fraction(0)))
-        for o in sorted(orders, key=_grade_key)
-    ]
-    return SemiAlgSystem(level, AbsolutePoly.from_poly(g), cands, table)
+    orders = newton(f).lattice_points
+    return SemiAlgSystem(level, quick_cyclic_resultant(f, level, max_terms=max_terms), orders)

@@ -1,14 +1,24 @@
-"""Frozen expected values shared across test modules.
+"""Frozen expected values and reference routes shared across test modules.
 
 Everything here was computed independently before being pinned: small
 products by hand, larger ones cross-checked against the nested
-resultant baseline and the numeric root-of-unity product.
+resultant baseline and the numeric root-of-unity product.  The
+reference routes (the full-product fold, the Sylvester determinant, the
+numeric product, hull and region membership, grid points, boundary
+centers) are used by tests only, so they live here and not in the
+package.
 """
 
+import cmath
+import itertools
+import math
 from fractions import Fraction
 
 from amoebas.cycres import _is_one
+from amoebas.gaussian import LN2, _ln_positive_ratio
+from amoebas.gridsolver import MAX_GRID_POINTS
 from amoebas.poly import LaurentPoly, exact_div, mul
+from amoebas.render import crossed_cells
 
 CUBIC = "z1^3 + z1*z2 + z2^3 + 1"
 CUBIC_B2 = "z1^3 + 2*z1*z2 + z2^3 + 1"
@@ -211,3 +221,130 @@ def complement_consistency_violations(records, spec):
             if not other.in_amoeba and other.order != rec.order:
                 out.append((rec.point, other.point, rec.order, other.order))
     return out
+
+
+# -- numeric routes -----------------------------------------------------------
+
+ORACLE_MAX_FACTORS = 65_536
+
+
+def evaluate_complex(p, point):
+    """p at a complex point, in doubles; coefficients and values must fit."""
+    values = list(point)
+    if len(values) != p.nvars:
+        raise ValueError("point dimension mismatch")
+    acc = 0j
+    for e, c in p.terms.items():
+        term = complex(c)
+        for z, k in zip(values, e):
+            term *= z ** k
+        acc += term
+    return acc
+
+
+def poisson_numeric_oracle(f, r, point):
+    """Defining product of cres(f; r) evaluated at one complex point.
+
+    The third, numeric route next to the fold and the nested-resultant
+    baseline.  Magnitudes accumulate in log form, so only the final
+    answer must fit a double; overflow is reported, never silently
+    saturated.  Factors iterate in a fixed row-major order, making the
+    result deterministic.
+    """
+    if f.is_zero:
+        raise ValueError("cyclic resultant of the zero polynomial")
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    n = f.nvars
+    if r ** n > ORACLE_MAX_FACTORS:
+        raise ValueError(f"{r}^{n} factors exceed the oracle bound of {ORACLE_MAX_FACTORS}")
+    values = [complex(z) for z in point]
+    if len(values) != n:
+        raise ValueError("point dimension mismatch")
+    if any(v == 0 for v in values):
+        raise ValueError("oracle point must avoid the coordinate hyperplanes")
+    try:
+        coeffs = [(e, complex(c)) for e, c in f.sorted_terms()]
+    except OverflowError as exc:
+        raise OverflowError("coefficient too large for the numeric oracle") from exc
+    roots = [cmath.exp(2j * math.pi * t / r) for t in range(r)]
+
+    log_mag = 0.0
+    phase = 1 + 0j
+    for combo in itertools.product(range(r), repeat=n):
+        scaled = [values[i] * roots[combo[i]] for i in range(n)]
+        value = 0j
+        for e, c in coeffs:
+            term = c
+            for z, exp in zip(scaled, e):
+                term *= z ** exp
+            value += term
+        if value == 0:
+            return 0j
+        mag = abs(value)
+        log_mag += math.log(mag)
+        phase *= value / mag
+    if log_mag > 709.0:
+        raise OverflowError(
+            f"product magnitude exp({log_mag:.3g}) exceeds double range despite log tracking"
+        )
+    return math.exp(log_mag) * phase
+
+
+def ln_fraction(value):
+    """Natural log of a positive rational of any size."""
+    mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)
+    return mant + exp2 * LN2
+
+
+# -- membership and geometry --------------------------------------------------
+
+
+def hull_contains(data, point):
+    """Exact membership of an integer (or rational) point in a Newton hull."""
+    if len(point) != data.dim:
+        raise ValueError("point dimension mismatch")
+    for normal, rhs in data.equalities:
+        if sum(a * x for a, x in zip(normal, point)) != rhs:
+            return False
+    for normal, rhs in data.inequalities:
+        if sum(a * x for a, x in zip(normal, point)) > rhs:
+            return False
+    return True
+
+
+def contains_log(system, w):
+    """True when a semialg system does NOT certify log point w."""
+    return system.certify_log(w) is None
+
+
+def contains(system, x):
+    """Magnitude-space membership; x must be strictly positive floats."""
+    coords = []
+    for v in x:
+        v = float(v)
+        if not v > 0:
+            raise ValueError("magnitude coordinates must be positive")
+        coords.append(Fraction(math.log(v)))
+    return contains_log(system, coords)
+
+
+def make_grid(spec, max_points=MAX_GRID_POINTS):
+    """All grid points, row major (last axis varies fastest)."""
+    if spec.npoints > max_points:
+        raise ValueError(f"grid has {spec.npoints} points, limit is {max_points}")
+    return list(itertools.product(*(spec.axis_values(d) for d in range(spec.nvars))))
+
+
+def epsilon_for_grid(spec):
+    """Half the cell diagonal: every box point is this close to a grid point."""
+    return float(spec.step) * math.sqrt(spec.nvars) / 2.0
+
+
+def boundary_centers(raster):
+    """Exact centers of a raster's ``render.crossed_cells``, row major."""
+    a1, a2 = raster.axes
+    i, j, _ = crossed_cells(raster.mask)
+    return tuple(
+        ((a1[p] + a1[p + 1]) / 2, (a2[q] + a2[q + 1]) / 2) for p, q in zip(i.tolist(), j.tolist())
+    )

@@ -13,13 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebas.bench import run_case
-from amoebas.cycres import (
-    iterated_resultant_baseline,
-    poisson_numeric_oracle,
-    quick_cyclic_resultant,
-)
-from amoebas.gridsolver import GridSpec, approximate_amoeba, epsilon_for_grid
+from amoebas.bench import coeff_digits, run_case
+from amoebas.cycres import iterated_resultant_baseline, quick_cyclic_resultant
+from amoebas.gridsolver import GridSpec, approximate_amoeba
 from amoebas.lopsided import TermTable, choose_level, is_lopsided
 from amoebas.newton import newton
 from amoebas.poly import LaurentPoly, parse
@@ -36,18 +32,17 @@ from oracles import (
     LADDER_TERMS,
     LINE,
     SEVEN_TERM_3VAR,
+    boundary_centers,
+    epsilon_for_grid,
+    evaluate_complex,
     flip_signs,
     line_unlog_member,
+    poisson_numeric_oracle,
 )
 
 
 def int_terms(p):
     return {e: int(c.re) for e, c in p.terms.items()}
-
-
-def coeff_digits(p):
-    worst = max(c.abs_squared() for c in p.terms.values())
-    return len(str(math.isqrt(worst.numerator // worst.denominator)))
 
 
 # -- 1: the level-2 fold of the running cubic, exactly ------------------------
@@ -120,9 +115,9 @@ def test_criterion_05_no_false_certificates(cubic):
     assert len(pts) == 100
     for level in range(5):
         g = cubic if level == 0 else quick_cyclic_resultant(cubic, level)
-        table = TermTable(g)
+        table = TermTable(g, level)
         for w in pts:
-            cert = table.certificate(w, level)
+            cert = table.certificate(w)
             assert not cert.lopsided, (
                 f"level {level} certified a point of the zero set, margin {cert.margin}"
             )
@@ -144,7 +139,7 @@ def test_criterion_06_numeric_oracle(cubic):
         g = quick_cyclic_resultant(cubic, k)
         for pt in pts:
             want = poisson_numeric_oracle(cubic, 1 << k, pt)
-            got = complex(g.evaluate_complex(pt))
+            got = evaluate_complex(g, pt)
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -232,8 +227,9 @@ def test_criterion_08_raster_cells():
     # boundary; near x1 = 0 it bulges to x2 = sqrt(1+sqrt2) ~ 1.554, away
     # from the amoeba edge x2 = x1 + 1
     curves = _line_k1_boundary_samples(float(lo), float(hi))
-    assert raster.boundary, "no boundary cells found at 512x512"
-    cells = np.array([[float(c[0]), float(c[1])] for c in raster.boundary])
+    centers = boundary_centers(raster)
+    assert centers, "no boundary cells found at 512x512"
+    cells = np.array([[float(c[0]), float(c[1])] for c in centers])
     worst = float(np.max(_nearest_distances(cells, curves)))
     assert worst <= diag, (
         f"worst boundary-cell distance {worst:.6f} exceeds one cell diagonal {diag:.6f}"

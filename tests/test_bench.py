@@ -46,7 +46,7 @@ def test_term_budget_becomes_error_string(cubic):
 
 
 def test_zero_poly_becomes_error_string():
-    r = run_case("zero", LaurentPoly.zero(2), 1)
+    r = run_case("zero", LaurentPoly(2), 1)
     assert r.error is not None
     assert r.quick_seconds is None
 

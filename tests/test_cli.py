@@ -210,6 +210,21 @@ def test_error_exits(capsys, tmp_path):
     assert code == 2 and "not both" in err
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_bench_rejects_nonpositive_runs(capsys, runs):
+    code, _, err = run_cli(capsys, "bench", "z1+z2+1", "-k", "1", "--runs", runs)
+    assert code == 2 and err.startswith("error:") and "runs" in err
+
+
+def test_file_errors_exit_2(capsys, tmp_path):
+    missing = tmp_path / "no_such_dir" / "p.txt"
+    code, _, err = run_cli(capsys, "cres", "--poly-file", str(missing))
+    assert code == 2 and err.startswith("error:")
+
+    code, out, err = run_cli(capsys, "cres", "-f", "z1 + 1", "-o", str(missing))
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "amoebas.cli", "cres", "-f", "z1 + 1", "-k", "1"],

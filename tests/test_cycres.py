@@ -14,7 +14,6 @@ from amoebas.cycres import (
     TermBudgetError,
     estimate_result_terms,
     iterated_resultant_baseline,
-    poisson_numeric_oracle,
     quick_cyclic_resultant,
 )
 from amoebas.poly import LaurentPoly, format_poly, parse
@@ -27,7 +26,9 @@ from oracles import (
     LINE,
     LINE_K1,
     THREE_VAR,
+    evaluate_complex,
     flip_multiply_fold,
+    poisson_numeric_oracle,
     sylvester_resultant_direct,
 )
 
@@ -60,7 +61,7 @@ def test_univariate_poisson_closed_form():
     assert as_int_dict(g) == {(2,): -1, (0,): 1}
     # a monomial folds to a scaled power: b*z^a -> b^2 * (-1)^a * z^(2a)
     for a, want_sign in ((1, -1), (2, 1), (3, -1)):
-        m = quick_cyclic_resultant(LaurentPoly.monomial(1, (a,), 3), 1)
+        m = quick_cyclic_resultant(LaurentPoly(1, {(a,): 3}), 1)
         assert as_int_dict(m) == {(2 * a,): 9 * want_sign}
 
 
@@ -119,7 +120,7 @@ def test_baseline_handles_odd_r(cubic):
     # r = 3 has no doubling route; the baseline is the only exact path
     g = iterated_resultant_baseline(cubic, 3)
     assert g.total_degree() == 3 ** 2 * 3
-    got = complex(g.evaluate_complex((1.1 + 0.2j, 0.7 - 0.4j)))
+    got = evaluate_complex(g, (1.1 + 0.2j, 0.7 - 0.4j))
     want = poisson_numeric_oracle(cubic, 3, (1.1 + 0.2j, 0.7 - 0.4j))
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -130,12 +131,37 @@ def test_quick_equals_baseline_property(f, k):
     assert quick_cyclic_resultant(f, k) == iterated_resultant_baseline(f, 1 << k)
 
 
-def test_var_order_does_not_change_result(cubic):
-    a = quick_cyclic_resultant(cubic, 2, var_order=(1, 2))
-    b = quick_cyclic_resultant(cubic, 2, var_order=(2, 1))
-    assert a == b
-    with pytest.raises(ValueError):
-        quick_cyclic_resultant(cubic, 1, var_order=(1, 1))
+def relabel(p, perm):
+    """p with variable i renamed perm[i]: exponent e becomes e' with e'[perm[i]] = e[i]."""
+    out = {}
+    for e, c in p.terms.items():
+        moved = [0] * p.nvars
+        for i, v in enumerate(e):
+            moved[perm[i]] = v
+        out[tuple(moved)] = c
+    return LaurentPoly(p.nvars, out)
+
+
+def test_var_order_does_not_change_result():
+    # folding the relabelled input visits the variables in the permuted
+    # order; since the factors commute it must equal the relabelled fold
+    cases = (
+        ("(2-1i)*z1*z2^-2 - 3/4 + z1^2 + (1+1i)*z2", 2, (3,), [(1, 0)]),
+        (
+            "z1*z2*z3^-1 + z1^2 + 2*z2 - 3*z3 + 1",
+            3,
+            (1, 2),
+            [(1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)],
+        ),
+    )
+    for text, nvars, levels, perms in cases:
+        f = parse(text, nvars)
+        for k in levels:
+            g = quick_cyclic_resultant(f, k)
+            for perm in perms:
+                swapped = quick_cyclic_resultant(relabel(f, perm), k)
+                assert swapped == relabel(g, perm), (text, k, perm)
+                assert swapped != g, (text, k, perm)  # the relabelling is visible
 
 
 def test_poisson_oracle_agreement(cubic):
@@ -148,7 +174,7 @@ def test_poisson_oracle_agreement(cubic):
                 for a, b in rng.uniform(-1.5, 1.5, size=(2, 2))
             )
             want = poisson_numeric_oracle(cubic, 1 << k, pt)
-            got = complex(g.evaluate_complex(pt))
+            got = evaluate_complex(g, pt)
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -211,7 +237,7 @@ def test_baseline_checks_deadline_before_every_ring_step(cubic, monkeypatch):
 
 def test_zero_and_negative_level_rejected(cubic):
     with pytest.raises(ValueError):
-        quick_cyclic_resultant(LaurentPoly.zero(2), 1)
+        quick_cyclic_resultant(LaurentPoly(2), 1)
     with pytest.raises(ValueError):
         quick_cyclic_resultant(cubic, -1)
     with pytest.raises(ValueError):

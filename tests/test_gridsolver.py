@@ -14,8 +14,6 @@ from amoebas.gridsolver import (
     MembershipRecord,
     _grid_rows,
     approximate_amoeba,
-    epsilon_for_grid,
-    make_grid,
     records_to_csv,
     records_to_jsonl,
 )
@@ -29,7 +27,13 @@ from amoebas.render import (
     COLOR_CERT_MID,
     records_to_pixels,
 )
-from oracles import CUBIC_B2, LINE, complement_consistency_violations
+from oracles import (
+    CUBIC_B2,
+    LINE,
+    complement_consistency_violations,
+    epsilon_for_grid,
+    make_grid,
+)
 
 
 class TestGridSpec:
@@ -148,20 +152,23 @@ def test_escalation_only_adds_certificates(cubic):
 
 
 def test_thread_count_resolution(monkeypatch):
-    assert thread_count(3) == 3
-    assert thread_count(0) == 1
     monkeypatch.setenv("AMOEBA_THREADS", "5")
     assert thread_count() == 5
     monkeypatch.setenv("AMOEBA_THREADS", "garbage")
+    assert thread_count() == 1
+    monkeypatch.setenv("AMOEBA_THREADS", "0")
     assert thread_count() == 1
     monkeypatch.delenv("AMOEBA_THREADS")
     assert thread_count() == 1
 
 
-def test_thread_pool_does_not_change_records(cubic):
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
-    solo = approximate_amoeba(cubic, spec, kmax=1, threads=1)
-    pooled = approximate_amoeba(cubic, spec, kmax=1, threads=4)
+def test_thread_pool_does_not_change_records(cubic, monkeypatch):
+    # 81^2 points are two classify chunks at level 0, so 4 workers share them
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
+    monkeypatch.setenv("AMOEBA_THREADS", "1")
+    solo = approximate_amoeba(cubic, spec, kmax=1)
+    monkeypatch.setenv("AMOEBA_THREADS", "4")
+    pooled = approximate_amoeba(cubic, spec, kmax=1)
     assert solo == pooled
 
 
@@ -189,7 +196,7 @@ def test_eps_handles_laurent_exponents():
 def test_input_validation(cubic):
     spec = GridSpec.from_box(-1, 1, 1, 2)
     with pytest.raises(ValueError):
-        approximate_amoeba(LaurentPoly.zero(2), spec, kmax=0)
+        approximate_amoeba(LaurentPoly(2), spec, kmax=0)
     with pytest.raises(ValueError):
         approximate_amoeba(parse("z1 + 1", 1), spec, kmax=0)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from amoebas.newton import hull_of_points, newton
 from amoebas.poly import LaurentPoly, parse
+from oracles import hull_contains
 
 
 def test_cubic_hull_is_the_full_triangle(cubic):
@@ -15,26 +16,26 @@ def test_cubic_hull_is_the_full_triangle(cubic):
     assert set(data.lattice_points) == {
         (i, j) for i in range(4) for j in range(4) if i + j <= 3
     }
-    assert data.contains((1, 1))
-    assert not data.contains((2, 2))
-    assert not data.contains((-1, 0))
+    assert hull_contains(data, (1, 1))
+    assert not hull_contains(data, (2, 2))
+    assert not hull_contains(data, (-1, 0))
 
 
 def test_single_point_hull():
     data = newton(parse("5*z1^2*z2^-3", 2))
     assert data.vertices == ((2, -3),)
     assert data.lattice_points == ((2, -3),)
-    assert data.contains((2, -3))
-    assert not data.contains((0, 0))
+    assert hull_contains(data, (2, -3))
+    assert not hull_contains(data, (0, 0))
 
 
 def test_segment_hull():
     data = newton(parse("z1 + z2", 2))
     assert set(data.vertices) == {(1, 0), (0, 1)}
     assert set(data.lattice_points) == {(1, 0), (0, 1)}
-    assert not data.contains((0, 0))
+    assert not hull_contains(data, (0, 0))
     # rational midpoint lies on the segment
-    assert data.contains((Fraction(1, 2), Fraction(1, 2)))
+    assert hull_contains(data, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_univariate_interval():
@@ -46,8 +47,8 @@ def test_univariate_interval():
 def test_three_var_simplex():
     data = newton(parse("z1*z2*z3 + z1^2 + z2 + z3 + 1", 3))
     assert (1, 1, 1) in data.lattice_points
-    assert data.contains((1, 0, 0))
-    assert not data.contains((2, 2, 2))
+    assert hull_contains(data, (1, 0, 0))
+    assert not hull_contains(data, (2, 2, 2))
     for v in data.vertices:
         assert v in {(2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (1, 1, 1)}
 
@@ -63,7 +64,7 @@ def test_hull_ignores_duplicates_and_interior():
 def test_laurent_square():
     data = newton(parse("z1*z2 + z1^-1*z2 + z1*z2^-1 + z1^-1*z2^-1", 2))
     assert len(data.lattice_points) == 9
-    assert data.contains((0, 0))
+    assert hull_contains(data, (0, 0))
 
 
 @given(
@@ -77,7 +78,7 @@ def test_support_always_inside_own_hull(points):
         return
     data = newton(p)
     for e in p.terms:
-        assert data.contains(e)
+        assert hull_contains(data, e)
         assert e in data.lattice_points
     for v in data.vertices:
         assert v in p.terms
@@ -85,4 +86,4 @@ def test_support_always_inside_own_hull(points):
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        newton(LaurentPoly.zero(2))
+        newton(LaurentPoly(2))

@@ -16,7 +16,7 @@ from amoebas.poly import (
     parse,
 )
 from conftest import exponent_vectors, nonzero_coefficients, polys
-from oracles import flip_signs
+from oracles import evaluate_complex, flip_signs
 
 
 class TestConstruction:
@@ -34,10 +34,10 @@ class TestConstruction:
             LaurentPoly(0, {})
 
     def test_helpers(self):
-        assert LaurentPoly.zero(3).is_zero
+        assert LaurentPoly(3).is_zero
         c = LaurentPoly.constant(2, Fraction(1, 3))
         assert c.terms == {(0, 0): GaussianRational(Fraction(1, 3))}
-        m = LaurentPoly.monomial(2, (-1, 4), 5)
+        m = LaurentPoly(2, {(-1, 4): 5})
         assert m.terms == {(-1, 4): GaussianRational(5)}
 
 
@@ -50,7 +50,7 @@ class TestInspection:
         with pytest.raises(ValueError):
             p.exponent_range(3)
         with pytest.raises(ValueError):
-            LaurentPoly.zero(1).total_degree()
+            LaurentPoly(1).total_degree()
 
     def test_sorted_terms_graded_lex_descending(self):
         p = parse("z1 + z2 + z1*z2 + z1^2 + 1", 2)
@@ -90,7 +90,7 @@ def test_format_golden():
     p = parse("z1^3 + z1*z2 + z2^3 + 1", 2)
     assert format_poly(p) == "z1^3+z2^3+z1*z2+1"
     assert format_poly(parse("-z1^2+1", 1)) == "-z1^2+1"
-    assert format_poly(LaurentPoly.zero(2)) == "0"
+    assert format_poly(LaurentPoly(2)) == "0"
     # grade of z1*z2^-2 is -1, below the constant, so the constant leads
     assert format_poly(parse("(2-1i)*z1*z2^-2 - 3/4", 2)) == "-3/4+(2-1i)*z1*z2^-2"
 
@@ -105,7 +105,7 @@ def test_ring_axioms(p, q, r):
     assert add(p, q) == add(q, p)
     assert mul(p, q) == mul(q, p)
     assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
-    assert p + (-p) == LaurentPoly.zero(2)
+    assert p + (-p) == LaurentPoly(2)
     assert p * LaurentPoly.constant(2, 1) == p
 
 
@@ -146,15 +146,15 @@ def test_operator_sugar_matches_functions():
 
 def test_evaluate_complex():
     p = parse("z1^2 + z2^-1", 2)
-    got = p.evaluate_complex((2j, 4))
+    got = evaluate_complex(p, (2j, 4))
     assert got == pytest.approx((2j) ** 2 + 0.25)
     with pytest.raises(ValueError):
-        p.evaluate_complex((1,))
+        evaluate_complex(p, (1,))
 
 
 @given(polys(3, max_terms=4), exponent_vectors(3))
 def test_monomial_shift_is_support_translation(p, shift):
-    shifted = mul(p, LaurentPoly.monomial(3, shift))
+    shifted = mul(p, LaurentPoly(3, {shift: 1}))
     assert {tuple(a + b for a, b in zip(e, shift)) for e in p.terms} == set(
         shifted.terms
     )
