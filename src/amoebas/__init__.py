@@ -17,7 +17,7 @@ from .cycres import (
     iterated_resultant_baseline,
     quick_cyclic_resultant,
 )
-from .gaussian import GaussianRational, log_abs
+from .gaussian import GaussianRational
 from .gridsolver import (
     GridSpec,
     MembershipRecord,
@@ -62,7 +62,6 @@ __all__ = [
     "format_poly",
     "is_lopsided",
     "iterated_resultant_baseline",
-    "log_abs",
     "newton",
     "order_from_certificate",
     "parse",

@@ -114,11 +114,15 @@ def _cmd_cres(args):
 def _cmd_amoeba(args):
     f = _load_poly(args)
     spec = GridSpec.from_box(args.box[0], args.box[1], args.step, f.nvars)
+    try:
+        eps = None if args.eps is None else float(args.eps)
+    except OverflowError:
+        raise CliError("--eps is too large for a float") from None
     records = approximate_amoeba(
         f,
         spec,
         kmax=args.kmax,
-        eps=None if args.eps is None else float(args.eps),
+        eps=eps,
         max_terms=args.max_terms,
         max_points=args.max_grid,
     )

@@ -168,9 +168,3 @@ def half_ln_fraction(value: Fraction) -> float:
         return (mant + LN2) * 0.5 + ((exp2 - 1) // 2) * LN2
     return mant * 0.5 + (exp2 // 2) * LN2
 
-
-def log_abs(coeff: GaussianRational) -> float:
-    """ln |coeff| of a nonzero Gaussian rational, via the exact |coeff|^2."""
-    if coeff.is_zero:
-        raise ValueError("log magnitude of zero")
-    return half_ln_fraction(coeff.abs_squared())

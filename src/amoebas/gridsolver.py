@@ -8,8 +8,10 @@ level are removed with their component order; points that survive every
 level are presumed to lie on or near the amoeba.
 
 Grids are rational so the canonical integer inner-product pipeline in
-``lopsided`` applies: one common denominator serves the whole grid, and
-classifications are independent of chunk size and thread count.
+``lopsided`` applies: one common denominator serves the whole grid.
+Each level hands its table every pending point in one batch; the table
+chunks the batch and runs the chunks on its worker threads, and the
+verdicts do not depend on either.
 
 Verdicts stay columnar from classification to output: a
 ``GridVerdicts`` holds each point's certifying level and peak term as
@@ -32,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .lopsided import TermTable, choose_level, pool_map
+from .lopsided import TermTable, choose_level
 from .poly import LaurentPoly
 
 MAX_GRID_POINTS = 10**7
@@ -185,14 +187,6 @@ class GridVerdicts(Sequence):
         return verdicts, inverse
 
 
-def _classify_chunked(table, rows, den):
-    # bound the N x T value matrix at roughly 32 MB per chunk
-    chunk = max(1, min(4096, (1 << 22) // max(1, len(table))))
-    pieces = [rows[i : i + chunk] for i in range(0, len(rows), chunk)]
-    outs = pool_map(lambda part: table.classify(part, den), pieces)
-    return tuple(np.concatenate([o[k] for o in outs]) for k in range(3))
-
-
 def approximate_amoeba(
     f: LaurentPoly,
     spec: GridSpec,
@@ -236,7 +230,7 @@ def approximate_amoeba(
             break
         g = f if k == 0 else quick_cyclic_resultant(f, k, max_terms=max_terms)
         table = TermTable(g, k)
-        ok, idx, lopsided = _classify_chunked(table, rows[pending], den)
+        ok, idx, lopsided = table.classify(rows[pending], den)
         dropped = int(np.count_nonzero(lopsided)) - int(np.count_nonzero(ok))
         if dropped:
             warnings.warn(

@@ -12,17 +12,18 @@ A certificate also reveals which complement component the point sits
 in.  When the tested polynomial folds together 2^level root-of-unity
 substitutions per variable, the dominating exponent is 2^(level*nvars)
 times the component's order vector, so dividing recovers the order.
-A ``TermTable`` does that division once per term when it is built;
-grids, point queries and rasters all certify a point by its peak term
-outweighing the rest and carrying an order, and read the order from
-the table.
+A ``TermTable`` takes each term's exact squared magnitude, its log and
+that division once, when it is built; grids, point queries, rasters and
+the semialgebraic description all read it.  Its ``classify`` and
+``float_classify`` take whole batches, cut them into chunks of about
+CHUNK_CELLS values and map the chunks over ``pool_map``'s worker threads.
 
 Scalar and batched queries share one float pipeline: inner products are
 float(exact integer) / float(common denominator), and ties between
 equal values resolve to the earliest term in graded-lex descending
 order.  A point is therefore classified identically no matter which
 route tested it, how the batch was chunked or how many worker threads
-(``pool_map``) ran the chunks.
+ran the chunks.
 
 Most verdicts need only the peak p and the second-largest value m2
 (the gap bracket).  The computed margin is p - (m2 + log S), where S
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gaussian import log_abs
+from .gaussian import half_ln_fraction
 from .poly import ExponentVector, LaurentPoly
 
 # Certification threshold for the log gap.  Strictly positive so float
@@ -59,6 +60,10 @@ LEVEL_CAP = 30
 # int64 matmul is used only when every possible inner product is
 # provably below this, leaving headroom inside the int64 range.
 _SAFE_DOT = 2 ** 62
+
+# Values per classify chunk, rows times terms, so each of a chunk's
+# float matrices stays near 512 KB however many terms the level has.
+CHUNK_CELLS = 1 << 16
 
 
 class CertificateError(ValueError):
@@ -99,13 +104,15 @@ def exponent_order(e, level):
 class TermTable:
     """Precomputed per-term data for repeated lopsidedness queries.
 
-    level is the fold level of p.  orders[j] is the complement-component
+    level is the fold level of p.  Term j has exponent exponents[j] and
+    exact squared magnitude sq[j], in graded-lex descending order, and
+    logb[j] is ln sqrt(sq[j]).  orders[j] is the complement-component
     order that term j stands for when it dominates: its exponent divided
     by 2^(level*nvars), or None when that does not divide.
     """
 
     __slots__ = (
-        "nvars", "level", "exponents", "logb", "orders",
+        "nvars", "level", "exponents", "sq", "logb", "orders",
         "_has_order", "_emat", "_row_bound", "_fmat",
     )
 
@@ -116,7 +123,8 @@ class TermTable:
         self.nvars = p.nvars
         self.level = level
         self.exponents = tuple(e for e, _ in terms)
-        self.logb = np.array([log_abs(c) for _, c in terms])
+        self.sq = tuple(c.abs_squared() for _, c in terms)
+        self.logb = np.array([half_ln_fraction(q) for q in self.sq])
         self.orders = tuple(exponent_order(e, level) for e in self.exponents)
         self._has_order = np.array([o is not None for o in self.orders])
         try:
@@ -162,8 +170,8 @@ class TermTable:
 
         For sampled magnitudes whose logs are irrational the exact
         numerator pipeline does not apply; this path is still
-        deterministic for a fixed input because every row is an
-        independent float matmul.
+        deterministic for a fixed input because every row of a matmul of
+        two or more rows is computed alike.
         """
         if self._fmat is None:
             self._fmat = np.array(self.exponents, dtype=np.float64)
@@ -175,13 +183,30 @@ class TermTable:
         A row is lopsided when its peak term outweighs the rest by more
         than TAU, and certified when it is lopsided and the peak carries
         an order; orders[idx] is then its order.  ``peak_margins`` gives
-        the margins themselves.
+        the margins themselves.  rows is a sequence or an array.
         """
-        return self._certify(self.values(rows, den))
+        return self._batched(lambda part: self._certify(self.values(part, den)), rows)
 
     def float_classify(self, wmat):
         """``classify`` at float log points, see ``float_values``."""
-        return self._certify(self.float_values(wmat))
+        return self._batched(lambda part: self._certify(self.float_values(part)), wmat)
+
+    def _batched(self, test, rows):
+        """test(rows), run on chunks of about CHUNK_CELLS values each.
+
+        The chunks split the rows evenly and hold at least two rows:
+        numpy multiplies a single row by another BLAS routine, whose
+        float products can differ in the last bit.  One chunk runs
+        inline; more are mapped over ``pool_map`` and their (certified,
+        peak, lopsided) columns joined in row order.
+        """
+        n = len(rows)
+        count = min(-(-n * len(self) // CHUNK_CELLS), n // 2)
+        if count <= 1:
+            return test(rows)
+        cuts = [n * i // count for i in range(count + 1)]
+        outs = pool_map(test, [rows[a:b] for a, b in zip(cuts, cuts[1:])])
+        return tuple(np.concatenate(column) for column in zip(*outs))
 
     def _certify(self, values):
         """``peak_margins(values)[1] > TAU`` per row, by the gap bracket.

@@ -29,35 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
-from .lopsided import TermTable, point_numerators, pool_map
+from .lopsided import TermTable, point_numerators
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _grade_key
-
-
-@dataclass(frozen=True)
-class AbsoluteTerm:
-    exponent: ExponentVector
-    sq_magnitude: Fraction
-
-
-class AbsolutePoly:
-    """Magnitude image of a polynomial: exponents with |coef|^2 exact."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms):
-        self.nvars = nvars
-        self.terms = tuple(terms)
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly):
-        if p.is_zero:
-            raise ValueError("the zero polynomial has no magnitude image")
-        return cls(
-            p.nvars,
-            (AbsoluteTerm(e, c.abs_squared()) for e, c in p.sorted_terms()),
-        )
 
 
 @dataclass(frozen=True)
@@ -119,6 +94,11 @@ def _x_monomial(e):
     return "*".join(parts) if parts else "1"
 
 
+def _product(*factors):
+    """The factors other than "1" joined by "*", or "1" when none is left."""
+    return "*".join(f for f in factors if f != "1") or "1"
+
+
 class SemiAlgSystem:
     """Union-of-branches description at a fixed folding level.
 
@@ -127,17 +107,16 @@ class SemiAlgSystem:
     why the order of every certified peak is among them.
     """
 
-    __slots__ = ("level", "nvars", "base", "candidates", "_table")
+    __slots__ = ("level", "nvars", "candidates", "_table")
 
     def __init__(self, level, g: LaurentPoly, orders):
         self.level = level
         self.nvars = g.nvars
         self._table = TermTable(g, level)
         scale = 1 << (level * g.nvars)
-        sq = {e: c.abs_squared() for e, c in g.terms.items()}
+        sq = dict(zip(self._table.exponents, self._table.sq))
         scaled = [(o, tuple(scale * v for v in o)) for o in sorted(orders, key=_grade_key)]
         self.candidates = tuple(Candidate(o, s, sq.get(s, Fraction(0))) for o, s in scaled)
-        self.base = AbsolutePoly.from_poly(g)
 
     # -- point queries ----------------------------------------------------
 
@@ -153,11 +132,11 @@ class SemiAlgSystem:
         """Sample a magnitude-space box on a res1 x res2 point lattice.
 
         lo and hi bound an axis-aligned rectangle in the open positive
-        orthant (scalars broadcast to both axes); sample i along an
-        axis sits at lo + i*(hi - lo)/(res - 1), endpoints included.
-        Membership runs in log coordinates, so huge exponents cannot
-        overflow, and is mapped over rows of the lattice (``pool_map``,
-        AMOEBA_THREADS workers) with the output assembled in index order.
+        orthant (scalars broadcast to both axes), and each bound must
+        be nonzero and finite as a float; sample i along an axis sits
+        at lo + i*(hi - lo)/(res - 1), endpoints included.  Membership
+        runs in log coordinates, so huge exponents cannot overflow, with
+        every sample of the lattice in one ``float_classify`` batch.
         Two variables only.
         """
         if self.nvars != 2:
@@ -172,18 +151,19 @@ class SemiAlgSystem:
                 raise ValueError("the box must lie in the open positive orthant")
             if b <= a:
                 raise ValueError(f"axis range [{a}, {b}] needs lo < hi")
+            try:
+                fits = float(a) > 0 and math.isfinite(float(b))
+            except OverflowError:
+                fits = False
+            if not fits:
+                raise ValueError("box bounds must be nonzero and finite as floats")
         axes = tuple(
             tuple(a + i * (b - a) / (r - 1) for i in range(r))
             for a, b, r in zip(los, his, ress)
         )
-        logs = [np.log(np.array([float(x) for x in ax])) for ax in axes]
-        w2 = logs[1]
-
-        def row(i):
-            wmat = np.column_stack([np.full(len(w2), logs[0][i]), w2])
-            return ~self._table.float_classify(wmat)[0]
-
-        mask = np.array(pool_map(row, range(ress[0])))
+        w1, w2 = (np.log(np.array([float(x) for x in ax])) for ax in axes)
+        wmat = np.column_stack([np.repeat(w1, len(w2)), np.tile(w2, len(w1))])
+        mask = ~self._table.float_classify(wmat)[0].reshape(ress)
         return Raster(axes, mask)
 
     # -- presentation -------------------------------------------------------
@@ -200,8 +180,8 @@ class SemiAlgSystem:
                 for c in self.candidates
             ],
             "baseTerms": [
-                {"exponent": list(t.exponent), "sqMagnitude": str(t.sq_magnitude)}
-                for t in self.base.terms
+                {"exponent": list(e), "sqMagnitude": str(q)}
+                for e, q in zip(self._table.exponents, self._table.sq)
             ],
         }
         return json.dumps(obj, indent=2)
@@ -212,10 +192,8 @@ class SemiAlgSystem:
             f"level {self.level} certificate region, coordinates x1..x{n} > 0",
             "g(x) = "
             + " + ".join(
-                _x_monomial(t.exponent)
-                if magnitude_string(t.sq_magnitude) == "1"
-                else f"{magnitude_string(t.sq_magnitude)}*{_x_monomial(t.exponent)}"
-                for t in self.base.terms
+                _product(magnitude_string(q), _x_monomial(e))
+                for e, q in zip(self._table.exponents, self._table.sq)
             ),
             "union over candidate orders of the branch where one term outweighs the rest:",
         ]
@@ -223,12 +201,8 @@ class SemiAlgSystem:
             if c.sq_magnitude == 0:
                 lines.append(f"  order {c.order}: no term at exponent {c.scaled_exponent}, empty branch")
             else:
-                factors = ["2"]
-                if (mag := magnitude_string(c.sq_magnitude)) != "1":
-                    factors.append(mag)
-                if (mono := _x_monomial(c.scaled_exponent)) != "1":
-                    factors.append(mono)
-                lines.append(f"  order {c.order}: {'*'.join(factors)} > g(x)")
+                branch = _product("2", magnitude_string(c.sq_magnitude), _x_monomial(c.scaled_exponent))
+                lines.append(f"  order {c.order}: {branch} > g(x)")
         return "\n".join(lines)
 
 

@@ -49,6 +49,22 @@ def cubic():
     return parse(CUBIC, 2)
 
 
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """Chunk count of every batch a ``TermTable`` maps over its pool."""
+    from amoebas import lopsided
+
+    chunks = []
+    pool_map = lopsided.pool_map
+
+    def spy(fn, items):
+        chunks.append(len(items))
+        return pool_map(fn, items)
+
+    monkeypatch.setattr(lopsided, "pool_map", spy)
+    return chunks
+
+
 # -- acceptance criterion reporting ------------------------------------------
 
 CRITERIA = {

@@ -94,6 +94,15 @@ FIGURE_SHA256 = {
     "figure2_overlay.svg": "f585bf60ca3d7d037d37a17fb9e6b1e51ea2635e9fbedb68fa56a635c116eb95",
 }
 
+# sha256 of the `semialg -k 1,2 --format json` bytes, text -> digest,
+# recorded with the description that took its magnitudes from a copy of
+# the fold separate from its term table
+SEMIALG_JSON_SHA256 = {
+    CUBIC: "153ac72a1ff7686ff6f16ff03d761f9c0d284592d2a675877715b8595cb7dbb0",
+    GAUSS_PAIR: "44d2de3c49ed6c0cbb4c541b709b512bd332f47f4a5e5365ee5fa79e93e7b112",
+    THREE_VAR: "111241e3ab1d15c21b03b2bb65edff45b90baeaf1696fa83a5d2e285689fc7a9",
+}
+
 # level-1 fold of LINE and its candidate branches
 LINE_K1 = {
     (4, 0): 1, (0, 4): 1, (2, 2): -2, (2, 0): -2, (0, 2): -2, (0, 0): 1,

@@ -12,7 +12,7 @@ import pytest
 from amoebas.cli import main
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
-from oracles import CUBIC, LINE, PICTURE_SHA256
+from oracles import CUBIC, LINE, PICTURE_SHA256, SEMIALG_JSON_SHA256
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -122,6 +122,13 @@ def test_picture_bytes_pinned(argv, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == PICTURE_SHA256[argv]
 
 
+@pytest.mark.parametrize("text", list(SEMIALG_JSON_SHA256))
+def test_semialg_json_bytes_pinned(text, tmp_path):
+    target = tmp_path / "system.json"
+    assert main(["semialg", "-f", text, "-k", "1,2", "--format", "json", "-o", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SEMIALG_JSON_SHA256[text]
+
+
 def test_semialg_json_default(capsys):
     code, out, _ = run_cli(capsys, "semialg", "-f", LINE)
     assert code == 0
@@ -142,6 +149,17 @@ def test_semialg_text(capsys):
     assert code == 0
     assert "g(x) = x1^4 + 2*x1^2*x2^2 + x2^4" in out
     assert "order (1, 0): 2*x1^4 > g(x)" in out
+
+
+@pytest.mark.parametrize("lo, hi", [("1", "1e400"), ("1e-400", "1")])
+def test_semialg_raster_box_must_fit_a_float(capsys, tmp_path, lo, hi, recwarn):
+    target = tmp_path / "region.ppm"
+    code, _, err = run_cli(
+        capsys,
+        "semialg", "-f", LINE, "--format", "ppm", "--res", "8", "--box", lo, hi, "-o", str(target),
+    )
+    assert code == 2 and err.startswith("error:")
+    assert not recwarn.list
 
 
 def test_semialg_svg(capsys):
@@ -208,6 +226,11 @@ def test_error_exits(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "amoeba", "-f", LINE, "--kmax", "1", "--eps", "1/2")
     assert code == 2 and "not both" in err
+
+    # 1e400 overflows a float; 1e-400 rounds to 0, which is not positive
+    for eps in ("1e400", "1e-400"):
+        code, out, err = run_cli(capsys, "amoeba", "-f", LINE, "--eps", eps)
+        assert code == 2 and err.startswith("error:") and out == ""
 
 
 @pytest.mark.parametrize("runs", ["0", "-2"])

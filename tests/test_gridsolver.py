@@ -162,13 +162,16 @@ def test_thread_count_resolution(monkeypatch):
     assert thread_count() == 1
 
 
-def test_thread_pool_does_not_change_records(cubic, monkeypatch):
-    # 81^2 points are two classify chunks at level 0, so 4 workers share them
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
+def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
+    # 161^2 points of 4 terms are more than one classify chunk at level 0,
+    # so 4 workers share them
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 40), 2)
     monkeypatch.setenv("AMOEBA_THREADS", "1")
     solo = approximate_amoeba(cubic, spec, kmax=1)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
+    pool_chunks.clear()
     pooled = approximate_amoeba(cubic, spec, kmax=1)
+    assert pool_chunks and max(pool_chunks) > 1
     assert solo == pooled
 
 

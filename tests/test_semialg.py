@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from amoebas.cycres import quick_cyclic_resultant
+from amoebas.gaussian import GaussianRational
 from amoebas.lopsided import TermTable, order_from_certificate
+from amoebas.newton import newton
 from amoebas.poly import LaurentPoly, parse
 from amoebas.semialg import (
     Raster,
@@ -71,7 +73,8 @@ def test_line_level_one_structure(line_system):
     got = {c.order: (c.scaled_exponent, c.sq_magnitude) for c in line_system.candidates}
     assert got == LINE_K1_CANDIDATES
     # squared magnitudes of the folded product, graded order
-    assert [(t.exponent, t.sq_magnitude) for t in line_system.base.terms] == [
+    base = json.loads(line_system.to_json())["baseTerms"]
+    assert [(tuple(t["exponent"]), Fraction(t["sqMagnitude"])) for t in base] == [
         ((4, 0), Fraction(1)),
         ((2, 2), Fraction(4)),
         ((0, 4), Fraction(1)),
@@ -90,6 +93,29 @@ def test_pretty_golden(line_system):
         "  order (0, 1): 2*x2^4 > g(x)\n"
         "  order (1, 0): 2*x1^4 > g(x)"
     )
+
+
+def test_pretty_prints_a_constant_by_its_magnitude():
+    system = semialg_description(parse("z1 + z2 + 3", 2), 1)
+    assert system.pretty().splitlines()[1] == (
+        "g(x) = x1^4 + 2*x1^2*x2^2 + x2^4 + 18*x1^2 + 18*x2^2 + 81"
+    )
+
+
+def test_description_takes_each_magnitude_once(cubic, monkeypatch):
+    g = quick_cyclic_resultant(cubic, 2)
+    calls = []
+    original = GaussianRational.abs_squared
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(GaussianRational, "abs_squared", counted)
+    system = SemiAlgSystem(2, g, newton(cubic).lattice_points)
+    system.to_json()
+    system.pretty()
+    assert len(calls) == len(g.terms)
 
 
 def test_json_round_trip(line_system):
@@ -179,13 +205,34 @@ def test_raster_rectangular_and_exact_axes(line_system):
         assert isinstance(c1, Fraction) and isinstance(c2, Fraction)
 
 
-def test_raster_thread_determinism(line_system, monkeypatch):
+def test_raster_thread_determinism(line_system, monkeypatch, pool_chunks):
+    # 128^2 samples of 6 terms are more than one classify chunk
     monkeypatch.setenv("AMOEBA_THREADS", "1")
-    solo = line_system.rasterize(Fraction(1, 20), 3, 64)
+    solo = line_system.rasterize(Fraction(1, 20), 3, 128)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
-    pooled = line_system.rasterize(Fraction(1, 20), 3, 64)
+    pool_chunks.clear()
+    pooled = line_system.rasterize(Fraction(1, 20), 3, 128)
+    assert pool_chunks and max(pool_chunks) > 1
     assert (solo.mask == pooled.mask).all()
     assert boundary_centers(solo) == boundary_centers(pooled)
+
+
+def per_row_mask(table, raster):
+    # one float_classify call per raster row, as rasters were once built
+    w1, w2 = (np.log(np.array([float(x) for x in ax])) for ax in raster.axes)
+    return np.array(
+        [~table.float_classify(np.column_stack([np.full(len(w2), a), w2]))[0] for a in w1]
+    )
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_raster_batch_matches_per_row_reference(level, pool_chunks):
+    f = parse(CUBIC, 2)
+    table = TermTable(quick_cyclic_resultant(f, level), level)
+    raster = semialg_description(f, level).rasterize(Fraction(1, 20), 3, (130, 127))
+    assert pool_chunks and max(pool_chunks) > 1
+    assert raster.mask.shape == (130, 127)
+    assert np.array_equal(raster.mask, per_row_mask(table, raster))
 
 
 def test_rasters_compare_by_value(line_system):
@@ -235,11 +282,17 @@ def test_raster_validation(line_system):
         line_system.rasterize(2, 1, 8)
     with pytest.raises(ValueError):
         line_system.rasterize((1, 1, 1), 2, 8)
+    # bounds whose float overflows, or rounds to 0 and has log -inf
+    with pytest.raises(ValueError, match="float"):
+        line_system.rasterize(1, Fraction("1e400"), 8)
+    with pytest.raises(ValueError, match="float"):
+        line_system.rasterize(Fraction("1e-400"), 1, 8)
 
 
 def test_gaussian_coefficients_quadratic_magnitudes():
     system = semialg_description(parse(GAUSS_PAIR, 2), 1)
-    sqs = {t.exponent: t.sq_magnitude for t in system.base.terms}
+    base = json.loads(system.to_json())["baseTerms"]
+    sqs = {tuple(t["exponent"]): Fraction(t["sqMagnitude"]) for t in base}
     # |1+i|^2 = 2 folded four times gives |(1+i)^4|^2 = 16, exactly
     assert sqs[(8, 4)] == 16
     assert sqs[(0, 0)] == Fraction(1, 256)
