@@ -34,7 +34,7 @@ from .lopsided import (
     is_lopsided,
     order_from_certificate,
 )
-from .newton import NewtonData, newton
+from .newton import newton
 from .poly import LaurentPoly, ParseError, format_poly, parse
 from .semialg import Raster, SemiAlgSystem, semialg_description
 
@@ -49,7 +49,6 @@ __all__ = [
     "GridSpec",
     "LaurentPoly",
     "MembershipRecord",
-    "NewtonData",
     "ParseError",
     "Raster",
     "SemiAlgSystem",

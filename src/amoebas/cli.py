@@ -55,6 +55,8 @@ def _read_poly_text(args):
 
 def _load_poly(args):
     text = _read_poly_text(args)
+    if args.nvars is not None and args.nvars < 1:
+        raise CliError(f"-n must be at least 1, not {args.nvars}")
     nvars = args.nvars if args.nvars is not None else max_variable_index(text)
     if nvars < 1:
         raise CliError("could not infer a variable count; pass -n")

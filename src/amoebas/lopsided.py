@@ -144,7 +144,8 @@ class TermTable:
         rows is a sequence of integer rows or an (N, nvars) array of them.
         Each entry is float(exact integer) / float(den).  The int64 fast
         path is taken only when the exactness of the integer part is
-        guaranteed, so both paths round identically.
+        guaranteed, so both paths round identically.  ValueError when an
+        exact inner product or den does not fit a float.
         """
         try:
             m = np.asarray(rows, dtype=np.int64)
@@ -155,11 +156,15 @@ class TermTable:
             nmax = int(np.abs(m).view(np.uint64).max(initial=0))
             if self._row_bound * nmax < _SAFE_DOT:
                 return (m @ self._emat.T).astype(np.float64) / float(den)
-        out = np.empty((len(rows), len(self.exponents)))
-        for i, row in enumerate(np.asarray(rows, dtype=object).tolist()):
-            for j, e in enumerate(self.exponents):
-                out[i, j] = float(sum(a * b for a, b in zip(e, row))) / float(den)
-        return out
+        exponents = np.array(self.exponents, dtype=object)
+        exact = np.asarray(rows, dtype=object) @ exponents.T
+        try:
+            return exact.astype(np.float64) / float(den)
+        except OverflowError:
+            raise ValueError(
+                "an inner product of a point with an exponent, or the point's "
+                "denominator, is too large for a float"
+            ) from None
 
     def values(self, rows, den):
         """Log magnitudes of every term at every row, shape (N, T)."""

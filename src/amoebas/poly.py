@@ -501,16 +501,13 @@ def max_variable_index(text: str) -> int:
 # -- printing ----------------------------------------------------------------
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value)
-
-
-def _format_monomial(exponent: ExponentVector) -> str:
+def _format_monomial(exponent: ExponentVector, var: str = "z") -> str:
+    """var1^e1*var2^e2*..., skipping zero exponents; "" for the constant."""
     factors = []
     for i, e in enumerate(exponent):
         if e == 0:
             continue
-        factors.append(f"z{i + 1}" if e == 1 else f"z{i + 1}^{e}")
+        factors.append(f"{var}{i + 1}" if e == 1 else f"{var}{i + 1}^{e}")
     return "*".join(factors)
 
 
@@ -529,15 +526,15 @@ def format_poly(p: LaurentPoly) -> str:
             if mono and mag == 1:
                 body = mono
             elif mono:
-                body = f"{_format_rational(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             else:
-                body = _format_rational(mag)
+                body = str(mag)
             sign = "-" if negative else ("" if lead else "+")
             pieces.append(sign + body)
         else:
             im = coeff.im
-            middle = f"+{_format_rational(im)}" if im > 0 else f"-{_format_rational(-im)}"
-            coeff_text = f"({_format_rational(coeff.re)}{middle}i)"
+            middle = f"+{im}" if im > 0 else f"-{-im}"
+            coeff_text = f"({coeff.re}{middle}i)"
             body = coeff_text + (f"*{mono}" if mono else "")
             pieces.append(body if lead else "+" + body)
     return "".join(pieces)

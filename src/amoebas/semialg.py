@@ -32,7 +32,7 @@ from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
 from .lopsided import TermTable, point_numerators
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
-from .poly import ExponentVector, LaurentPoly, _grade_key
+from .poly import ExponentVector, LaurentPoly, _format_monomial, _grade_key
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,9 @@ def magnitude_string(sq: Fraction):
     return f"sqrt({sq})"
 
 
-def _x_monomial(e):
-    parts = []
-    for d, p in enumerate(e):
-        if p == 0:
-            continue
-        parts.append(f"x{d+1}" if p == 1 else f"x{d+1}^{p}")
-    return "*".join(parts) if parts else "1"
-
-
 def _product(*factors):
-    """The factors other than "1" joined by "*", or "1" when none is left."""
-    return "*".join(f for f in factors if f != "1") or "1"
+    """The factors other than "" and "1" joined by "*", or "1" when none is left."""
+    return "*".join(f for f in factors if f not in ("", "1")) or "1"
 
 
 class SemiAlgSystem:
@@ -192,7 +183,7 @@ class SemiAlgSystem:
             f"level {self.level} certificate region, coordinates x1..x{n} > 0",
             "g(x) = "
             + " + ".join(
-                _product(magnitude_string(q), _x_monomial(e))
+                _product(magnitude_string(q), _format_monomial(e, "x"))
                 for e, q in zip(self._table.exponents, self._table.sq)
             ),
             "union over candidate orders of the branch where one term outweighs the rest:",
@@ -201,7 +192,8 @@ class SemiAlgSystem:
             if c.sq_magnitude == 0:
                 lines.append(f"  order {c.order}: no term at exponent {c.scaled_exponent}, empty branch")
             else:
-                branch = _product("2", magnitude_string(c.sq_magnitude), _x_monomial(c.scaled_exponent))
+                magnitude = magnitude_string(c.sq_magnitude)
+                branch = _product("2", magnitude, _format_monomial(c.scaled_exponent, "x"))
                 lines.append(f"  order {c.order}: {branch} > g(x)")
         return "\n".join(lines)
 
@@ -217,5 +209,6 @@ def semialg_description(f: LaurentPoly, level, *, max_terms=DEFAULT_MAX_TERMS):
     level = int(level)
     if level < 1:
         raise ValueError("level must be at least 1")
-    orders = newton(f).lattice_points
-    return SemiAlgSystem(level, quick_cyclic_resultant(f, level, max_terms=max_terms), orders)
+    # fold first: its term budget also bounds the hull's box scan
+    g = quick_cyclic_resultant(f, level, max_terms=max_terms)
+    return SemiAlgSystem(level, g, newton(f))

@@ -309,17 +309,63 @@ def ln_fraction(value):
 # -- membership and geometry --------------------------------------------------
 
 
-def hull_contains(data, point):
-    """Exact membership of an integer (or rational) point in a Newton hull."""
-    if len(point) != data.dim:
-        raise ValueError("point dimension mismatch")
-    for normal, rhs in data.equalities:
-        if sum(a * x for a, x in zip(normal, point)) != rhs:
-            return False
-    for normal, rhs in data.inequalities:
-        if sum(a * x for a, x in zip(normal, point)) > rhs:
-            return False
-    return True
+def _barycentric_rows(simplex, dim):
+    """Integer rows E with E (x, 1) = D * (weights of x, residuals of x), D > 0.
+
+    For x on the simplex's affine hull the residuals vanish and the
+    first len(simplex) entries are D times x's unique barycentric
+    weights.  None when the simplex's points are affinely dependent.
+    """
+    m = len(simplex)
+    unit = [[Fraction(int(i == k)) for k in range(dim + 1)] for i in range(dim + 1)]
+    rows = [[Fraction(t[i]) for t in simplex] + unit[i] for i in range(dim)]
+    rows.append([Fraction(1)] * m + unit[dim])
+    for c in range(m):
+        pivot = next((i for i in range(c, dim + 1) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(dim + 1):
+            if i != c and rows[i][c]:
+                rows[i] = [v - rows[i][c] * w for v, w in zip(rows[i], rows[c])]
+    scale = math.lcm(*(v.denominator for row in rows for v in row[m:]))
+    return [[int(v * scale) for v in row[m:]] for row in rows]
+
+
+def _simplices(points):
+    """(simplex, barycentric rows) of the largest affinely independent subsets.
+
+    Every affinely independent subset extends to one of these, so by
+    Caratheodory's theorem their hulls cover conv(points).
+    """
+    points = sorted(set(map(tuple, points)))
+    dim = len(points[0])
+    for size in range(min(dim + 1, len(points)), 0, -1):
+        found = [(s, _barycentric_rows(s, dim)) for s in itertools.combinations(points, size)]
+        found = [(s, rows) for s, rows in found if rows is not None]
+        if found:
+            return found
+
+
+def _in_simplex(simplex, rows, x):
+    y = [sum(a * v for a, v in zip(row, (*x, 1))) for row in rows]
+    return min(y[: len(simplex)]) >= 0 and not any(y[len(simplex):])
+
+
+def hull_contains(points, x):
+    """Exact membership of an integer or rational point in conv(points)."""
+    return any(_in_simplex(s, rows, x) for s, rows in _simplices(points))
+
+
+def hull_lattice_points(points):
+    """Sorted integer points of conv(points), simplex by simplex, each
+    scanned over its own bounding box."""
+    found = set()
+    for simplex, rows in _simplices(points):
+        box = (range(min(col), max(col) + 1) for col in zip(*simplex))
+        found.update(x for x in itertools.product(*box) if _in_simplex(simplex, rows, x))
+    return tuple(sorted(found))
 
 
 def contains_log(system, w):

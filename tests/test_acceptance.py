@@ -151,7 +151,7 @@ def test_criterion_07_orders(cubic):
     assert cert.lopsided and cert.level == 0
     assert cert.dominant == (1, 1)
 
-    hull_orders = set(newton(cubic).lattice_points)
+    hull_orders = set(newton(cubic))
     assert len(hull_orders) == 10
     spec = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
     for rec in approximate_amoeba(cubic, spec, kmax=3):

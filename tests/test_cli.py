@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
+from amoebas import semialg
 from amoebas.cli import main
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
@@ -237,6 +238,34 @@ def test_error_exits(capsys, tmp_path):
 def test_bench_rejects_nonpositive_runs(capsys, runs):
     code, _, err = run_cli(capsys, "bench", "z1+z2+1", "-k", "1", "--runs", runs)
     assert code == 2 and err.startswith("error:") and "runs" in err
+
+
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+def test_nonpositive_nvars_exit_2(capsys, nvars):
+    code, out, err = run_cli(capsys, "cres", "-f", "z1+1", "-n", nvars)
+    assert code == 2 and out == ""
+    assert err == f"error: -n must be at least 1, not {nvars}\n"
+
+
+def test_semialg_checks_the_term_budget_before_the_hull(capsys, monkeypatch):
+    def no_hull(f):
+        raise AssertionError("the hull was scanned before the term budget was checked")
+
+    monkeypatch.setattr(semialg, "newton", no_hull)
+    code, out, err = run_cli(
+        capsys, "semialg", "-f", "z1^3000 + z2^3000 + 1", "-k", "1", "--max-terms", "1000"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "over the budget of 1000" in err
+
+
+def test_grid_with_inner_products_beyond_float_range_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "amoeba", "-f", f"z1^{10**400} + 1", "-n", "1",
+        "--box", "0", "1", "--step", "1", "--kmax", "0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "too large for a float" in err
 
 
 def test_file_errors_exit_2(capsys, tmp_path):

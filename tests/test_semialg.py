@@ -112,7 +112,7 @@ def test_description_takes_each_magnitude_once(cubic, monkeypatch):
         return original(c)
 
     monkeypatch.setattr(GaussianRational, "abs_squared", counted)
-    system = SemiAlgSystem(2, g, newton(cubic).lattice_points)
+    system = SemiAlgSystem(2, g, newton(cubic))
     system.to_json()
     system.pretty()
     assert len(calls) == len(g.terms)
