@@ -6,7 +6,9 @@ lies in the complement, and folding the polynomial with roots of unity
 sharpens that test geometrically fast.  The fold is computed by
 Dandelin-Graeffe root squaring rather than iterated resultants: each
 doubling step multiplies the running product P = E + O by its sign-flipped
-twin E - O, computed as the two half-size squarings E^2 - O^2.
+twin E - O, computed as the two half-size squarings E^2 - O^2.  Exponent
+vectors are packed into integer keys once per fold, and every squaring is a
+real one: a Gaussian half A + iB costs A^2, B^2 and (A + B)^2.
 """
 
 from .bench import BenchResult, run_bench

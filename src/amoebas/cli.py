@@ -29,13 +29,14 @@ from .gridsolver import (
 )
 from .poly import ParseError, format_poly, max_variable_index, parse
 from .render import (
+    check_grid_picture,
     mask_to_pixels,
     overlay_svg,
     records_to_pixels,
     scatter_svg,
     write_ppm,
 )
-from .semialg import semialg_description
+from .semialg import check_raster, semialg_description
 
 
 class CliError(Exception):
@@ -116,6 +117,8 @@ def _cmd_cres(args):
 def _cmd_amoeba(args):
     f = _load_poly(args)
     spec = GridSpec.from_box(args.box[0], args.box[1], args.step, f.nvars)
+    if args.format in ("svg", "ppm"):
+        check_grid_picture(spec.nvars)
     try:
         eps = None if args.eps is None else float(args.eps)
     except OverflowError:
@@ -144,13 +147,15 @@ def _cmd_amoeba(args):
 
 def _cmd_semialg(args):
     f = _load_poly(args)
+    if args.format == "ppm" and len(args.level) != 1:
+        raise CliError("ppm output draws exactly one level")
+    if args.format in ("svg", "ppm"):
+        check_raster(f.nvars, args.box[0], args.box[1], args.res)
     systems = [
         semialg_description(f, level, max_terms=args.max_terms)
         for level in args.level
     ]
     if args.format == "ppm":
-        if len(systems) != 1:
-            raise CliError("ppm output draws exactly one level")
         raster = systems[0].rasterize(args.box[0], args.box[1], args.res)
         with _output(args, binary=True) as stream:
             write_ppm(stream, mask_to_pixels(raster.mask))

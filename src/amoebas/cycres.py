@@ -10,11 +10,9 @@ coefficients are exact Gaussian rationals. Two independent routes:
   at a root of unity in disguise; k steps per variable replace the 2^k
   factors of the defining product. Cost grows with k, not 2^k. Splitting
   P = E + O, with O the flipped terms, turns the step into
-  P * flip(P) = E^2 - O^2, the Dandelin-Graeffe root-squaring step: two
-  half-size squarings instead of one full product, keyed on one packed
-  integer per exponent vector. The packing is offset by the table's least
-  exponents, which need not be multiples of the current 2-power, so the
-  E/O split reads the parity from the unpacked exponent.
+  P * flip(P) = E^2 - O^2, the Dandelin-Graeffe root-squaring step. Exponent
+  vectors are packed into integer keys once per fold, and one real squaring
+  is the only kernel: a Gaussian half A + iB costs three of them.
 * :func:`iterated_resultant_baseline`, the defining nested resultants
   Res(f(u * z), u^r - 1), any r >= 1, evaluated by fraction-free
   subresultant elimination of the Sylvester system. Dramatically slower;
@@ -106,12 +104,15 @@ def quick_cyclic_resultant(
     resultant of f over the 2^l-th roots of unity in variable j alone, so
     its exponents there are multiples of 2^l; flipping the sign of the
     terms whose exponent is not a multiple of 2^(l+1) is then exactly
-    evaluation at a primitive 2^(l+1)-th root. With E the unflipped and O
-    the flipped terms, P * flip(P) = (E + O)(E - O) = E^2 - O^2, which
-    each step computes as two squarings over packed integer exponents;
-    the split takes the parity from the unpacked exponent, since the
-    packing offset need not keep it (see :func:`_graeffe_step`).
-    Variables fold in the order 1..n.
+    evaluation at a primitive 2^(l+1)-th root, and P * flip(P) = E^2 - O^2
+    (see :func:`_graeffe_step`). Variables fold in the order 1..n.
+
+    A step doubles every exponent, so after s steps exponent i lies in
+    [lo_i * 2^s, hi_i * 2^s], with [lo_i, hi_i] f's own range. Each vector
+    is packed once, before the first step, into one mixed-radix key whose
+    digit i is e_i - lo_i * 2^s, radix (hi_i - lo_i) * 2^(k*n) + 1: the
+    sum of two keys is the packed sum of their exponents one step on, and
+    never carries. Exponent tuples come back once, after the last step.
     """
     if f.is_zero:
         raise ValueError("cyclic resultant of the zero polynomial")
@@ -125,104 +126,79 @@ def quick_cyclic_resultant(
             f"estimated up to {estimate} output terms, over the budget of {max_terms}"
         )
 
-    den, table, all_real = _int_form(f)
-    for j in range(f.nvars):
-        for level in range(1, k + 1):
-            table = _graeffe_step(table, j, (1 << level) - 1, all_real)
-            den *= den
-            den, table = _content_reduce(den, table)
-    return _from_int_form(f.nvars, den, table)
-
-
-def _graeffe_step(
-    table: dict[ExponentVector, tuple[int, int]], j: int, mask: int, real: bool
-) -> dict[ExponentVector, tuple[int, int]]:
-    """E^2 - O^2, where O holds the terms whose exponent j has bits in ``mask``.
-
-    Each exponent vector is packed into one int, a mixed-radix number
-    whose digit i is e_i - min_i with radix 2 * (max_i - min_i) + 1 over
-    this table, so a sum of two keys still has every digit inside its
-    radix and decodes uniquely. The split reads the parity from the
-    exponent itself, not from its digit: min_i is in general no multiple
-    of 2^level (odd negative exponents), so the digit's residue modulo
-    2^level need not be the exponent's.
-    """
+    den, table = _int_form(f)
+    steps = k * f.nvars
     columns = list(zip(*table))
     lows = [min(column) for column in columns]
-    radices = [2 * (max(column) - low) + 1 for column, low in zip(columns, lows)]
+    radices = [((max(column) - low) << steps) + 1 for column, low in zip(columns, lows)]
     weights = [1]
     for radix in radices[:-1]:
         weights.append(weights[-1] * radix)
     shift = sum(map(operator.mul, lows, weights))
+    packed = {sum(map(operator.mul, e, weights)) - shift: ab for e, ab in table.items()}
 
+    done = 0
+    for weight, radix, low in zip(weights, radices, lows):
+        for level in range(1, k + 1):
+            packed = _graeffe_step(packed, weight, radix, low << done, (1 << level) - 1)
+            done += 1
+            den *= den
+            den, packed = _content_reduce(den, packed)
+
+    unpack = [(weight, radix, low << steps) for weight, radix, low in zip(weights, radices, lows)]
+    out = {tuple(key // w % r + o for w, r, o in unpack): ab for key, ab in packed.items()}
+    return _from_int_form(f.nvars, den, out)
+
+
+def _graeffe_step(
+    table: dict[int, tuple[int, int]], weight: int, radix: int, offset: int, mask: int
+) -> dict[int, tuple[int, int]]:
+    """E^2 - O^2 over packed keys, O the terms whose exponent has bits in ``mask``.
+
+    The folded variable's exponent is its digit ``key // weight % radix``
+    plus ``offset``. The split reads the parity of the exponent, not of the
+    digit: the offset lo * 2^s is in general no multiple of 2^level (odd
+    negative exponents), so the digit's residue need not be the exponent's.
+
+    Both halves square with the one real primitive :func:`_square`: a half
+    A + iB squares to A^2 - B^2 + ((A + B)^2 - A^2 - B^2) i. When no
+    coefficient of the table has an imaginary part, only A is squared.
+    """
     evens: list[tuple[int, int, int]] = []
     odds: list[tuple[int, int, int]] = []
-    for e, (a, b) in table.items():
-        key = sum(map(operator.mul, e, weights)) - shift
-        (odds if e[j] & mask else evens).append((key, a, b))
+    for key, (a, b) in table.items():
+        (odds if (key // weight % radix + offset) & mask else evens).append((key, a, b))
+    halves = ((evens, 1), (odds, -1))
 
-    if real:
-        acc_real: dict[int, int] = {}
-        _square_real(acc_real, evens, 1)
-        _square_real(acc_real, odds, -1)
-        squared = ((key, (a, 0)) for key, a in acc_real.items() if a)
-    else:
-        acc_gauss: dict[int, list[int]] = {}
-        _square_gaussian(acc_gauss, evens, 1)
-        _square_gaussian(acc_gauss, odds, -1)
-        squared = ((key, (a, b)) for key, (a, b) in acc_gauss.items() if a or b)
+    sq_a: dict[int, int] = {}
+    for half, sign in halves:
+        _square(sq_a, [(key, a) for key, a, _ in half], sign)
+    if not any(b for _, b in table.values()):
+        return {key: (a, 0) for key, a in sq_a.items() if a}
 
-    # a squared key is the sum of two keys: digit i is e_i - 2 * min_i
-    bases = [2 * low for low in lows]
-    out: dict[ExponentVector, tuple[int, int]] = {}
-    for key, ab in squared:
-        e = []
-        for radix, base in zip(radices, bases):
-            key, digit = divmod(key, radix)
-            e.append(digit + base)
-        out[tuple(e)] = ab
-    return out
+    sq_b: dict[int, int] = {}
+    sq_ab: dict[int, int] = {}
+    for half, sign in halves:
+        _square(sq_b, [(key, b) for key, _, b in half], sign)
+        _square(sq_ab, [(key, a + b) for key, a, b in half], sign)
+    re_im = ((key, a2 - sq_b[key], sq_ab[key] - a2 - sq_b[key]) for key, a2 in sq_a.items())
+    return {key: (re, im) for key, re, im in re_im if re or im}
 
 
-def _square_real(acc: dict[int, int], terms: list[tuple[int, int, int]], sign: int) -> None:
-    """Add sign * (sum of a * z^key)^2 into ``acc``; each pair i < j once, doubled."""
+def _square(acc: dict[int, int], terms: list[tuple[int, int]], sign: int) -> None:
+    """Add sign * (sum of v * z^key)^2 into ``acc``; each pair i < j once, doubled.
+
+    Zero values are squared too, so the squares of one step's A, B and
+    A + B share their keys, in the same order.
+    """
     get = acc.get
-    for i, (k1, a1, _) in enumerate(terms):
+    for i, (k1, v1) in enumerate(terms):
         k = k1 + k1
-        acc[k] = get(k, 0) + sign * a1 * a1
-        twice = 2 * sign * a1
-        for k2, a2, _ in itertools.islice(terms, i + 1, None):
+        acc[k] = get(k, 0) + sign * v1 * v1
+        twice = 2 * sign * v1
+        for k2, v2 in itertools.islice(terms, i + 1, None):
             k = k1 + k2
-            acc[k] = get(k, 0) + twice * a2
-
-
-def _square_gaussian(
-    acc: dict[int, list[int]], terms: list[tuple[int, int, int]], sign: int
-) -> None:
-    """Add sign * (sum of (a + b i) * z^key)^2 into ``acc`` as [re, im] slots."""
-    get = acc.get
-    for i, (k1, a1, b1) in enumerate(terms):
-        k = k1 + k1
-        re = sign * (a1 * a1 - b1 * b1)
-        im = 2 * sign * a1 * b1
-        slot = get(k)
-        if slot is None:
-            acc[k] = [re, im]
-        else:
-            slot[0] += re
-            slot[1] += im
-        ta = 2 * sign * a1
-        tb = 2 * sign * b1
-        for k2, a2, b2 in itertools.islice(terms, i + 1, None):
-            k = k1 + k2
-            re = ta * a2 - tb * b2
-            im = ta * b2 + tb * a2
-            slot = get(k)
-            if slot is None:
-                acc[k] = [re, im]
-            else:
-                slot[0] += re
-                slot[1] += im
+            acc[k] = get(k, 0) + twice * v2
 
 
 # -- baseline: nested resultants against u^r - 1 ------------------------------

@@ -21,9 +21,10 @@ coefficients print bare ("-4*z1^2", "3/2*z2"), complex ones parenthesized
 
 Multiplication clears denominators first and convolves plain integers, so
 the hot loop never touches Fraction normalization; coefficients are rebuilt
-once per distinct output exponent. The cyclic-resultant fold squares on the
-same integer form, which keeps its deep towers (thousands of terms,
-coefficients of thousands of bits) affordable.
+once per distinct output exponent. The cyclic-resultant fold starts from the
+same integer form but squares with its own kernel on packed exponent keys
+(``cycres``); ``mul`` stays the independent arithmetic the fold is checked
+against.
 """
 
 from __future__ import annotations
@@ -197,35 +198,32 @@ def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 # -- integer multiplication kernel ----------------------------------------
 #
 # _int_form / _content_reduce / _from_int_form are shared with the
-# cyclic-resultant module, which chains many squarings on the integer form
-# and only rebuilds Fractions at the very end; _mul_int is mul's alone.
+# cyclic-resultant module, which packs the integer form's exponents into
+# keys, squares on them and only rebuilds Fractions at the very end.
+# _mul_int is mul's alone: the fold never calls it, so the references the
+# fold is checked against share none of its squaring.
 
 
-def _int_form(p: LaurentPoly) -> tuple[int, dict[ExponentVector, tuple[int, int]], bool]:
-    """(common denominator, {exponent: (re, im) integer numerators}, all-real flag)."""
+def _int_form(p: LaurentPoly) -> tuple[int, dict[ExponentVector, tuple[int, int]]]:
+    """(common denominator, {exponent: (re, im) integer numerators})."""
     den = 1
     for c in p.terms.values():
         den = math.lcm(den, c.re.denominator, c.im.denominator)
     table: dict[ExponentVector, tuple[int, int]] = {}
-    all_real = True
     for e, c in p.terms.items():
         a = c.re.numerator * (den // c.re.denominator)
         b = c.im.numerator * (den // c.im.denominator)
-        if b:
-            all_real = False
         table[e] = (a, b)
-    return den, table, all_real
+    return den, table
 
 
 def _mul_int(
     t1: dict[ExponentVector, tuple[int, int]],
     t2: dict[ExponentVector, tuple[int, int]],
-    real1: bool,
-    real2: bool,
 ) -> dict[ExponentVector, tuple[int, int]]:
     """Convolve integer-pair term maps; zero pairs are pruned."""
     items2 = list(t2.items())
-    if real1 and real2:
+    if not any(b for table in (t1, t2) for _, b in table.values()):
         acc: dict[ExponentVector, int] = {}
         get = acc.get
         for e1, (a1, _) in t1.items():
@@ -277,12 +275,11 @@ def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise ValueError("mismatched variable counts")
     if p.is_zero or q.is_zero:
         return LaurentPoly(p.nvars)
-    d1, t1, r1 = _int_form(p)
-    d2, t2, r2 = _int_form(q)
+    d1, t1 = _int_form(p)
+    d2, t2 = _int_form(q)
     if len(t2) > len(t1):
         t1, t2 = t2, t1
-        r1, r2 = r2, r1
-    acc = _mul_int(t1, t2, r1, r2)
+    acc = _mul_int(t1, t2)
     return _from_int_form(p.nvars, d1 * d2, acc)
 
 

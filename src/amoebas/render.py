@@ -26,6 +26,12 @@ PALETTE = (COLOR_AMOEBA, COLOR_CERT_LOW, COLOR_CERT_MID, COLOR_CERT_HIGH)
 CONTOUR_PALETTE = ("#40E0D0", "#ADD8E6", "#00008B", "#FF0000", "#228B22", "#FF8C00")
 
 
+def check_grid_picture(nvars):
+    """Raise ValueError unless a grid of ``nvars`` variables can be drawn."""
+    if nvars != 2:
+        raise ValueError("grid pictures need a 2-variable grid")
+
+
 def _shades(records):
     """PALETTE index of every grid point, shape spec.counts.
 
@@ -33,8 +39,7 @@ def _shades(records):
     levels 0..2, 3 and 4 up get the three certified shades.
     """
     spec = records.spec
-    if spec.nvars != 2:
-        raise ValueError("grid pictures need a 2-variable grid")
+    check_grid_picture(spec.nvars)
     level = np.asarray(records.level).reshape(spec.counts)
     return np.select([level < 0, level <= 2, level == 3], [0, 1, 2], 3)
 

@@ -74,6 +74,33 @@ def _axis_pair(v, name):
     return (Fraction(v), Fraction(v))
 
 
+def check_raster(nvars, lo, hi, res):
+    """(los, his, ress), the two axes' bounds and sample counts of a raster.
+
+    Raises ValueError for what ``SemiAlgSystem.rasterize`` cannot draw;
+    the command line calls it before it folds anything.
+    """
+    if nvars != 2:
+        raise ValueError("rasterize draws 2-variable systems only")
+    los = _axis_pair(lo, "lo")
+    his = _axis_pair(hi, "hi")
+    ress = tuple(int(r) for r in (res if isinstance(res, (tuple, list)) else (res, res)))
+    if len(ress) != 2 or min(ress) < 2:
+        raise ValueError("need at least 2 samples per axis")
+    for a, b in zip(los, his):
+        if a <= 0:
+            raise ValueError("the box must lie in the open positive orthant")
+        if b <= a:
+            raise ValueError(f"axis range [{a}, {b}] needs lo < hi")
+        try:
+            fits = float(a) > 0 and math.isfinite(float(b))
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError("box bounds must be nonzero and finite as floats")
+    return los, his, ress
+
+
 def magnitude_string(sq: Fraction):
     """Exact rendering of sqrt(sq): a rational when possible."""
     if sq == 0:
@@ -130,24 +157,7 @@ class SemiAlgSystem:
         every sample of the lattice in one ``float_classify`` batch.
         Two variables only.
         """
-        if self.nvars != 2:
-            raise ValueError("rasterize draws 2-variable systems only")
-        los = _axis_pair(lo, "lo")
-        his = _axis_pair(hi, "hi")
-        ress = tuple(int(r) for r in (res if isinstance(res, (tuple, list)) else (res, res)))
-        if len(ress) != 2 or min(ress) < 2:
-            raise ValueError("need at least 2 samples per axis")
-        for a, b in zip(los, his):
-            if a <= 0:
-                raise ValueError("the box must lie in the open positive orthant")
-            if b <= a:
-                raise ValueError(f"axis range [{a}, {b}] needs lo < hi")
-            try:
-                fits = float(a) > 0 and math.isfinite(float(b))
-            except OverflowError:
-                fits = False
-            if not fits:
-                raise ValueError("box bounds must be nonzero and finite as floats")
+        los, his, ress = check_raster(self.nvars, lo, hi, res)
         axes = tuple(
             tuple(a + i * (b - a) / (r - 1) for i in range(r))
             for a, b, r in zip(los, his, ress)

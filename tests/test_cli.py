@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from amoebas import semialg
+from amoebas import cli, semialg
 from amoebas.cli import main
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
@@ -257,6 +257,36 @@ def test_semialg_checks_the_term_budget_before_the_hull(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "over the budget of 1000" in err
+
+
+def _no_fold(*args, **kwargs):
+    raise AssertionError("folded before the picture arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-f", "z1 + z2 + z3 + 1", "-k", "3", "--format", "svg"), "rasterize draws 2-variable systems only"),
+        (("-f", CUBIC, "-k", "1,2,3,4,5", "--format", "ppm"), "ppm output draws exactly one level"),
+        (("-f", LINE, "--format", "svg", "--res", "1"), "need at least 2 samples per axis"),
+        (("-f", LINE, "--format", "ppm", "--box", "2", "1"), "axis range [2, 1] needs lo < hi"),
+    ],
+)
+def test_semialg_pictures_check_arguments_before_folding(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "semialg_description", _no_fold)
+    code, out, err = run_cli(capsys, "semialg", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["svg", "ppm"])
+def test_amoeba_pictures_check_the_grid_before_classifying(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "approximate_amoeba", _no_fold)
+    code, out, err = run_cli(
+        capsys, "amoeba", "-f", "z1 + z2 + z3 + 1", "--step", "1", "--format", fmt
+    )
+    assert code == 2 and out == ""
+    assert err == "error: grid pictures need a 2-variable grid\n"
 
 
 def test_grid_with_inner_products_beyond_float_range_exits_2(capsys):

@@ -100,6 +100,14 @@ def test_graeffe_step_equals_flip_multiply(case):
         ("z1^-3 + z1^-1*z2 + 1", 2, (1, 2, 3)),
         # exponents reach 2^17
         ("z1^2 + z1 + 1", 1, (16,)),
+        # real E, Gaussian O at level 1: the step squares three times
+        ("(0+1i)*z1 + 1", 1, (1, 2, 3)),
+        # Gaussian E, real O
+        ("z1 + (2+1i)", 1, (1, 2, 3)),
+        # a + b = 0: the (A + B)^2 square has a zero coefficient
+        ("(1-1i)*z1*z2 + z2 + 1", 2, (1, 2, 3)),
+        # z2 is absent: its packing radix is 1
+        ("z1^2 - 3*z1 + (1+2i)", 2, (1, 2, 3)),
     ],
 )
 def test_graeffe_step_edge_cases(text, nvars, levels):
