@@ -14,6 +14,8 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from amoebas.gridsolver import GridSpec, approximate_amoeba
@@ -39,8 +41,15 @@ def main():
         with open(out / f"figure1_{tag}.ppm", "wb") as fh:
             write_ppm(fh, records_to_pixels(records))
         (out / f"figure1_{tag}.svg").write_text(scatter_svg(records))
-        orders = Counter(r.order for r in records if r.order is not None)
-        red = sum(1 for r in records if r.in_amoeba)
+        # points per order, orders in row-major order of first appearance
+        verdicts, inverse = records.classes()
+        sizes = np.bincount(inverse, minlength=len(verdicts))
+        first = np.unique(inverse, return_index=True)[1]
+        orders = Counter()
+        for i in np.argsort(first).tolist():
+            if verdicts[i][1] is not None:
+                orders[verdicts[i][1]] += int(sizes[i])
+        red = int(np.count_nonzero(records.level < 0))
         print(f"b={b}: {red} presumed amoeba points, orders {dict(orders)}")
         hole = orders.get((1, 1), 0)
         print(f"  order (1,1) island: {hole} points {'(hole)' if hole else '(no hole)'}")

@@ -7,6 +7,13 @@ region shrinks toward the true log image.  Points certified at some
 level are removed with their component order; points that survive every
 level are presumed to lie on or near the amoeba.
 
+Lopsidedness only ever certifies points outside the amoeba.  So right
+after level 0, ``zerocount.proven_inside`` takes the pending points and
+proves some of them inside it (their counts of zeros differ between two
+angles).  No level could certify those, so they stop escalating and
+keep the verdict "not certified", exactly as if every level had tested
+them.
+
 Grids are rational so the canonical integer inner-product pipeline in
 ``lopsided`` applies: one common denominator serves the whole grid.
 Each level hands its table every pending point in one batch; the table
@@ -36,6 +43,7 @@ import numpy as np
 from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
 from .lopsided import TermTable, choose_level
 from .poly import LaurentPoly
+from .zerocount import proven_inside
 
 MAX_GRID_POINTS = 10**7
 
@@ -201,6 +209,11 @@ def approximate_amoeba(
     Exactly one of kmax and eps may be given; eps picks the level via
     ``choose_level`` from the polynomial's degree.  Returns a
     ``GridVerdicts``, one verdict per point in grid row-major order.
+
+    Points that level 0 leaves pending and that ``proven_inside`` proves
+    to lie in the amoeba are not tested at levels 1..kmax.  No level can
+    certify them, so their verdict (level -1, CSV bit 1: no level
+    certified it) is the one the full escalation gives.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial fills all of log space")
@@ -242,6 +255,9 @@ def approximate_amoeba(
         peak[hit] = idx[ok]
         orders.append(table.orders)
         pending = pending[~ok]
+        if k == 0 and kmax and pending.size:
+            # proven amoeba points: no level could ever certify them
+            pending = pending[~proven_inside(f, rows[pending], den)]
     return GridVerdicts(spec, level, peak, tuple(orders))
 
 

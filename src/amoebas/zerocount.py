@@ -1,0 +1,248 @@
+"""Proofs that grid points lie inside the amoeba, from counts of zeros.
+
+Lopsidedness certifies points outside the amoeba only, so a point inside
+it would be tested at every level of an escalation and never certified.
+This module proves such points inside, by the order map of
+Forsberg-Passare-Tsikh (cf. Theobald, "Computing amoebas", 2002).
+
+Fix a log point w, one counted variable z_v and an angle theta.  Let
+N(theta) count the zeros of
+
+    p(t) = t^(-lo_v) * f(z), z_j = e^(w_j + i*theta) for j != v, z_v = t,
+
+in the disc |t| < e^(w_v), where lo_v is f's lowest power of z_v.  By the
+argument principle N depends continuously on theta, so it is constant,
+as long as no zero lies on the circle.  Two angles with different counts
+therefore prove a zero on the torus Log^-1(w): w lies in the amoeba, and
+no level can ever certify it.
+
+Counts are taken at the four angles theta = a*pi/2, where e^(i*theta) is
+the exact unit i^a.  numpy proposes the roots, with one stacked eigvals
+call on companion matrices.  A count is accepted only when the
+Weierstrass inclusion proves it: with distinct approximations r_1..r_d
+of the d roots, the discs
+
+    |t - r_k| <= d * |p(r_k)| / |a_d * prod_{j != k} (r_k - r_j)|
+
+contain every zero, and a connected component of m discs holds exactly m
+of them (Braess-Hadeler; Neumaier, "Enclosing clusters of zeros of
+polynomials", 2003).  Each radius is enlarged by explicit bounds on the
+rounding of e^(w), of the coefficients and of the evaluation of p.  A
+count is known only when no disc meets the circle, compared with
+directed slack on e^(w_v).  Non-finite or out-of-range values, a leading
+coefficient the bounds cannot keep away from 0, and a disc that meets
+the circle leave the count unknown, and a point is retired only when two
+known counts differ.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# The counted variable's degree span above which no count is attempted.
+MAX_COUNT_DEGREE = 16
+
+_U = 2.0 ** -53
+# Relative error bound of numpy's exp, 8 units in the last place.
+_EXP_ERR = 16 * _U
+# |log| bound for every exp taken: e^700 and e^-700 stay normal floats.
+_MAX_LOG = 700.0
+# Largest error bound on an inner product's log accepted, so that
+# e^eta - 1 <= 2*eta holds with room to spare.
+_MAX_LOG_ERROR = 2.0 ** -10
+# Relative slack on every computed bound, far above the rounding of the
+# bounds themselves (a few hundred units in the last place at most).
+_SLACK = 1 + 2.0 ** -30
+# Absolute floor added to every error bound and the least accepted
+# denominator: any product that underflows loses at most 2^-1074.
+_TINY = 2.0 ** -1000
+# Accepted range of each |r_k - r_j|, so that every partial product of
+# the up to MAX_COUNT_DEGREE - 1 factors stays a normal float.
+_GAP_RANGE = 2.0 ** (900 // MAX_COUNT_DEGREE)
+# Values per batch of companion matrices.
+_BATCH_VALUES = 1 << 18
+
+_UNITS = np.array([1, 1j, -1, -1j])
+
+
+def _counted_variable(f):
+    """(v, d): the last variable of smallest positive degree span, or None."""
+    spans = [hi - lo for lo, hi in map(f.exponent_range, range(1, f.nvars + 1))]
+    positive = [s for s in spans if s > 0]
+    if f.nvars == 1 or not positive or min(positive) > MAX_COUNT_DEGREE:
+        return None
+    d = min(positive)
+    return max(v for v, s in enumerate(spans) if s == d), d
+
+
+def _term_matrices(f, v, d):
+    """(coefficient matrix, magnitude matrix, prefix exponents) of f's terms.
+
+    The coefficient matrix is T x A(d+1): term e's coefficient turned by
+    the angle unit i^(a * sum of e's other exponents), in angle a's block
+    at column e_v - lo_v.  A is 4, or 3 when every coefficient is real:
+    the polynomial at angle 3 is then the conjugate of the one at angle
+    1, with the same count.  The magnitude matrix is T x (d+1), the same
+    without the units.  None when a value does not fit a float.
+    """
+    lo_v = f.exponent_range(v + 1)[0]
+    terms = list(f.terms.items())
+    try:
+        coef = np.array([complex(c) for _, c in terms])
+        prefix = np.array([[float(x) for j, x in enumerate(e) if j != v] for e, _ in terms])
+    except OverflowError:
+        return None
+    mag = np.abs(coef)
+    if not (np.all(np.isfinite(mag)) and np.all(mag > 2.0 ** -960)):
+        return None
+    angles = 3 if all(c.is_real for _, c in terms) else 4
+    spin = np.array([(sum(e) - e[v]) % 4 for e, _ in terms])
+    col = np.array([e[v] - lo_v for e, _ in terms])
+    t = np.arange(len(terms))
+    turned = np.zeros((len(terms), angles, d + 1), dtype=complex)
+    for a in range(angles):
+        turned[t, a, col] = coef * _UNITS[spin * a % 4]
+    magnitude = np.zeros((len(terms), d + 1))
+    magnitude[t, col] = mag
+    return turned.reshape(len(terms), -1), magnitude, prefix
+
+
+def _powers(x, d):
+    """x^0..x^d along a new last axis, by repeated multiplication."""
+    return np.cumprod(np.stack([np.ones_like(x)] + [x] * d, axis=-1), axis=-1)
+
+
+def _discs(coef, err, d):
+    """Inclusion discs of the roots of a stack of degree-d polynomials.
+
+    coef is (..., d+1) complex, lowest power first, and err bounds each
+    coefficient's distance to the true one.  Returns (lo, hi, ok): the
+    discs' nearest and farthest |t|, each (..., d), and whether the
+    polynomial's discs are proven.
+    """
+    lead = np.abs(coef[..., d])
+    monic = coef[..., :d] / coef[..., d, None]
+    ok = np.all(np.isfinite(coef), axis=-1) & np.all(np.isfinite(monic), axis=-1)
+    ok &= lead > 2 * err[..., d]
+    monic = np.where(ok[..., None], monic, 0)
+    companion = np.zeros((*coef.shape[:-1], d, d), dtype=complex)
+    companion[..., 0, :] = -monic[..., ::-1]
+    companion[..., np.arange(1, d), np.arange(d - 1)] = 1
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:  # the QR iteration did not converge
+        nothing = np.zeros(companion.shape[:-1])
+        return nothing, nothing, np.zeros_like(ok)
+
+    # |p(r_k)| <= bound: the computed value, its rounding (powers by
+    # repeated products, then a sum), the coefficients' own error, and
+    # what underflow in the powers can lose
+    size = np.abs(roots)
+    size_powers = _powers(size, d)
+    value = np.abs(np.einsum("...m,...km->...k", coef, _powers(roots, d)))
+    spread = np.einsum("...m,...km->...k", np.abs(coef), size_powers)
+    drift = np.einsum("...m,...km->...k", err, size_powers)
+    floor = _TINY * (1 + np.sum(np.abs(coef), axis=-1))
+    bound = value + (10 * d + 10) * _U * spread + drift + floor[..., None]
+
+    # |a_d * prod_{j != k} (r_k - r_j)| >= scale
+    gaps = np.abs(roots[..., :, None] - roots[..., None, :])
+    gaps[..., np.arange(d), np.arange(d)] = 1
+    ok &= np.all((gaps >= 1 / _GAP_RANGE) & (gaps <= _GAP_RANGE), axis=(-2, -1))
+    separation = np.prod(gaps, axis=-1) * (1 - 8 * d * _U)
+    scale = (lead - err[..., d])[..., None] * separation
+    radius = d * bound / scale * _SLACK
+    ok &= np.all(np.isfinite(radius) & (scale >= _TINY) & np.isfinite(scale), axis=-1)
+    # the distance to the origin of the disc's nearest and farthest point,
+    # with every rounding of |r_k| and of the sums inside the slack
+    reach = 8 * _U * (size + radius) + _TINY
+    return size - radius - reach, size + radius + reach, ok
+
+
+def _prefixes(cols):
+    """(distinct rows of cols, each row's index into them).
+
+    Each column is ranked on its own and the ranks are combined into one
+    integer code, which sorts far faster than whole rows do.
+    """
+    code, size = np.zeros(len(cols), dtype=np.int64), 1
+    for col in cols.T:
+        values, rank = np.unique(col, return_inverse=True)
+        size *= len(values)
+        if size >= 2**62:
+            keys, where = np.unique(cols, axis=0, return_inverse=True)
+            return keys, where.reshape(-1)
+        code = code * len(values) + rank.reshape(-1)
+    _, first, where = np.unique(code, return_index=True, return_inverse=True)
+    return cols[first], where.reshape(-1)
+
+
+def zero_counts(f, rows, den):
+    """Proven zero counts of each row at the four angles, -1 where unknown.
+
+    rows are integer numerators over den, one log point per row.  Returns
+    a (4, N) int64 array: entry (a, i) is the number of zeros of row i's
+    p at theta = a*pi/2 inside its circle.  Every entry is -1 when n = 1,
+    when no variable has a positive span at most MAX_COUNT_DEGREE, or
+    when rows are not int64.
+    """
+    counts = np.full((4, len(rows)), -1, dtype=np.int64)
+    picked = _counted_variable(f)
+    if picked is None or rows.dtype != np.int64 or not len(rows) or den.bit_length() > 1000:
+        return counts
+    v, d = picked
+    tables = _term_matrices(f, v, d)
+    if tables is None:
+        return counts
+    turned, magnitude, prefix = tables
+    n, terms = f.nvars, len(prefix)
+
+    keys, where = _prefixes(rows[:, [j for j in range(n) if j != v]])
+    angles = turned.shape[1] // (d + 1)
+    with np.errstate(all="ignore"):
+        w = keys.astype(np.float64) / float(den)
+        logs = w @ prefix.T
+        log_err = 2 * (n + 6) * _U * (np.abs(w) @ np.abs(prefix).T)
+        usable = np.all((np.abs(logs) <= _MAX_LOG) & (log_err <= _MAX_LOG_ERROR), axis=1)
+        values = np.exp(np.where(usable[:, None], logs, 0))
+        rel = 2 * (log_err + _EXP_ERR)
+        coef = (values @ turned).reshape(len(keys), angles, d + 1)
+        err = 2 * ((values * rel) @ magnitude + (terms + 6) * _U * (values @ magnitude)) + _TINY
+
+        lo = np.empty((len(keys), angles, d))
+        hi = np.empty((len(keys), angles, d))
+        known = np.empty((len(keys), angles), dtype=bool)
+        step = max(1, _BATCH_VALUES // (angles * d * d))
+        for s in range(0, len(keys), step):
+            part = slice(s, s + step)
+            lo[part], hi[part], known[part] = _discs(coef[part], err[part, None, :], d)
+
+        wv = rows[:, v].astype(np.float64) / float(den)
+        fits = np.abs(wv) <= _MAX_LOG
+        radius = np.exp(np.where(fits, wv, 0))
+        slack = 2 * (3 * _U * np.abs(wv) + _EXP_ERR)
+        r_lo, r_hi = radius * (1 - slack), radius * (1 + slack)
+        # a count is proven when every disc lies wholly inside or wholly
+        # outside the circle; arrays run angle by row
+        clear = np.take((known & usable[:, None]).T, where, axis=1) & fits
+        inside = np.zeros((angles, len(rows)), dtype=np.int64)
+        for lo_k, hi_k in zip(lo.T, hi.T):
+            below = np.take(hi_k, where, axis=1) < r_lo
+            inside += below
+            clear &= below | (np.take(lo_k, where, axis=1) > r_hi)
+    counts[:angles] = np.where(clear, inside, -1)
+    if angles == 3:
+        counts[3] = counts[1]
+    return counts
+
+
+def proven_inside(f, rows, den):
+    """Mask of the rows whose zero counts provably differ between angles.
+
+    Each such row is a point of the amoeba of f: no level of the
+    lopsided escalation can certify it.
+    """
+    counts = zero_counts(f, rows, den)
+    most = counts.max(axis=0)
+    # an unknown count (-1) stands in as the largest, so it decides nothing
+    return np.where(counts < 0, most, counts).min(axis=0) < most

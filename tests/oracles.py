@@ -13,7 +13,11 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
+
+from amoebas import gridsolver
 from amoebas.cycres import _is_one
 from amoebas.gaussian import LN2, _ln_positive_ratio
 from amoebas.gridsolver import MAX_GRID_POINTS
@@ -300,6 +304,33 @@ def poisson_numeric_oracle(f, r, point):
     return math.exp(log_mag) * phase
 
 
+def zero_counts_at_angles(f, w):
+    """Zeros of f in its last variable inside |z_n| < e^(w_n), at four angles.
+
+    Entry a counts, by ``numpy.roots``, the zeros t of f(i^a e^(w_1), ...,
+    i^a e^(w_(n-1)), t) times t^(-lo), lo the lowest power of z_n, in the
+    open disc of radius e^(w_n).  At a point outside the amoeba the four
+    counts agree and equal the component order's last coordinate (the
+    order map of Forsberg-Passare-Tsikh).  Doubles throughout, so a zero
+    near the circle may be miscounted; an independent check of orders,
+    not a proof.
+    """
+    n = f.nvars
+    lo, hi = f.exponent_range(n)
+    counts = []
+    for a in range(4):
+        unit = 1j ** a
+        coeffs = [0j] * (hi - lo + 1)
+        for e, c in f.terms.items():
+            term = complex(c)
+            for x, k in zip(w[:-1], e[:-1]):
+                term *= (unit * math.exp(x)) ** k
+            coeffs[e[-1] - lo] += term
+        roots = np.roots(coeffs[::-1])
+        counts.append(int(np.count_nonzero(np.abs(roots) < math.exp(w[-1]))))
+    return counts
+
+
 def ln_fraction(value):
     """Natural log of a positive rational of any size."""
     mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)
@@ -382,6 +413,16 @@ def contains(system, x):
             raise ValueError("magnitude coordinates must be positive")
         coords.append(Fraction(math.log(v)))
     return contains_log(system, coords)
+
+
+def plain_escalation(f, spec, kmax):
+    """``approximate_amoeba`` with every inside proof switched off: each
+    point the levels leave pending is tested at every level up to kmax."""
+    def no_proofs(f, rows, den):
+        return np.zeros(len(rows), dtype=bool)
+
+    with mock.patch.object(gridsolver, "proven_inside", no_proofs):
+        return gridsolver.approximate_amoeba(f, spec, kmax=kmax)
 
 
 def make_grid(spec, max_points=MAX_GRID_POINTS):

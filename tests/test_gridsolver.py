@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amoebas import gridsolver
 from amoebas.gridsolver import (
     GridSpec,
     MembershipRecord,
@@ -27,12 +30,18 @@ from amoebas.render import (
     COLOR_CERT_MID,
     records_to_pixels,
 )
+from conftest import polys
 from oracles import (
+    CUBIC,
     CUBIC_B2,
+    CUBIC_BM4,
+    GAUSS_PAIR,
     LINE,
+    THREE_VAR,
     complement_consistency_violations,
     epsilon_for_grid,
     make_grid,
+    plain_escalation,
 )
 
 
@@ -138,6 +147,59 @@ def test_orders_past_int64_match_scalar_route():
     spec = GridSpec.from_box(-1, 1, Fraction(1, 2), 2)
     records = _assert_scalar_route(parse(f"z1^{big} + z2 + 1", 2), spec, 0)
     assert (big, 0) in {rec.order for rec in records}
+
+
+# grids on which the inside proofs retire rows after level 0
+_SQUARE = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
+PROOF_GRIDS = [
+    (CUBIC, _SQUARE, 3),
+    (CUBIC_B2, _SQUARE, 3),
+    (CUBIC_BM4, _SQUARE, 3),
+    (GAUSS_PAIR, _SQUARE, 3),
+    (LINE, _SQUARE, 3),
+    (THREE_VAR, GridSpec.from_box(-1, 1, Fraction(1, 4), 3), 2),
+]
+
+
+@pytest.mark.parametrize("text, spec, kmax", PROOF_GRIDS)
+def test_inside_proofs_keep_the_plain_verdicts(text, spec, kmax, monkeypatch):
+    f = parse(text, spec.nvars)
+    retired = []
+    prove = gridsolver.proven_inside
+
+    def spy(f, rows, den):
+        mask = prove(f, rows, den)
+        retired.append(int(np.count_nonzero(mask)))
+        return mask
+
+    monkeypatch.setattr(gridsolver, "proven_inside", spy)
+    records = approximate_amoeba(f, spec, kmax=kmax)
+    assert len(retired) == 1 and retired[0] > 0
+    assert records == plain_escalation(f, spec, kmax)
+
+
+@given(polys(2, max_terms=5, lo=0, hi=4, coeffs=st.integers(-3, 3).filter(bool)))
+@settings(max_examples=100)
+def test_random_grids_with_inside_proofs_match_scalar_route(f):
+    _assert_scalar_route(f, GridSpec.from_box(-2, 2, Fraction(1, 2), 2), 2)
+
+
+def test_scalar_route_catches_a_wrong_inside_proof(monkeypatch):
+    # a proof that also retires one row that level 2 certifies
+    f = parse(CUBIC_B2, 2)
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 5), 2)
+    _assert_scalar_route(f, spec, 2)
+    plain = plain_escalation(f, spec, 2)
+    target = _grid_rows(spec, 5)[int(np.flatnonzero(plain.level == 2)[0])]
+    prove = gridsolver.proven_inside
+
+    def wrong(f, rows, den):
+        return prove(f, rows, den) | np.all(rows == target, axis=1)
+
+    monkeypatch.setattr(gridsolver, "proven_inside", wrong)
+    assert approximate_amoeba(f, spec, kmax=2) != plain
+    with pytest.raises(AssertionError):
+        _assert_scalar_route(f, spec, 2)
 
 
 def test_escalation_only_adds_certificates(cubic):

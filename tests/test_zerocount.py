@@ -1,0 +1,187 @@
+"""Inside proofs: zero counts at four angles retire only amoeba points.
+
+Every retired row must be one that no level certifies, so each test
+compares against the plain escalation, run with the proofs switched off
+(``oracles.plain_escalation``).  Known counts are
+compared with ``numpy.roots`` through ``oracles.zero_counts_at_angles``.
+"""
+
+import io
+import math
+import warnings
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+
+from amoebas import cli, gridsolver
+from amoebas.gridsolver import GridSpec, _grid_rows, approximate_amoeba
+from amoebas.lopsided import TermTable
+from amoebas.poly import parse
+from amoebas.zerocount import (
+    _EXP_ERR,
+    MAX_COUNT_DEGREE,
+    _counted_variable,
+    proven_inside,
+    zero_counts,
+)
+from oracles import CUBIC_B2, CUBIC_BM4, GAUSS_PAIR, LINE, plain_escalation, zero_counts_at_angles
+
+
+def _grid(spec):
+    den = math.lcm(*(x.denominator for x in spec.lo), spec.step.denominator)
+    return _grid_rows(spec, den), den
+
+
+def _proofs(f, spec, kmax=2):
+    """Counts and retirements on every grid row, checked against the plain
+    escalation: no retired row is certified at any level up to kmax."""
+    rows, den = _grid(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = zero_counts(f, rows, den)
+        retired = proven_inside(f, rows, den)
+    assert counts.shape == (4, len(rows))
+    plain = plain_escalation(f, spec, kmax)
+    assert not np.any(plain.level[retired] >= 0)
+    return rows, den, counts, retired
+
+
+def _assert_counts_match_oracle(f, rows, den, counts):
+    known = np.flatnonzero(np.any(counts >= 0, axis=0))
+    assert known.size
+    for i in known.tolist():
+        want = zero_counts_at_angles(f, [Fraction(int(x), den) for x in rows[i]])
+        got = counts[:, i].tolist()
+        assert all(g == w for g, w in zip(got, want) if g >= 0), (rows[i], got, want)
+
+
+def test_one_variable_proves_nothing():
+    f = parse("z1^2 - 3*z1 + 1", 1)
+    _, _, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 8), 1))
+    assert np.all(counts == -1) and not retired.any()
+
+
+def test_absent_variable_is_not_counted():
+    # z3 has span 0, so z2 (span 1) is counted and z3 turns with z1
+    f = parse(LINE, 3)
+    assert _counted_variable(f) == (1, 1)
+    _, _, counts, retired = _proofs(f, GridSpec.from_box(-1, 1, Fraction(1, 4), 3))
+    assert retired.any() and np.all(counts >= 0)
+
+
+def test_line_command_in_three_variables_is_unchanged(monkeypatch, tmp_path):
+    argv = ["amoeba", "-f", LINE, "-n", "3", "--box", "-1", "1", "--step", "1/4", "--kmax", "2"]
+    assert cli.main([*argv, "-o", str(tmp_path / "proofs.csv")]) == 0
+    monkeypatch.setattr(gridsolver, "proven_inside", lambda f, rows, den: np.zeros(len(rows), bool))
+    assert cli.main([*argv, "-o", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "proofs.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_negative_exponent_in_the_counted_variable():
+    f = parse("z1^2 + z1*z2^-1 + z2 + 1", 2)
+    assert _counted_variable(f) == (1, 2)
+    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    assert retired.any()
+    _assert_counts_match_oracle(f, rows, den, counts)
+
+
+def test_gaussian_coefficients():
+    f = parse(GAUSS_PAIR, 2)
+    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    assert retired.any()
+    _assert_counts_match_oracle(f, rows, den, counts)
+
+
+def test_leading_coefficient_vanishing_at_one_angle():
+    # the z2^2 coefficient z1 - i vanishes at w1 = 0 for the angle i^1 only
+    f = parse("z1*z2^2 + (0-1i)*z2^2 + z1^2 + 1", 2)
+    assert _counted_variable(f) == (1, 2)
+    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    on_axis = rows[:, 0] == 0
+    assert np.all(counts[1, on_axis] == -1)
+    assert np.any(counts[[0, 2, 3]][:, on_axis] >= 0)
+    _assert_counts_match_oracle(f, rows, den, counts)
+
+
+def test_double_root_on_the_circle():
+    # (z2 - z1)^2: a double zero of modulus e^(w1) at every angle; off the
+    # diagonal its two discs overlap, or the two roots numpy proposes
+    # coincide and the count stays unknown
+    f = parse("z1^2 - 2*z1*z2 + z2^2", 2)
+    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    diagonal = rows[:, 0] == rows[:, 1]
+    assert np.all(counts[:, diagonal] == -1)
+    assert np.all(np.isin(counts[:, ~diagonal], (-1, 0, 2))) and not retired.any()
+    assert np.mean(counts[:, ~diagonal] >= 0) > 0.5
+
+
+@pytest.mark.parametrize("text", ["z1*z2^-1 + z1^-1*z2 + 2", "z1 - 3*z2 + z1*z2^-1"])
+@pytest.mark.parametrize("lo", [10**19, 10**18])
+def test_huge_points_stay_pending(text, lo):
+    # numerators past int64 (10^19) and e^w past the float range (10^18)
+    spec = GridSpec.from_box(lo, lo + 2, 1, 2)
+    _, _, counts, retired = _proofs(parse(text, 2), spec, kmax=1)
+    assert np.all(counts == -1) and not retired.any()
+
+
+def test_degree_cap():
+    spec = GridSpec.from_box(-1, 1, Fraction(1, 4), 2)
+    for d, counted in ((MAX_COUNT_DEGREE, True), (MAX_COUNT_DEGREE + 1, False)):
+        f = parse(f"z1^{d} + z2^{d} + 3*z1*z2 + 1", 2)
+        _, _, counts, _ = _proofs(f, spec)
+        assert np.any(counts >= 0) == counted
+
+
+@pytest.mark.parametrize("text", [CUBIC_B2, CUBIC_BM4])
+def test_zero_counts_equal_the_last_order_coordinate(text):
+    # at a certified point N(theta) is constant and is the order's last
+    # coordinate: by numpy.roots at all four angles, and by the proven
+    # counts wherever they are known
+    f = parse(text, 2)
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
+    records = approximate_amoeba(f, spec, kmax=4)
+    rows, den = _grid(spec)
+    counts = zero_counts(f, rows, den)
+    certified = np.flatnonzero(records.level >= 0)
+    assert certified.size > 4000
+    for i in certified.tolist():
+        rec = records[i]
+        assert zero_counts_at_angles(f, rec.point) == [rec.order[-1]] * 4, rec
+        assert all(c in (-1, rec.order[-1]) for c in counts[:, i].tolist()), rec
+
+
+def test_grid_workload_retires_only_never_certified_rows():
+    # the benchmark's grid at seed 0: level 0 leaves 31,100 rows pending,
+    # and 23,475 of them are proven inside
+    f = parse(CUBIC_B2, 2)
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 100), 2)
+    rows, den = _grid(spec)
+    ok, _, _ = TermTable(f, 0).classify(rows, den)
+    pending = np.flatnonzero(~ok)
+    retired = pending[proven_inside(f, rows[pending], den)]
+    assert (pending.size, retired.size) == (31_100, 23_475)
+    plain = plain_escalation(f, spec, 4)
+    assert np.all(plain.level[retired] == -1)
+    assert approximate_amoeba(f, spec, kmax=4) == plain
+
+
+def test_csv_bytes_equal_the_plain_escalation():
+    f = parse(CUBIC_BM4, 2)
+    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
+    outs = []
+    for records in (approximate_amoeba(f, spec, kmax=4), plain_escalation(f, spec, 4)):
+        out = io.StringIO()
+        gridsolver.records_to_csv(records, out)
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]
+
+
+def test_exp_stays_within_its_error_bound():
+    # the proofs take numpy's exp to be within _EXP_ERR of e^x, relatively
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.uniform(-700, 700, 4000), rng.uniform(-3, 3, 4000)])
+    with mpmath.workdps(30):
+        worst = max(abs(mpmath.mpf(g) / mpmath.exp(x) - 1) for x, g in zip(xs.tolist(), np.exp(xs).tolist()))
+    assert worst <= _EXP_ERR
