@@ -32,7 +32,7 @@ def main():
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = GridSpec.from_box(-2, 2, Fraction(args.step), 2)
+    spec = GridSpec(-2, 2, Fraction(args.step), 2)
 
     for b in (2, -4):
         f = parse(f"z1^3 + {b}*z1*z2 + z2^3 + 1".replace("+ -", "- "), 2)

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 from .cycres import (
-    DEFAULT_MAX_TERMS,
     BaselineTimeout,
     TermBudgetError,
     iterated_resultant_baseline,
@@ -57,30 +56,21 @@ def _mean_of(fn, runs):
     return value, total / runs
 
 
-def run_case(
-    poly_id,
-    f,
-    level,
-    *,
-    runs=1,
-    baseline=True,
-    timeout=None,
-    max_terms=DEFAULT_MAX_TERMS,
-):
+def run_case(poly_id, f, level, *, runs=1, baseline=True, timeout=None):
     """Time one polynomial at one level; never raises on budget errors.
 
     Reported seconds are the mean over runs, which must be at least 1.
-    timeout of None means DEFAULT_TIMEOUT; it bounds each baseline run
-    separately.
+    timeout of None means DEFAULT_TIMEOUT; it must be positive and bounds
+    each baseline run separately.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if timeout is None:
         timeout = DEFAULT_TIMEOUT
+    if not timeout > 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
     try:
-        g, tq = _mean_of(
-            lambda: quick_cyclic_resultant(f, level, max_terms=max_terms), runs
-        )
+        g, tq = _mean_of(lambda: quick_cyclic_resultant(f, level), runs)
     except (TermBudgetError, ValueError) as exc:
         return BenchResult(
             poly_id, level, runs, None, None, None, None, None, None, False, str(exc)
@@ -92,9 +82,7 @@ def run_case(
         )
     try:
         b, tb = _mean_of(
-            lambda: iterated_resultant_baseline(
-                f, 1 << level, max_terms=max_terms, timeout=timeout
-            ),
+            lambda: iterated_resultant_baseline(f, 1 << level, timeout=timeout),
             runs,
         )
     except BaselineTimeout:
@@ -116,13 +104,10 @@ def run_case(
     )
 
 
-def run_bench(cases, *, runs=1, baseline=True, timeout=None, max_terms=DEFAULT_MAX_TERMS):
+def run_bench(cases, *, runs=1, baseline=True, timeout=None):
     """cases: iterable of (poly_id, poly, level) triples, run in order."""
     return [
-        run_case(
-            pid, f, level,
-            runs=runs, baseline=baseline, timeout=timeout, max_terms=max_terms,
-        )
+        run_case(pid, f, level, runs=runs, baseline=baseline, timeout=timeout)
         for pid, f, level in cases
     ]
 

@@ -19,14 +19,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .bench import format_table, run_bench, to_csv
-from .cycres import DEFAULT_MAX_TERMS, TermBudgetError
-from .gridsolver import (
-    MAX_GRID_POINTS,
-    GridSpec,
-    approximate_amoeba,
-    records_to_csv,
-    records_to_jsonl,
-)
+from .cycres import TermBudgetError
+from .gridsolver import GridSpec, approximate_amoeba, records_to_csv, records_to_jsonl
 from .poly import ParseError, format_poly, max_variable_index, parse
 from .render import (
     check_grid_picture,
@@ -108,7 +102,7 @@ def _cmd_cres(args):
     f = _load_poly(args)
     from .cycres import quick_cyclic_resultant
 
-    g = quick_cyclic_resultant(f, args.level, max_terms=args.max_terms)
+    g = quick_cyclic_resultant(f, args.level)
     with _output(args) as stream:
         stream.write(format_poly(g) + "\n")
     return 0
@@ -116,21 +110,14 @@ def _cmd_cres(args):
 
 def _cmd_amoeba(args):
     f = _load_poly(args)
-    spec = GridSpec.from_box(args.box[0], args.box[1], args.step, f.nvars)
+    spec = GridSpec(*args.box, args.step, f.nvars)
     if args.format in ("svg", "ppm"):
         check_grid_picture(spec.nvars)
     try:
         eps = None if args.eps is None else float(args.eps)
     except OverflowError:
         raise CliError("--eps is too large for a float") from None
-    records = approximate_amoeba(
-        f,
-        spec,
-        kmax=args.kmax,
-        eps=eps,
-        max_terms=args.max_terms,
-        max_points=args.max_grid,
-    )
+    records = approximate_amoeba(f, spec, kmax=args.kmax, eps=eps)
     if args.format == "ppm":
         with _output(args, binary=True) as stream:
             write_ppm(stream, records_to_pixels(records))
@@ -150,22 +137,19 @@ def _cmd_semialg(args):
     if args.format == "ppm" and len(args.level) != 1:
         raise CliError("ppm output draws exactly one level")
     if args.format in ("svg", "ppm"):
-        check_raster(f.nvars, args.box[0], args.box[1], args.res)
-    systems = [
-        semialg_description(f, level, max_terms=args.max_terms)
-        for level in args.level
-    ]
+        check_raster(f.nvars, *args.box, args.res)
+    systems = [semialg_description(f, level) for level in args.level]
     if args.format == "ppm":
-        raster = systems[0].rasterize(args.box[0], args.box[1], args.res)
+        raster = systems[0].rasterize(*args.box, args.res)
         with _output(args, binary=True) as stream:
             write_ppm(stream, mask_to_pixels(raster.mask))
         return 0
     if args.format == "svg":
         layers = [
-            (f"level {system.level}", system.rasterize(args.box[0], args.box[1], args.res).mask, None)
+            (f"level {system.level}", system.rasterize(*args.box, args.res).mask, None)
             for system in systems
         ]
-        text = overlay_svg(layers, args.box[0], args.box[1])
+        text = overlay_svg(layers, *args.box)
     elif args.format == "json":
         blocks = [system.to_json() for system in systems]
         text = "[\n" + ",\n".join(blocks) + "\n]" if len(blocks) > 1 else blocks[0]
@@ -192,11 +176,7 @@ def _cmd_bench(args):
         for level in args.level:
             cases.append((name, f, level))
     results = run_bench(
-        cases,
-        runs=args.runs,
-        baseline=not args.no_baseline,
-        timeout=args.timeout,
-        max_terms=args.max_terms,
+        cases, runs=args.runs, baseline=not args.no_baseline, timeout=args.timeout
     )
     with _output(args) as stream:
         if args.format == "csv":
@@ -213,7 +193,6 @@ def build_parser():
     p = subs.add_parser("cres", help="folded root-of-unity product")
     _add_poly_args(p)
     p.add_argument("-k", "--level", type=int, default=1, help="folding level (default 1)")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_cres)
 
@@ -224,8 +203,6 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=None, help="deepest folding level")
     p.add_argument("--eps", type=_fraction, default=None, help="target distance; picks the level")
     p.add_argument("--format", choices=("csv", "jsonl", "svg", "ppm"), default="csv")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
-    p.add_argument("--max-grid", type=int, default=MAX_GRID_POINTS)
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_amoeba)
 
@@ -242,7 +219,6 @@ def build_parser():
         help="magnitude-space square for svg/ppm rasters",
     )
     p.add_argument("--res", type=int, default=512, help="raster samples per axis")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_semialg)
 
@@ -253,7 +229,6 @@ def build_parser():
     p.add_argument("--timeout", type=float, default=None, help="baseline budget in seconds")
     p.add_argument("--no-baseline", action="store_true")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_bench)
     return top

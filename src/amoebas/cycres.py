@@ -18,6 +18,9 @@ coefficients are exact Gaussian rationals. Two independent routes:
   subresultant elimination of the Sylvester system. Dramatically slower;
   exists to cross-check the quick route term by term.
 
+Both routes refuse, with :class:`TermBudgetError`, a fold whose estimated
+term count (:func:`estimate_result_terms`) exceeds the fixed ``MAX_TERMS``.
+
 The tests add a third, numeric route: the defining product evaluated at
 one complex point (``tests/oracles.py``).
 
@@ -44,11 +47,11 @@ from .poly import (
     mul,
 )
 
-DEFAULT_MAX_TERMS = 10_000_000
+MAX_TERMS = 10_000_000
 
 
 class TermBudgetError(RuntimeError):
-    """Estimated output size exceeds the configured term budget."""
+    """Estimated output size exceeds the term budget ``MAX_TERMS``."""
 
 
 class BaselineTimeout(RuntimeError):
@@ -95,9 +98,15 @@ def estimate_result_terms(f: LaurentPoly, copies_per_var: int) -> int:
     return bound
 
 
-def quick_cyclic_resultant(
-    f: LaurentPoly, k: int, *, max_terms: int = DEFAULT_MAX_TERMS
-) -> LaurentPoly:
+def _check_budget(f: LaurentPoly, r: int) -> None:
+    estimate = estimate_result_terms(f, r)
+    if estimate > MAX_TERMS:
+        raise TermBudgetError(
+            f"estimated up to {estimate} output terms, over the budget of {MAX_TERMS}"
+        )
+
+
+def quick_cyclic_resultant(f: LaurentPoly, k: int) -> LaurentPoly:
     """cres(f; 2^k) by k Graeffe doubling steps per variable.
 
     After level l in variable j the running product P equals the cyclic
@@ -120,11 +129,7 @@ def quick_cyclic_resultant(
         raise ValueError("level must be nonnegative")
     if k == 0:
         return f
-    estimate = estimate_result_terms(f, 2 ** k)
-    if estimate > max_terms:
-        raise TermBudgetError(
-            f"estimated up to {estimate} output terms, over the budget of {max_terms}"
-        )
+    _check_budget(f, 2**k)
 
     den, table = _int_form(f)
     steps = k * f.nvars
@@ -339,11 +344,7 @@ def _eliminate_variable(p: LaurentPoly, var: int, r: int, deadline: Deadline) ->
 
 
 def iterated_resultant_baseline(
-    f: LaurentPoly,
-    r: int,
-    *,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    timeout: float | None = None,
+    f: LaurentPoly, r: int, *, timeout: float | None = None
 ) -> LaurentPoly:
     """cres(f; r) by the defining nested resultants, one variable at a time.
 
@@ -357,11 +358,7 @@ def iterated_resultant_baseline(
         raise ValueError("cyclic resultant of the zero polynomial")
     if r < 1:
         raise ValueError("r must be at least 1")
-    estimate = estimate_result_terms(f, r)
-    if estimate > max_terms:
-        raise TermBudgetError(
-            f"estimated up to {estimate} output terms, over the budget of {max_terms}"
-        )
+    _check_budget(f, r)
     deadline = Deadline(math.inf if timeout is None else timeout)
     current = f
     for var in range(1, f.nvars + 1):

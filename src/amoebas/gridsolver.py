@@ -1,4 +1,4 @@
-"""Classify a rectangular grid of log-space points by escalating levels.
+"""Classify a square grid of log-space points by escalating levels.
 
 Every grid point starts unknown.  Level 0 tests the input polynomial
 itself; each further level tests the cyclic product that folds in twice
@@ -14,15 +14,18 @@ angles).  No level could certify those, so they stop escalating and
 keep the verdict "not certified", exactly as if every level had tested
 them.
 
-Grids are rational so the canonical integer inner-product pipeline in
-``lopsided`` applies: one common denominator serves the whole grid.
+A grid is lo + m*step on every axis, the box ``amoeba --box LO HI
+--step S`` names, and has at most ``MAX_GRID_POINTS`` points; each
+level's fold is held to ``cycres.MAX_TERMS``.  Grids are rational so the
+canonical integer inner-product pipeline in ``lopsided`` applies: one
+common denominator serves the whole grid.
 Each level hands its table every pending point in one batch; the table
 chunks the batch and runs the chunks on its worker threads, and the
 verdicts do not depend on either.
 
 Verdicts stay columnar from classification to output: a
 ``GridVerdicts`` holds each point's certifying level and peak term as
-integer arrays, the writers format each axis value and each distinct
+integer arrays, the writers format the axis values and each distinct
 verdict once, and ``MembershipRecord`` objects are built only when a
 verdict is indexed or iterated.
 """
@@ -40,82 +43,68 @@ from itertools import product
 
 import numpy as np
 
-from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
+from .cycres import quick_cyclic_resultant
 from .lopsided import TermTable, choose_level
 from .poly import LaurentPoly
 from .zerocount import proven_inside
 
-MAX_GRID_POINTS = 10**7
+MAX_GRID_POINTS = 10**7  # points of a grid, and samples of a raster
 
 DEFAULT_KMAX = 3
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned rational grid: lo + m*step per axis, inclusive of hi."""
+    """Square rational grid: lo + m*step on each of nvars axes, inclusive of hi."""
 
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
+    lo: Fraction
+    hi: Fraction
     step: Fraction
+    nvars: int
 
     def __post_init__(self):
-        lo = tuple(Fraction(x) for x in self.lo)
-        hi = tuple(Fraction(x) for x in self.hi)
-        step = Fraction(self.step)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "step", step)
-        if len(lo) != len(hi) or not lo:
-            raise ValueError("lo and hi must be nonempty and the same length")
-        if step <= 0:
+        for name in ("lo", "hi", "step"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.nvars < 1:
+            raise ValueError("a grid needs at least one axis")
+        if self.step <= 0:
             raise ValueError("step must be positive")
-        for a, b in zip(lo, hi):
-            if b <= a:
-                raise ValueError(f"axis range [{a}, {b}] needs lo < hi")
-            if (b - a) % step != 0:
-                raise ValueError(f"step {step} does not evenly divide [{a}, {b}]")
-
-    @classmethod
-    def from_box(cls, lo, hi, step, nvars):
-        """Same scalar bounds on every axis."""
-        return cls((Fraction(lo),) * nvars, (Fraction(hi),) * nvars, Fraction(step))
+        if self.hi <= self.lo:
+            raise ValueError(f"axis range [{self.lo}, {self.hi}] needs lo < hi")
+        if (self.hi - self.lo) % self.step != 0:
+            raise ValueError(f"step {self.step} does not evenly divide [{self.lo}, {self.hi}]")
 
     @property
-    def nvars(self):
-        return len(self.lo)
-
-    @property
-    def counts(self):
-        return tuple(int((b - a) / self.step) + 1 for a, b in zip(self.lo, self.hi))
+    def count(self):
+        """Points per axis."""
+        return int((self.hi - self.lo) / self.step) + 1
 
     @property
     def npoints(self):
-        return math.prod(self.counts)
+        return self.count**self.nvars
 
-    def axis_values(self, d):
-        return [self.lo[d] + m * self.step for m in range(self.counts[d])]
+    def axis_values(self):
+        return [self.lo + m * self.step for m in range(self.count)]
 
 
 def _points(spec):
-    return product(*(spec.axis_values(d) for d in range(spec.nvars)))
+    return product(spec.axis_values(), repeat=spec.nvars)
 
 
 def _grid_rows(spec, den):
     """Integer numerators over den of every grid point, shape (N, nvars).
 
-    Row major (last axis varies fastest).  int64 when every axis
-    numerator fits, Python ints (dtype object) otherwise, which
+    Row major (last axis varies fastest).  int64 when the axis
+    numerators fit, Python ints (dtype object) otherwise, which
     ``TermTable.dots`` sends down its exact route.
     """
-    axes = [
-        list(range(int(lo * den), int(hi * den) + 1, int(spec.step * den)))
-        for lo, hi in zip(spec.lo, spec.hi)
-    ]
+    axis = list(range(int(spec.lo * den), int(spec.hi * den) + 1, int(spec.step * den)))
     try:
-        cols = [np.array(a, dtype=np.int64) for a in axes]
+        col = np.array(axis, dtype=np.int64)
     except OverflowError:
-        cols = [np.array(a, dtype=object) for a in axes]
-    return np.stack([g.ravel() for g in np.meshgrid(*cols, indexing="ij")], axis=1)
+        col = np.array(axis, dtype=object)
+    grids = np.meshgrid(*[col] * spec.nvars, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 @dataclass(frozen=True)
@@ -162,8 +151,9 @@ class GridVerdicts(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        index = np.unravel_index(i, self.spec.counts)
-        point = tuple(lo + int(m) * self.spec.step for lo, m in zip(self.spec.lo, index))
+        spec = self.spec
+        index = np.unravel_index(i, (spec.count,) * spec.nvars)
+        point = tuple(spec.lo + int(m) * spec.step for m in index)
         return self._record(point, int(self.level[i]), int(self.peak[i]))
 
     def __iter__(self):
@@ -201,8 +191,6 @@ def approximate_amoeba(
     *,
     kmax=None,
     eps=None,
-    max_terms=DEFAULT_MAX_TERMS,
-    max_points=MAX_GRID_POINTS,
 ):
     """Classify every grid point, escalating levels until certified.
 
@@ -229,9 +217,9 @@ def approximate_amoeba(
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
 
-    if spec.npoints > max_points:
-        raise ValueError(f"grid has {spec.npoints} points, limit is {max_points}")
-    den = math.lcm(*(x.denominator for x in spec.lo), spec.step.denominator)
+    if spec.npoints > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {spec.npoints} points, limit is {MAX_GRID_POINTS}")
+    den = math.lcm(spec.lo.denominator, spec.step.denominator)
     rows = _grid_rows(spec, den)
 
     level = np.full(len(rows), -1, dtype=np.int64)
@@ -241,7 +229,7 @@ def approximate_amoeba(
     for k in range(kmax + 1):
         if not pending.size:
             break
-        g = f if k == 0 else quick_cyclic_resultant(f, k, max_terms=max_terms)
+        g = f if k == 0 else quick_cyclic_resultant(f, k)
         table = TermTable(g, k)
         ok, idx, lopsided = table.classify(rows[pending], den)
         dropped = int(np.count_nonzero(lopsided)) - int(np.count_nonzero(ok))
@@ -272,12 +260,12 @@ def _shifted_degree(f):
 def _point_texts(spec, fmt, sep):
     """fmt of every grid point's coordinates joined by sep, row major.
 
-    Each axis value is formatted once.
+    The axis values are formatted once.
     """
-    axes = [[fmt(x) for x in spec.axis_values(d)] for d in range(spec.nvars)]
-    texts = axes[0]
-    for values in axes[1:]:
-        texts = [t + sep + v for t in texts for v in values]
+    axis = [fmt(x) for x in spec.axis_values()]
+    texts = axis
+    for _ in range(spec.nvars - 1):
+        texts = [t + sep + v for t in texts for v in axis]
     return texts
 
 

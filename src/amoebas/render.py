@@ -33,14 +33,14 @@ def check_grid_picture(nvars):
 
 
 def _shades(records):
-    """PALETTE index of every grid point, shape spec.counts.
+    """PALETTE index of every grid point, shape (count, count).
 
     The level column's -1 (never certified) is the amoeba color; certified
     levels 0..2, 3 and 4 up get the three certified shades.
     """
     spec = records.spec
     check_grid_picture(spec.nvars)
-    level = np.asarray(records.level).reshape(spec.counts)
+    level = np.asarray(records.level).reshape(spec.count, spec.count)
     return np.select([level < 0, level <= 2, level == 3], [0, 1, 2], 3)
 
 
@@ -76,9 +76,10 @@ def scatter_svg(records):
     """Colored dot per grid verdict, same palette as the pixel map."""
     shades = _shades(records)
     spec = records.spec
-    head, to_px = _svg_head(min(spec.lo), max(spec.hi))
-    xs, ys = to_px(*(np.array([float(v) for v in spec.axis_values(d)]) for d in range(2)))
-    radius = max(1.0, SIZE / (max(spec.counts) * 2.5))
+    head, to_px = _svg_head(spec.lo, spec.hi)
+    axis = np.array([float(v) for v in spec.axis_values()])
+    xs, ys = to_px(axis, axis)
+    radius = max(1.0, SIZE / (spec.count * 2.5))
     # each circle's text after cx, by shade and w2 index
     tails = [
         [f'{y:.2f}" r="{radius:.2f}" fill="rgb({r},{g},{b})"/>\n' for y in ys.tolist()]
@@ -138,17 +139,16 @@ def boundary_segments(bitmap, lo, hi):
     """Marching-squares contour of a point-sampled boolean raster.
 
     bitmap[i, j] is the sample at lattice point i along the first axis,
-    j along the second, spanning [lo, hi] with endpoints included.
+    j along the second, of a square lattice spanning [lo, hi] on both
+    axes with endpoints included.
     Returns a list of ((x1, y1), (x2, y2)) segments in data
     coordinates, crossed cells in row-major order; saddle cells split
     arbitrarily.
     """
-    r1, r2 = bitmap.shape
     lo = float(lo)
-    s1 = (float(hi) - lo) / (r1 - 1)
-    s2 = (float(hi) - lo) / (r2 - 1)
+    step = (float(hi) - lo) / (len(bitmap) - 1)
     return [
-        tuple((lo + (i + di) * s1, lo + (j + dj) * s2) for di, dj in (_EDGES[e1], _EDGES[e2]))
+        tuple((lo + (i + di) * step, lo + (j + dj) * step) for di, dj in (_EDGES[e1], _EDGES[e2]))
         for i, j, code in zip(*(a.tolist() for a in crossed_cells(bitmap)))
         for e1, e2 in _CASES[code]
     ]
@@ -173,19 +173,16 @@ def overlay_svg(layers, lo, hi, base=None):
     head, to_px = _svg_head(lo, hi)
     parts = [head]
     if base is not None:
-        r1, r2 = base.shape
         span = float(hi) - float(lo)
-        s1 = span / (r1 - 1)
-        s2 = span / (r2 - 1)
-        w = s1 / span * SIZE
-        h = s2 / span * SIZE
+        step = span / (len(base) - 1)
+        side = step / span * SIZE
         # a square per cell whose corner a is inside, placed by corner d
         i, j = np.nonzero(base[:-1, :-1])
-        xs, ys = to_px(float(lo) + i * s1, float(lo) + (j + 1) * s2)
+        xs, ys = to_px(float(lo) + i * step, float(lo) + (j + 1) * step)
         for x, y in zip(xs.tolist(), ys.tolist()):
             parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
-                f'height="{h:.2f}" fill="#dddddd"/>\n'
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{side:.2f}" '
+                f'height="{side:.2f}" fill="#dddddd"/>\n'
             )
     for pos, (label, bitmap, color) in enumerate(layers):
         stroke = color or CONTOUR_PALETTE[pos % len(CONTOUR_PALETTE)]

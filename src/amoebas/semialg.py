@@ -15,8 +15,10 @@ point falls in a candidate's branch.  Term magnitudes are carried
 exactly as squared rationals and never rounded in the data model.
 Point queries at rational log coordinates reuse the canonical
 integer pipeline from ``lopsided`` and so agree with the grid
-classifier bit for bit; rasterization samples magnitudes whose logs are
-irrational and runs the same margin test on float log coordinates.
+classifier bit for bit; rasterization samples a square of magnitudes,
+whose logs are irrational, and runs the same margin test on float log
+coordinates.  A raster has at most ``MAX_GRID_POINTS`` samples, the
+grid's point limit, and each fold at most ``cycres.MAX_TERMS`` terms.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cycres import DEFAULT_MAX_TERMS, quick_cyclic_resultant
+from .cycres import quick_cyclic_resultant
+from .gridsolver import MAX_GRID_POINTS
 from .lopsided import TermTable, point_numerators
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
@@ -50,55 +53,56 @@ class Candidate:
 
 @dataclass(frozen=True)
 class Raster:
-    """Point-sampled membership image of a system over a magnitude box.
+    """Point-sampled membership image of a system over the square [lo, hi]^2.
 
-    mask[i, j] is True where the approximation holds at sample
-    (axes[0][i], axes[1][j]).  Two rasters are equal when their axes
-    and masks are.
+    mask[i, j] is True where the approximation holds at the magnitudes
+    (x_i, x_j), x_i = lo + i*(hi - lo)/(res - 1) with res = len(mask).
+    Two rasters are equal when their bounds and masks are.
     """
 
-    axes: tuple[tuple[Fraction, ...], ...]
+    lo: Fraction
+    hi: Fraction
     mask: np.ndarray
 
     def __eq__(self, other):
         if not isinstance(other, Raster):
             return NotImplemented
-        return self.axes == other.axes and np.array_equal(self.mask, other.mask)
-
-
-def _axis_pair(v, name):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ValueError(f"{name} must be a scalar or a pair")
-        return tuple(Fraction(x) for x in v)
-    return (Fraction(v), Fraction(v))
+        return (self.lo, self.hi) == (other.lo, other.hi) and np.array_equal(self.mask, other.mask)
 
 
 def check_raster(nvars, lo, hi, res):
-    """(los, his, ress), the two axes' bounds and sample counts of a raster.
+    """Raise ValueError for what ``SemiAlgSystem.rasterize`` cannot draw.
 
-    Raises ValueError for what ``SemiAlgSystem.rasterize`` cannot draw;
-    the command line calls it before it folds anything.
+    The command line calls it before it folds anything.
     """
     if nvars != 2:
         raise ValueError("rasterize draws 2-variable systems only")
-    los = _axis_pair(lo, "lo")
-    his = _axis_pair(hi, "hi")
-    ress = tuple(int(r) for r in (res if isinstance(res, (tuple, list)) else (res, res)))
-    if len(ress) != 2 or min(ress) < 2:
+    if res < 2:
         raise ValueError("need at least 2 samples per axis")
-    for a, b in zip(los, his):
-        if a <= 0:
-            raise ValueError("the box must lie in the open positive orthant")
-        if b <= a:
-            raise ValueError(f"axis range [{a}, {b}] needs lo < hi")
-        try:
-            fits = float(a) > 0 and math.isfinite(float(b))
-        except OverflowError:
-            fits = False
-        if not fits:
-            raise ValueError("box bounds must be nonzero and finite as floats")
-    return los, his, ress
+    if res * res > MAX_GRID_POINTS:
+        raise ValueError(f"raster has {res * res} samples, limit is {MAX_GRID_POINTS}")
+    if lo <= 0:
+        raise ValueError("the box must lie in the open positive orthant")
+    if hi <= lo:
+        raise ValueError(f"axis range [{lo}, {hi}] needs lo < hi")
+    try:
+        fits = float(lo) > 0 and math.isfinite(float(hi))
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ValueError("box bounds must be nonzero and finite as floats")
+
+
+def _sample_axis(lo: Fraction, hi: Fraction, res):
+    """Floats of lo + i*(hi - lo)/(res - 1), i < res, each rounded once.
+
+    Sample i is (num0 + i*step) / den in integers, and int / int rounds
+    correctly, as float(Fraction) does.
+    """
+    den = lo.denominator * hi.denominator * (res - 1)
+    num0 = lo.numerator * hi.denominator * (res - 1)
+    step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    return np.array([(num0 + i * step) / den for i in range(res)])
 
 
 def magnitude_string(sq: Fraction):
@@ -147,25 +151,21 @@ class SemiAlgSystem:
     # -- rasterization ------------------------------------------------------
 
     def rasterize(self, lo, hi, res):
-        """Sample a magnitude-space box on a res1 x res2 point lattice.
+        """Sample the magnitude-space square [lo, hi]^2 on a res x res lattice.
 
-        lo and hi bound an axis-aligned rectangle in the open positive
-        orthant (scalars broadcast to both axes), and each bound must
-        be nonzero and finite as a float; sample i along an axis sits
-        at lo + i*(hi - lo)/(res - 1), endpoints included.  Membership
-        runs in log coordinates, so huge exponents cannot overflow, with
-        every sample of the lattice in one ``float_classify`` batch.
-        Two variables only.
+        The square lies in the open positive orthant, and lo and hi must
+        be nonzero and finite as floats; sample i along either axis sits
+        at lo + i*(hi - lo)/(res - 1), endpoints included, rounded once
+        to a float.  Membership runs in log coordinates, so huge
+        exponents cannot overflow, with every sample of the lattice in
+        one ``float_classify`` batch.  Two variables only.
         """
-        los, his, ress = check_raster(self.nvars, lo, hi, res)
-        axes = tuple(
-            tuple(a + i * (b - a) / (r - 1) for i in range(r))
-            for a, b, r in zip(los, his, ress)
-        )
-        w1, w2 = (np.log(np.array([float(x) for x in ax])) for ax in axes)
-        wmat = np.column_stack([np.repeat(w1, len(w2)), np.tile(w2, len(w1))])
-        mask = ~self._table.float_classify(wmat)[0].reshape(ress)
-        return Raster(axes, mask)
+        check_raster(self.nvars, lo, hi, res)
+        lo, hi = Fraction(lo), Fraction(hi)
+        w = np.log(_sample_axis(lo, hi, res))
+        wmat = np.column_stack([np.repeat(w, res), np.tile(w, res)])
+        mask = ~self._table.float_classify(wmat)[0].reshape(res, res)
+        return Raster(lo, hi, mask)
 
     # -- presentation -------------------------------------------------------
 
@@ -208,7 +208,7 @@ class SemiAlgSystem:
         return "\n".join(lines)
 
 
-def semialg_description(f: LaurentPoly, level, *, max_terms=DEFAULT_MAX_TERMS):
+def semialg_description(f: LaurentPoly, level):
     """Build the level-k region description for f.
 
     The candidates are every lattice point of f's exponent hull, the
@@ -220,5 +220,5 @@ def semialg_description(f: LaurentPoly, level, *, max_terms=DEFAULT_MAX_TERMS):
     if level < 1:
         raise ValueError("level must be at least 1")
     # fold first: its term budget also bounds the hull's box scan
-    g = quick_cyclic_resultant(f, level, max_terms=max_terms)
+    g = quick_cyclic_resultant(f, level)
     return SemiAlgSystem(level, g, newton(f))

@@ -31,6 +31,10 @@ GAUSS_PAIR = "(1+1i)*z1^2*z2 + z1 - 3*z2^2 + 1/2"
 THREE_VAR = "z1*z2*z3 + z1^2 + z2 + z3 + 1"
 LINE = "z1 + z2 + 1"
 
+# its level-1 fold is estimated at 6,001^2 = 36,012,001 terms, over
+# cycres.MAX_TERMS, so every fold of it is refused before any work
+OVER_BUDGET = "z1^3000 + z2^3000 + 1"
+
 # the two larger worked examples used by the cross-route equality and
 # timing checks: a cubic with Gaussian-integer coefficients and a
 # seven-term polynomial in three variables
@@ -212,7 +216,7 @@ def complement_consistency_violations(records, spec):
     expected near thin tentacles, so this is a diagnostic, not an error.
     """
     records = list(records)
-    counts = spec.counts
+    counts = (spec.count,) * spec.nvars
     strides = [0] * len(counts)
     acc = 1
     for d in reversed(range(len(counts))):
@@ -429,7 +433,7 @@ def make_grid(spec, max_points=MAX_GRID_POINTS):
     """All grid points, row major (last axis varies fastest)."""
     if spec.npoints > max_points:
         raise ValueError(f"grid has {spec.npoints} points, limit is {max_points}")
-    return list(itertools.product(*(spec.axis_values(d) for d in range(spec.nvars))))
+    return list(itertools.product(spec.axis_values(), repeat=spec.nvars))
 
 
 def epsilon_for_grid(spec):
@@ -437,10 +441,18 @@ def epsilon_for_grid(spec):
     return float(spec.step) * math.sqrt(spec.nvars) / 2.0
 
 
+def raster_axis(lo, hi, res):
+    """Exact sample magnitudes along either axis of a res x res raster
+    of [lo, hi]^2: lo + i*(hi - lo)/(res - 1), endpoints included."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return tuple(lo + i * (hi - lo) / (res - 1) for i in range(res))
+
+
 def boundary_centers(raster):
     """Exact centers of a raster's ``render.crossed_cells``, row major."""
-    a1, a2 = raster.axes
+    axis = raster_axis(raster.lo, raster.hi, len(raster.mask))
     i, j, _ = crossed_cells(raster.mask)
     return tuple(
-        ((a1[p] + a1[p + 1]) / 2, (a2[q] + a2[q + 1]) / 2) for p, q in zip(i.tolist(), j.tolist())
+        ((axis[p] + axis[p + 1]) / 2, (axis[q] + axis[q + 1]) / 2)
+        for p, q in zip(i.tolist(), j.tolist())
     )

@@ -38,6 +38,7 @@ from oracles import (
     flip_signs,
     line_unlog_member,
     poisson_numeric_oracle,
+    raster_axis,
 )
 
 
@@ -153,7 +154,7 @@ def test_criterion_07_orders(cubic):
 
     hull_orders = set(newton(cubic))
     assert len(hull_orders) == 10
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 10), 2)
     for rec in approximate_amoeba(cubic, spec, kmax=3):
         if not rec.in_amoeba:
             assert rec.order in hull_orders
@@ -173,7 +174,7 @@ def _log_boundary_samples():
 
 def test_criterion_08_grid_band():
     f = parse(LINE, 2)
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 10), 2)
     eps = epsilon_for_grid(spec)
     assert eps == pytest.approx(math.sqrt(2) / 20)
     boundary = _log_boundary_samples()
@@ -238,11 +239,11 @@ def test_criterion_08_raster_cells():
     gap = float(np.max(_nearest_distances(curves, cells)))
     assert gap <= diag, f"boundary point {gap:.6f} from any boundary cell, over {diag:.6f}"
     # the region always contains the amoeba: no certified sample is in it
-    axes = [[float(x) for x in ax] for ax in raster.axes]
+    axis = [float(x) for x in raster_axis(lo, hi, res)]
     inside = [
-        (axes[0][i], axes[1][j])
+        (axis[i], axis[j])
         for i, j in np.argwhere(~raster.mask)
-        if line_unlog_member(axes[0][i], axes[1][j])
+        if line_unlog_member(axis[i], axis[j])
     ]
     assert not inside, f"{len(inside)} certified samples lie in the amoeba, e.g. {inside[0]}"
 
@@ -258,8 +259,8 @@ def test_criterion_09_choose_level():
 
 
 def test_criterion_10_central_hole():
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
-    assert spec.counts == (81, 81)
+    spec = GridSpec(-2, 2, Fraction(1, 20), 2)
+    assert spec.count == 81
 
     hole = [
         rec

@@ -2,9 +2,13 @@
 
 import csv
 import io
+import math
+
+import pytest
 
 from amoebas.bench import BenchResult, format_table, run_bench, run_case, to_csv
-from amoebas.poly import LaurentPoly
+from amoebas.poly import LaurentPoly, parse
+from oracles import OVER_BUDGET
 
 
 def test_case_stats_and_factor(cubic):
@@ -37,12 +41,18 @@ def test_quick_only(cubic):
     assert not r.timed_out
 
 
-def test_term_budget_becomes_error_string(cubic):
-    r = run_case("cubic", cubic, 3, max_terms=10)
+def test_term_budget_becomes_error_string():
+    r = run_case("big", parse(OVER_BUDGET, 2), 1)
     assert r.error is not None and "terms" in r.error
     assert r.quick_seconds is None
     assert r.factor is None
     assert not r.timed_out
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan])
+def test_nonpositive_timeout_is_rejected(cubic, timeout):
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        run_case("cubic", cubic, 1, timeout=timeout)
 
 
 def test_zero_poly_becomes_error_string():

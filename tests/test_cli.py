@@ -13,7 +13,7 @@ from amoebas import cli, semialg
 from amoebas.cli import main
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
-from oracles import CUBIC, LINE, PICTURE_SHA256, SEMIALG_JSON_SHA256
+from oracles import CUBIC, LINE, OVER_BUDGET, PICTURE_SHA256, SEMIALG_JSON_SHA256
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -202,10 +202,8 @@ def test_bench_text_and_csv(capsys):
     assert out.splitlines()[1].startswith("p1,1,")
 
 
-def test_bench_reports_case_failures(capsys, cubic):
-    code, out, _ = run_cli(
-        capsys, "bench", CUBIC, "-k", "3", "--max-terms", "10"
-    )
+def test_bench_reports_case_failures(capsys):
+    code, out, _ = run_cli(capsys, "bench", OVER_BUDGET, "-k", "1")
     assert code == 1  # per-case failure, not a usage error
     assert "terms" in out
 
@@ -222,8 +220,8 @@ def test_error_exits(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cres")
     assert code == 2 and "required" in err
 
-    code, _, err = run_cli(capsys, "amoeba", "-f", CUBIC, "--kmax", "3", "--max-terms", "10")
-    assert code == 2 and "error:" in err
+    code, _, err = run_cli(capsys, "amoeba", "-f", OVER_BUDGET, "--kmax", "1")
+    assert code == 2 and "over the budget of 10000000" in err
 
     code, _, err = run_cli(capsys, "amoeba", "-f", LINE, "--kmax", "1", "--eps", "1/2")
     assert code == 2 and "not both" in err
@@ -240,6 +238,13 @@ def test_bench_rejects_nonpositive_runs(capsys, runs):
     assert code == 2 and err.startswith("error:") and "runs" in err
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_bench_rejects_nonpositive_timeout(capsys, timeout):
+    code, out, err = run_cli(capsys, "bench", "z1+1", "-k", "1", "--timeout", timeout)
+    assert code == 2 and out == ""
+    assert err == f"error: timeout must be positive, got {float(timeout)}\n"
+
+
 @pytest.mark.parametrize("nvars", ["0", "-1"])
 def test_nonpositive_nvars_exit_2(capsys, nvars):
     code, out, err = run_cli(capsys, "cres", "-f", "z1+1", "-n", nvars)
@@ -252,11 +257,9 @@ def test_semialg_checks_the_term_budget_before_the_hull(capsys, monkeypatch):
         raise AssertionError("the hull was scanned before the term budget was checked")
 
     monkeypatch.setattr(semialg, "newton", no_hull)
-    code, out, err = run_cli(
-        capsys, "semialg", "-f", "z1^3000 + z2^3000 + 1", "-k", "1", "--max-terms", "1000"
-    )
+    code, out, err = run_cli(capsys, "semialg", "-f", OVER_BUDGET, "-k", "1")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "over the budget of 1000" in err
+    assert err.startswith("error:") and "over the budget of 10000000" in err
 
 
 def _no_fold(*args, **kwargs):
@@ -270,6 +273,7 @@ def _no_fold(*args, **kwargs):
         (("-f", CUBIC, "-k", "1,2,3,4,5", "--format", "ppm"), "ppm output draws exactly one level"),
         (("-f", LINE, "--format", "svg", "--res", "1"), "need at least 2 samples per axis"),
         (("-f", LINE, "--format", "ppm", "--box", "2", "1"), "axis range [2, 1] needs lo < hi"),
+        (("-f", LINE, "--format", "ppm", "--res", "40000"), "raster has 1600000000 samples, limit is 10000000"),
     ],
 )
 def test_semialg_pictures_check_arguments_before_folding(capsys, monkeypatch, argv, message):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebas.cycres import (
+    MAX_TERMS,
     BaselineTimeout,
     TermBudgetError,
     estimate_result_terms,
@@ -19,6 +20,7 @@ from amoebas.cycres import (
 from amoebas.poly import LaurentPoly, format_poly, parse
 from conftest import polys
 from oracles import (
+    OVER_BUDGET,
     CUBIC,
     FOLD_LISTING_SHA256,
     GAUSS_PAIR,
@@ -196,11 +198,13 @@ def test_oracle_guards():
         poisson_numeric_oracle(f, 2, (1,))
 
 
-def test_term_budget_enforced(cubic):
-    with pytest.raises(TermBudgetError):
-        quick_cyclic_resultant(cubic, 3, max_terms=10)
-    with pytest.raises(TermBudgetError):
-        iterated_resultant_baseline(cubic, 8, max_terms=10)
+def test_term_budget_enforced():
+    f = parse(OVER_BUDGET, 2)
+    assert estimate_result_terms(f, 2) == 6001**2 > MAX_TERMS
+    with pytest.raises(TermBudgetError, match="over the budget of 10000000"):
+        quick_cyclic_resultant(f, 1)
+    with pytest.raises(TermBudgetError, match="over the budget of 10000000"):
+        iterated_resultant_baseline(f, 2)
 
 
 def test_estimate_bounds_actual(cubic):

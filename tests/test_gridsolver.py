@@ -46,51 +46,60 @@ from oracles import (
 
 
 class TestGridSpec:
-    def test_from_box(self):
-        spec = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
-        assert spec.lo == (Fraction(-2), Fraction(-2))
-        assert spec.hi == (Fraction(2), Fraction(2))
-        assert spec.counts == (41, 41)
+    def test_square_box(self):
+        spec = GridSpec(-2, 2, Fraction(1, 10), 2)
+        assert (spec.lo, spec.hi, spec.step) == (Fraction(-2), Fraction(2), Fraction(1, 10))
+        assert all(isinstance(x, Fraction) for x in (spec.lo, spec.hi, spec.step))
+        assert spec.count == 41
         assert spec.npoints == 1681
+        assert GridSpec(-2, 2, Fraction(1, 10), 3).npoints == 41**3
 
     def test_axis_values_are_exact(self):
-        spec = GridSpec((Fraction(0),), (Fraction(1),), Fraction(1, 2))
-        assert spec.axis_values(0) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+        spec = GridSpec(0, 1, Fraction(1, 2), 1)
+        assert spec.axis_values() == [Fraction(0), Fraction(1, 2), Fraction(1)]
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            GridSpec((Fraction(0),), (Fraction(0),), Fraction(1))
+            GridSpec(0, 0, 1, 1)
         with pytest.raises(ValueError):
-            GridSpec((Fraction(1),), (Fraction(0),), Fraction(1))
+            GridSpec(1, 0, 1, 1)
         with pytest.raises(ValueError):
-            GridSpec((Fraction(0),), (Fraction(1),), Fraction(0))
+            GridSpec(0, 1, 0, 1)
         with pytest.raises(ValueError):
-            GridSpec((Fraction(0),), (Fraction(1),), Fraction(3, 10))
+            GridSpec(0, 1, Fraction(3, 10), 1)
         with pytest.raises(ValueError):
-            GridSpec((Fraction(0), Fraction(0)), (Fraction(1),), Fraction(1))
-        with pytest.raises(ValueError):
-            GridSpec((), (), Fraction(1))
+            GridSpec(0, 1, 1, 0)
 
 
 def test_make_grid_row_major():
-    spec = GridSpec.from_box(0, 1, 1, 2)
+    spec = GridSpec(0, 1, 1, 2)
     assert make_grid(spec) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(isinstance(x, Fraction) for pt in make_grid(spec) for x in pt)
 
 
 def test_make_grid_point_cap():
-    spec = GridSpec.from_box(0, 1, 1, 2)
+    spec = GridSpec(0, 1, 1, 2)
     with pytest.raises(ValueError):
         make_grid(spec, max_points=3)
 
 
+def test_grid_point_limit_is_checked_before_the_rows_are_built(cubic, monkeypatch):
+    def no_rows(spec, den):
+        raise AssertionError("built the rows of a grid over the point limit")
+
+    monkeypatch.setattr(gridsolver, "_grid_rows", no_rows)
+    spec = GridSpec(0, 1, Fraction(1, 3162), 2)  # 3,163^2 = 10,004,569 points
+    with pytest.raises(ValueError, match="grid has 10004569 points, limit is 10000000"):
+        approximate_amoeba(cubic, spec, kmax=0)
+
+
 def test_epsilon_is_half_cell_diagonal():
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 10), 2)
     assert epsilon_for_grid(spec) == pytest.approx(math.sqrt(2) / 20, rel=1e-15)
 
 
 def test_level_zero_matches_direct_test(cubic):
-    spec = GridSpec.from_box(-1, 1, 1, 2)
+    spec = GridSpec(-1, 1, 1, 2)
     records = approximate_amoeba(cubic, spec, kmax=0)
     for rec, pt in zip(records, make_grid(spec)):
         assert rec.point == pt  # row-major order is part of the contract
@@ -127,7 +136,7 @@ def _assert_scalar_route(f, spec, kmax):
 
 def test_escalated_records_match_scalar_route():
     # b = 2 certifies its central hole from level 2 on
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 5), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 5), 2)
     records = _assert_scalar_route(parse(CUBIC_B2, 2), spec, 2)
     assert any(not rec.in_amoeba and rec.level == 2 for rec in records)
 
@@ -135,7 +144,7 @@ def test_escalated_records_match_scalar_route():
 def test_numerators_past_int64_match_scalar_route():
     # the rows are Python ints and every inner product takes the exact
     # route, so the exponent differences w1 - w2 survive at 10**19
-    spec = GridSpec.from_box(10**19, 10**19 + 2, 1, 2)
+    spec = GridSpec(10**19, 10**19 + 2, 1, 2)
     assert _grid_rows(spec, 1).dtype == object
     records = _assert_scalar_route(parse("z1*z2^-1 + z1^-1*z2 + 2", 2), spec, 1)
     assert {rec.in_amoeba for rec in records} == {True, False}
@@ -144,20 +153,20 @@ def test_numerators_past_int64_match_scalar_route():
 def test_orders_past_int64_match_scalar_route():
     # level-0 orders are the exponents themselves, kept as Python ints
     big = 2**70
-    spec = GridSpec.from_box(-1, 1, Fraction(1, 2), 2)
+    spec = GridSpec(-1, 1, Fraction(1, 2), 2)
     records = _assert_scalar_route(parse(f"z1^{big} + z2 + 1", 2), spec, 0)
     assert (big, 0) in {rec.order for rec in records}
 
 
 # grids on which the inside proofs retire rows after level 0
-_SQUARE = GridSpec.from_box(-2, 2, Fraction(1, 10), 2)
+_SQUARE = GridSpec(-2, 2, Fraction(1, 10), 2)
 PROOF_GRIDS = [
     (CUBIC, _SQUARE, 3),
     (CUBIC_B2, _SQUARE, 3),
     (CUBIC_BM4, _SQUARE, 3),
     (GAUSS_PAIR, _SQUARE, 3),
     (LINE, _SQUARE, 3),
-    (THREE_VAR, GridSpec.from_box(-1, 1, Fraction(1, 4), 3), 2),
+    (THREE_VAR, GridSpec(-1, 1, Fraction(1, 4), 3), 2),
 ]
 
 
@@ -181,13 +190,13 @@ def test_inside_proofs_keep_the_plain_verdicts(text, spec, kmax, monkeypatch):
 @given(polys(2, max_terms=5, lo=0, hi=4, coeffs=st.integers(-3, 3).filter(bool)))
 @settings(max_examples=100)
 def test_random_grids_with_inside_proofs_match_scalar_route(f):
-    _assert_scalar_route(f, GridSpec.from_box(-2, 2, Fraction(1, 2), 2), 2)
+    _assert_scalar_route(f, GridSpec(-2, 2, Fraction(1, 2), 2), 2)
 
 
 def test_scalar_route_catches_a_wrong_inside_proof(monkeypatch):
     # a proof that also retires one row that level 2 certifies
     f = parse(CUBIC_B2, 2)
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 5), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 5), 2)
     _assert_scalar_route(f, spec, 2)
     plain = plain_escalation(f, spec, 2)
     target = _grid_rows(spec, 5)[int(np.flatnonzero(plain.level == 2)[0])]
@@ -203,7 +212,7 @@ def test_scalar_route_catches_a_wrong_inside_proof(monkeypatch):
 
 
 def test_escalation_only_adds_certificates(cubic):
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 2), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 2), 2)
     by_level = [approximate_amoeba(cubic, spec, kmax=k) for k in (0, 1, 2)]
     for shallow, deep in zip(by_level, by_level[1:]):
         for a, b in zip(shallow, deep):
@@ -227,7 +236,7 @@ def test_thread_count_resolution(monkeypatch):
 def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
     # 161^2 points of 4 terms are more than one classify chunk at level 0,
     # so 4 workers share them
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 40), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 40), 2)
     monkeypatch.setenv("AMOEBA_THREADS", "1")
     solo = approximate_amoeba(cubic, spec, kmax=1)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
@@ -238,13 +247,13 @@ def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
 
 
 def test_kmax_and_eps_are_exclusive(cubic):
-    spec = GridSpec.from_box(-1, 1, 1, 2)
+    spec = GridSpec(-1, 1, 1, 2)
     with pytest.raises(ValueError):
         approximate_amoeba(cubic, spec, kmax=1, eps=0.5)
 
 
 def test_eps_picks_a_level():
-    spec = GridSpec.from_box(-1, 1, 1, 2)
+    spec = GridSpec(-1, 1, 1, 2)
     records = approximate_amoeba(parse(LINE, 2), spec, eps=2.0)
     assert all(rec.in_amoeba or rec.level <= 3 for rec in records)
 
@@ -253,13 +262,13 @@ def test_eps_handles_laurent_exponents():
     # level choice shifts the support into the corner first; the shift is
     # invisible to the log image so nothing else changes
     f = parse("z1*z2^-1 + z1^-1 + 1", 2)
-    spec = GridSpec.from_box(-1, 1, 1, 2)
+    spec = GridSpec(-1, 1, 1, 2)
     records = approximate_amoeba(f, spec, eps=2.0)
     assert len(records) == 9
 
 
 def test_input_validation(cubic):
-    spec = GridSpec.from_box(-1, 1, 1, 2)
+    spec = GridSpec(-1, 1, 1, 2)
     with pytest.raises(ValueError):
         approximate_amoeba(LaurentPoly(2), spec, kmax=0)
     with pytest.raises(ValueError):
@@ -279,10 +288,11 @@ def test_record_invariant():
 
 
 # a 3x3 grid whose verdicts span levels 0, 1 and 2, three orders and
-# presumed amoeba points; the expected text is what csv.writer and
-# json.dumps write record by record (the reference writers below)
-SAMPLE_POLY = "z1 + z2 + z1*z2 + 1/2"
-SAMPLE_SPEC = GridSpec((Fraction(-5, 4), Fraction(-3, 2)), (Fraction(1, 4), Fraction(0)), Fraction(3, 4))
+# presumed amoeba points, and are not symmetric under swapping w1 and w2;
+# the expected text is what csv.writer and json.dumps write record by
+# record (the reference writers below)
+SAMPLE_POLY = "z1 + 3*z2 + z1*z2 + 1"
+SAMPLE_SPEC = GridSpec(Fraction(-3, 2), Fraction(1, 2), 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -295,15 +305,15 @@ def test_csv_golden(sample_records):
     records_to_csv(sample_records, out)
     assert out.getvalue() == (
         "w1,w2,bit,level,order1,order2\r\n"
-        "-5/4,-3/2,0,2,0,0\r\n"
-        "-5/4,-3/4,1,,,\r\n"
-        "-5/4,0,0,1,0,1\r\n"
+        "-3/2,-3/2,0,0,0,0\r\n"
+        "-3/2,-1/2,0,0,0,1\r\n"
+        "-3/2,1/2,0,0,0,1\r\n"
         "-1/2,-3/2,1,,,\r\n"
-        "-1/2,-3/4,1,,,\r\n"
-        "-1/2,0,1,,,\r\n"
-        "1/4,-3/2,0,0,1,0\r\n"
-        "1/4,-3/4,0,2,1,0\r\n"
-        "1/4,0,1,,,\r\n"
+        "-1/2,-1/2,0,1,0,1\r\n"
+        "-1/2,1/2,0,0,0,1\r\n"
+        "1/2,-3/2,0,2,1,0\r\n"
+        "1/2,-1/2,1,,,\r\n"
+        "1/2,1/2,0,1,0,1\r\n"
     )
 
 
@@ -311,15 +321,15 @@ def test_jsonl_golden(sample_records):
     out = io.StringIO()
     records_to_jsonl(sample_records, out)
     assert out.getvalue() == (
-        '{"point": ["-5/4", "-3/2"], "inAmoeba": false, "level": 2, "order": [0, 0]}\n'
-        '{"point": ["-5/4", "-3/4"], "inAmoeba": true, "level": null, "order": null}\n'
-        '{"point": ["-5/4", "0"], "inAmoeba": false, "level": 1, "order": [0, 1]}\n'
+        '{"point": ["-3/2", "-3/2"], "inAmoeba": false, "level": 0, "order": [0, 0]}\n'
+        '{"point": ["-3/2", "-1/2"], "inAmoeba": false, "level": 0, "order": [0, 1]}\n'
+        '{"point": ["-3/2", "1/2"], "inAmoeba": false, "level": 0, "order": [0, 1]}\n'
         '{"point": ["-1/2", "-3/2"], "inAmoeba": true, "level": null, "order": null}\n'
-        '{"point": ["-1/2", "-3/4"], "inAmoeba": true, "level": null, "order": null}\n'
-        '{"point": ["-1/2", "0"], "inAmoeba": true, "level": null, "order": null}\n'
-        '{"point": ["1/4", "-3/2"], "inAmoeba": false, "level": 0, "order": [1, 0]}\n'
-        '{"point": ["1/4", "-3/4"], "inAmoeba": false, "level": 2, "order": [1, 0]}\n'
-        '{"point": ["1/4", "0"], "inAmoeba": true, "level": null, "order": null}\n'
+        '{"point": ["-1/2", "-1/2"], "inAmoeba": false, "level": 1, "order": [0, 1]}\n'
+        '{"point": ["-1/2", "1/2"], "inAmoeba": false, "level": 0, "order": [0, 1]}\n'
+        '{"point": ["1/2", "-3/2"], "inAmoeba": false, "level": 2, "order": [1, 0]}\n'
+        '{"point": ["1/2", "-1/2"], "inAmoeba": true, "level": null, "order": null}\n'
+        '{"point": ["1/2", "1/2"], "inAmoeba": false, "level": 1, "order": [0, 1]}\n'
     )
 
 
@@ -357,9 +367,9 @@ def _jsonl_reference(records):
 @pytest.mark.parametrize(
     "text, spec, kmax",
     [
-        ("z1^3 - 2*z1 + 1", GridSpec.from_box(-3, 3, Fraction(1, 8), 1), 2),
-        (CUBIC_B2, GridSpec.from_box(-2, 2, Fraction(2, 5), 2), 2),
-        ("z1*z2*z3 + z1^2 + z2 + z3 + 1", GridSpec.from_box(-1, 1, Fraction(1, 2), 3), 1),
+        ("z1^3 - 2*z1 + 1", GridSpec(-3, 3, Fraction(1, 8), 1), 2),
+        (CUBIC_B2, GridSpec(-2, 2, Fraction(2, 5), 2), 2),
+        ("z1*z2*z3 + z1^2 + z2 + z3 + 1", GridSpec(-1, 1, Fraction(1, 2), 3), 1),
     ],
 )
 def test_writers_match_record_reference(text, spec, kmax):
@@ -400,21 +410,24 @@ def level_color(record):
 def test_pixels_match_level_colors():
     # the per-record loop as the reference; kmax 4 reaches every color of
     # the palette
-    spec = GridSpec((Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(3, 2)), Fraction(1, 10))
-    records = approximate_amoeba(parse(CUBIC_B2, 2), spec, kmax=4)
-    n1, n2 = spec.counts
-    want = np.zeros((n2, n1, 3), dtype=np.uint8)
+    # the image is not symmetric under swapping w1 and w2, so a
+    # transposed picture fails
+    spec = GridSpec(-1, Fraction(3, 2), Fraction(1, 10), 2)
+    records = approximate_amoeba(parse("z1^3 + 2*z1*z2 + 2*z2^3 + 1", 2), spec, kmax=4)
+    n = spec.count
+    want = np.zeros((n, n, 3), dtype=np.uint8)
     for flat, rec in enumerate(records):
-        i, j = divmod(flat, n2)
-        want[n2 - 1 - j, i] = level_color(rec)
+        i, j = divmod(flat, n)
+        want[n - 1 - j, i] = level_color(rec)
     got = records_to_pixels(records)
-    assert got.dtype == np.uint8 and got.shape == (n2, n1, 3)
+    assert got.dtype == np.uint8 and got.shape == (n, n, 3)
+    assert not np.array_equal(got, got.transpose(1, 0, 2)[::-1, ::-1])
     assert np.array_equal(got, want)
     assert len({level_color(rec) for rec in records}) == 4
 
 
 def test_consistency_check_reports_pairs(cubic):
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 2), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 2), 2)
     records = approximate_amoeba(cubic, spec, kmax=2)
     violations = complement_consistency_violations(records, spec)
     assert isinstance(violations, list)

@@ -26,28 +26,33 @@ ONE_CELL = {
     15: [],
 }
 
-# a 4x5 mask over [0, 12]^2 (steps 4 and 3) whose cells mix both saddles
-# with one-segment codes, and its segments in row-major cell order
+# a 5x5 mask over [0, 12]^2 (step 3) whose cells mix both saddles with
+# one-segment codes, and its segments in row-major cell order
 GRID = np.array(
-    [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1], [1, 1, 0, 0, 1], [0, 1, 1, 0, 1]], dtype=bool
+    [[1, 0, 1, 0, 0], [0, 1, 0, 1, 1], [1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [0, 0, 1, 1, 0]], dtype=bool
 )
-GRID_CODES = [[5, 10, 5, 6], [14, 3, 8, 13], [13, 7, 2, 12]]
+GRID_CODES = [[5, 10, 5, 6], [14, 3, 8, 13], [13, 7, 2, 12], [8, 13, 7, 10]]
 GRID_SEGMENTS = [
-    ((2.0, 0.0), (4.0, 1.5)),
-    ((2.0, 3.0), (0.0, 1.5)),
-    ((2.0, 3.0), (0.0, 4.5)),
-    ((4.0, 4.5), (2.0, 6.0)),
-    ((2.0, 6.0), (4.0, 7.5)),
-    ((2.0, 9.0), (0.0, 7.5)),
-    ((2.0, 9.0), (2.0, 12.0)),
-    ((6.0, 0.0), (4.0, 1.5)),
-    ((4.0, 4.5), (8.0, 4.5)),
-    ((6.0, 9.0), (4.0, 7.5)),
-    ((6.0, 9.0), (8.0, 10.5)),
-    ((10.0, 0.0), (12.0, 1.5)),
-    ((8.0, 4.5), (10.0, 6.0)),
-    ((10.0, 6.0), (12.0, 7.5)),
-    ((8.0, 10.5), (12.0, 10.5)),
+    ((1.5, 0.0), (3.0, 1.5)),
+    ((1.5, 3.0), (0.0, 1.5)),
+    ((1.5, 3.0), (0.0, 4.5)),
+    ((3.0, 4.5), (1.5, 6.0)),
+    ((1.5, 6.0), (3.0, 7.5)),
+    ((1.5, 9.0), (0.0, 7.5)),
+    ((1.5, 9.0), (1.5, 12.0)),
+    ((4.5, 0.0), (3.0, 1.5)),
+    ((3.0, 4.5), (6.0, 4.5)),
+    ((4.5, 9.0), (3.0, 7.5)),
+    ((4.5, 9.0), (6.0, 10.5)),
+    ((7.5, 0.0), (9.0, 1.5)),
+    ((6.0, 4.5), (7.5, 6.0)),
+    ((7.5, 6.0), (9.0, 7.5)),
+    ((6.0, 10.5), (9.0, 10.5)),
+    ((10.5, 3.0), (9.0, 1.5)),
+    ((10.5, 3.0), (12.0, 4.5)),
+    ((9.0, 7.5), (10.5, 9.0)),
+    ((10.5, 9.0), (9.0, 10.5)),
+    ((12.0, 10.5), (10.5, 12.0)),
 ]
 
 
@@ -67,7 +72,7 @@ def test_every_cell_code_segments():
 def test_segments_follow_row_major_cells():
     assert cell_codes(GRID).tolist() == GRID_CODES
     i, j, codes = crossed_cells(GRID)
-    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(3) for b in range(4)]
+    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(4) for b in range(4)]
     assert codes.tolist() == sum(GRID_CODES, [])
     assert boundary_segments(GRID, 0, 12) == GRID_SEGMENTS
 

@@ -3,10 +3,13 @@
 import json
 from fractions import Fraction
 
+import math
+
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.gaussian import GaussianRational
@@ -16,6 +19,8 @@ from amoebas.poly import LaurentPoly, parse
 from amoebas.semialg import (
     Raster,
     SemiAlgSystem,
+    _sample_axis,
+    check_raster,
     magnitude_string,
     semialg_description,
 )
@@ -29,6 +34,7 @@ from oracles import (
     contains,
     contains_log,
     line_unlog_member,
+    raster_axis,
 )
 
 SYSTEM_SCHEMA = {
@@ -181,12 +187,12 @@ def test_raster_line_tracks_exact_region(line_system):
     raster = line_system.rasterize(Fraction(1, 20), 3, 128)
     assert isinstance(raster, Raster)
     assert raster.mask.shape == (128, 128)
-    assert raster.axes[0][0] == Fraction(1, 20)
-    assert raster.axes[0][-1] == Fraction(3)
+    assert (raster.lo, raster.hi) == (Fraction(1, 20), Fraction(3))
     # every point of the true curve's magnitude image must survive:
     # the approximation never undercovers
-    for i, x1 in enumerate(raster.axes[0]):
-        for j, x2 in enumerate(raster.axes[1]):
+    axis = raster_axis(raster.lo, raster.hi, 128)
+    for i, x1 in enumerate(axis):
+        for j, x2 in enumerate(axis):
             if line_unlog_member(x1, x2) and not raster.mask[i, j]:
                 pytest.fail(f"undercovered true point ({x1}, {x2})")
     # and it is not the whole box
@@ -194,15 +200,30 @@ def test_raster_line_tracks_exact_region(line_system):
     assert boundary_centers(raster)  # the edge shows up at this resolution
 
 
-def test_raster_rectangular_and_exact_axes(line_system):
-    raster = line_system.rasterize((Fraction(1, 10), Fraction(1, 5)), (2, 3), (5, 9))
-    assert raster.mask.shape == (5, 9)
-    assert raster.axes[0] == tuple(
-        Fraction(1, 10) + i * (2 - Fraction(1, 10)) / 4 for i in range(5)
-    )
-    assert raster.axes[1][-1] == Fraction(3)
-    for c1, c2 in boundary_centers(raster):
-        assert isinstance(c1, Fraction) and isinstance(c2, Fraction)
+def _fits_a_float(x):
+    try:
+        return 0 < float(x) < math.inf
+    except OverflowError:
+        return False
+
+
+# positive rationals from far below the smallest subnormal to far above
+# the largest float
+_MAGNITUDES = st.builds(
+    lambda a, b, e: Fraction(a, b) * Fraction(2) ** e,
+    st.integers(1, 10**20),
+    st.integers(1, 10**20),
+    st.integers(-1140, 1090),
+)
+
+
+@given(_MAGNITUDES, _MAGNITUDES, st.integers(2, 300))
+@settings(max_examples=200)
+def test_raster_samples_are_the_exact_fractions_rounded_once(lo, gap, res):
+    hi = lo + gap
+    assume(_fits_a_float(lo) and _fits_a_float(hi))
+    want = np.array([float(x) for x in raster_axis(lo, hi, res)])
+    assert _sample_axis(lo, hi, res).tobytes() == want.tobytes()
 
 
 def test_raster_thread_determinism(line_system, monkeypatch, pool_chunks):
@@ -219,19 +240,23 @@ def test_raster_thread_determinism(line_system, monkeypatch, pool_chunks):
 
 def per_row_mask(table, raster):
     # one float_classify call per raster row, as rasters were once built
-    w1, w2 = (np.log(np.array([float(x) for x in ax])) for ax in raster.axes)
+    axis = raster_axis(raster.lo, raster.hi, len(raster.mask))
+    w = np.log(np.array([float(x) for x in axis]))
     return np.array(
-        [~table.float_classify(np.column_stack([np.full(len(w2), a), w2]))[0] for a in w1]
+        [~table.float_classify(np.column_stack([np.full(len(w), a), w]))[0] for a in w]
     )
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_raster_batch_matches_per_row_reference(level, pool_chunks):
-    f = parse(CUBIC, 2)
+    # GAUSS_PAIR's region is not symmetric under swapping x1 and x2, so a
+    # transposed mask fails
+    f = parse(GAUSS_PAIR, 2)
     table = TermTable(quick_cyclic_resultant(f, level), level)
-    raster = semialg_description(f, level).rasterize(Fraction(1, 20), 3, (130, 127))
+    raster = semialg_description(f, level).rasterize(Fraction(1, 20), 3, 130)
     assert pool_chunks and max(pool_chunks) > 1
-    assert raster.mask.shape == (130, 127)
+    assert raster.mask.shape == (130, 130)
+    assert not np.array_equal(raster.mask, raster.mask.T)
     assert np.array_equal(raster.mask, per_row_mask(table, raster))
 
 
@@ -242,26 +267,33 @@ def test_rasters_compare_by_value(line_system):
     assert first == second
     flipped = first.mask.copy()
     flipped[0, 0] = not flipped[0, 0]
-    assert first != Raster(first.axes, flipped)
-    assert first != line_system.rasterize(Fraction(1, 20), 3, (8, 9))
+    assert first != Raster(first.lo, first.hi, flipped)
+    assert first != Raster(Fraction(1, 10), first.hi, first.mask)
+    assert first != Raster(first.lo, Fraction(4), first.mask)
+    assert first != line_system.rasterize(Fraction(1, 20), 3, 9)
 
 
 def corner_disagreement_centers(raster):
     # the cells whose four corner samples disagree, by direct comparison
-    mask, (a1, a2) = raster.mask, raster.axes
+    mask = raster.mask
+    axis = raster_axis(raster.lo, raster.hi, len(mask))
     same = mask[:-1, :-1]
     agree = (same == mask[1:, :-1]) & (same == mask[:-1, 1:]) & (same == mask[1:, 1:])
-    return tuple(((a1[i] + a1[i + 1]) / 2, (a2[j] + a2[j + 1]) / 2) for i, j in np.argwhere(~agree))
+    return tuple(
+        ((axis[i] + axis[i + 1]) / 2, (axis[j] + axis[j + 1]) / 2) for i, j in np.argwhere(~agree)
+    )
 
 
 def test_raster_boundary_is_corner_disagreement(line_system):
     rasters = [
         line_system.rasterize(Fraction(1, 20), 3, 128),
-        line_system.rasterize((Fraction(1, 10), Fraction(1, 5)), (2, 3), (5, 9)),
-        semialg_description(parse(CUBIC, 2), 2).rasterize(Fraction(1, 20), 3, (48, 31)),
+        line_system.rasterize(Fraction(1, 10), 3, 9),
+        semialg_description(parse(GAUSS_PAIR, 2), 2).rasterize(Fraction(1, 20), 3, 48),
     ]
     for raster in rasters:
-        assert boundary_centers(raster) == corner_disagreement_centers(raster)
+        centers = boundary_centers(raster)
+        assert centers == corner_disagreement_centers(raster)
+        assert all(isinstance(c, Fraction) for center in centers for c in center)
 
 
 def test_raster_monomial_is_all_certified():
@@ -280,8 +312,11 @@ def test_raster_validation(line_system):
         line_system.rasterize(0, 2, 8)
     with pytest.raises(ValueError):
         line_system.rasterize(2, 1, 8)
-    with pytest.raises(ValueError):
-        line_system.rasterize((1, 1, 1), 2, 8)
+    # res^2 samples against the grid's point limit, checked without
+    # allocating anything
+    check_raster(2, 1, 2, 3162)  # 9,998,244 samples
+    with pytest.raises(ValueError, match="raster has 10004569 samples, limit is 10000000"):
+        check_raster(2, 1, 2, 3163)
     # bounds whose float overflows, or rounds to 0 and has log -inf
     with pytest.raises(ValueError, match="float"):
         line_system.rasterize(1, Fraction("1e400"), 8)

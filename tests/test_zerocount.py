@@ -30,7 +30,7 @@ from oracles import CUBIC_B2, CUBIC_BM4, GAUSS_PAIR, LINE, plain_escalation, zer
 
 
 def _grid(spec):
-    den = math.lcm(*(x.denominator for x in spec.lo), spec.step.denominator)
+    den = math.lcm(spec.lo.denominator, spec.step.denominator)
     return _grid_rows(spec, den), den
 
 
@@ -59,7 +59,7 @@ def _assert_counts_match_oracle(f, rows, den, counts):
 
 def test_one_variable_proves_nothing():
     f = parse("z1^2 - 3*z1 + 1", 1)
-    _, _, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 8), 1))
+    _, _, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 8), 1))
     assert np.all(counts == -1) and not retired.any()
 
 
@@ -67,7 +67,7 @@ def test_absent_variable_is_not_counted():
     # z3 has span 0, so z2 (span 1) is counted and z3 turns with z1
     f = parse(LINE, 3)
     assert _counted_variable(f) == (1, 1)
-    _, _, counts, retired = _proofs(f, GridSpec.from_box(-1, 1, Fraction(1, 4), 3))
+    _, _, counts, retired = _proofs(f, GridSpec(-1, 1, Fraction(1, 4), 3))
     assert retired.any() and np.all(counts >= 0)
 
 
@@ -82,14 +82,14 @@ def test_line_command_in_three_variables_is_unchanged(monkeypatch, tmp_path):
 def test_negative_exponent_in_the_counted_variable():
     f = parse("z1^2 + z1*z2^-1 + z2 + 1", 2)
     assert _counted_variable(f) == (1, 2)
-    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    rows, den, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 4), 2))
     assert retired.any()
     _assert_counts_match_oracle(f, rows, den, counts)
 
 
 def test_gaussian_coefficients():
     f = parse(GAUSS_PAIR, 2)
-    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    rows, den, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 4), 2))
     assert retired.any()
     _assert_counts_match_oracle(f, rows, den, counts)
 
@@ -98,7 +98,7 @@ def test_leading_coefficient_vanishing_at_one_angle():
     # the z2^2 coefficient z1 - i vanishes at w1 = 0 for the angle i^1 only
     f = parse("z1*z2^2 + (0-1i)*z2^2 + z1^2 + 1", 2)
     assert _counted_variable(f) == (1, 2)
-    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    rows, den, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 4), 2))
     on_axis = rows[:, 0] == 0
     assert np.all(counts[1, on_axis] == -1)
     assert np.any(counts[[0, 2, 3]][:, on_axis] >= 0)
@@ -110,7 +110,7 @@ def test_double_root_on_the_circle():
     # diagonal its two discs overlap, or the two roots numpy proposes
     # coincide and the count stays unknown
     f = parse("z1^2 - 2*z1*z2 + z2^2", 2)
-    rows, den, counts, retired = _proofs(f, GridSpec.from_box(-2, 2, Fraction(1, 4), 2))
+    rows, den, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 4), 2))
     diagonal = rows[:, 0] == rows[:, 1]
     assert np.all(counts[:, diagonal] == -1)
     assert np.all(np.isin(counts[:, ~diagonal], (-1, 0, 2))) and not retired.any()
@@ -121,13 +121,13 @@ def test_double_root_on_the_circle():
 @pytest.mark.parametrize("lo", [10**19, 10**18])
 def test_huge_points_stay_pending(text, lo):
     # numerators past int64 (10^19) and e^w past the float range (10^18)
-    spec = GridSpec.from_box(lo, lo + 2, 1, 2)
+    spec = GridSpec(lo, lo + 2, 1, 2)
     _, _, counts, retired = _proofs(parse(text, 2), spec, kmax=1)
     assert np.all(counts == -1) and not retired.any()
 
 
 def test_degree_cap():
-    spec = GridSpec.from_box(-1, 1, Fraction(1, 4), 2)
+    spec = GridSpec(-1, 1, Fraction(1, 4), 2)
     for d, counted in ((MAX_COUNT_DEGREE, True), (MAX_COUNT_DEGREE + 1, False)):
         f = parse(f"z1^{d} + z2^{d} + 3*z1*z2 + 1", 2)
         _, _, counts, _ = _proofs(f, spec)
@@ -140,7 +140,7 @@ def test_zero_counts_equal_the_last_order_coordinate(text):
     # coordinate: by numpy.roots at all four angles, and by the proven
     # counts wherever they are known
     f = parse(text, 2)
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 20), 2)
     records = approximate_amoeba(f, spec, kmax=4)
     rows, den = _grid(spec)
     counts = zero_counts(f, rows, den)
@@ -156,7 +156,7 @@ def test_grid_workload_retires_only_never_certified_rows():
     # the benchmark's grid at seed 0: level 0 leaves 31,100 rows pending,
     # and 23,475 of them are proven inside
     f = parse(CUBIC_B2, 2)
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 100), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 100), 2)
     rows, den = _grid(spec)
     ok, _, _ = TermTable(f, 0).classify(rows, den)
     pending = np.flatnonzero(~ok)
@@ -169,7 +169,7 @@ def test_grid_workload_retires_only_never_certified_rows():
 
 def test_csv_bytes_equal_the_plain_escalation():
     f = parse(CUBIC_BM4, 2)
-    spec = GridSpec.from_box(-2, 2, Fraction(1, 20), 2)
+    spec = GridSpec(-2, 2, Fraction(1, 20), 2)
     outs = []
     for records in (approximate_amoeba(f, spec, kmax=4), plain_escalation(f, spec, 4)):
         out = io.StringIO()
