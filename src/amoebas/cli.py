@@ -14,6 +14,7 @@ variable count is inferred from the highest index unless -n is given.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -197,6 +198,9 @@ def build_parser():
     p.set_defaults(fn=_cmd_cres)
 
     p = subs.add_parser("amoeba", help="classify a log-space grid")
+    # argparse takes only -2 and -0.5 for negative numbers; a log-space
+    # box may start at a negative fraction such as -1/2
+    p._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
     _add_poly_args(p)
     p.add_argument("--box", nargs=2, type=_fraction, metavar=("LO", "HI"), default=(Fraction(-2), Fraction(2)))
     p.add_argument("--step", type=_fraction, default=Fraction(1, 20))

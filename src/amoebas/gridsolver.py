@@ -25,18 +25,16 @@ verdicts do not depend on either.
 
 Verdicts stay columnar from classification to output: a
 ``GridVerdicts`` holds each point's certifying level and peak term as
-integer arrays, the writers format the axis values and each distinct
-verdict once, and ``MembershipRecord`` objects are built only when a
-verdict is indexed or iterated.
+integer arrays, and ``MembershipRecord`` objects are built only when it
+is iterated.  The writers format the axis values and each distinct
+verdict once, and write one last-axis line of points at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -126,17 +124,16 @@ class MembershipRecord:
             raise ValueError("level and order must be present exactly when certified")
 
 
-class GridVerdicts(Sequence):
+class GridVerdicts:
     """Verdicts of a whole grid in row-major order, held as columns.
 
     level[i] is the first level that certified point i, or -1 when none
     did; peak[i] is then the dominating term of that level's table, so
-    the point's order is orders[level[i]][peak[i]].  Indexing and
-    iteration build ``MembershipRecord`` objects on demand.
+    the point's order is orders[level[i]][peak[i]].  Iteration builds
+    ``MembershipRecord`` objects in row-major order.
     """
 
     __slots__ = ("spec", "level", "peak", "orders")
-    __hash__ = None
 
     def __init__(self, spec, level, peak, orders):
         self.spec = spec
@@ -144,30 +141,11 @@ class GridVerdicts(Sequence):
         self.peak = peak
         self.orders = orders
 
-    def __len__(self):
-        return len(self.level)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        spec = self.spec
-        index = np.unravel_index(i, (spec.count,) * spec.nvars)
-        point = tuple(spec.lo + int(m) * spec.step for m in index)
-        return self._record(point, int(self.level[i]), int(self.peak[i]))
-
     def __iter__(self):
-        return map(self._record, _points(self.spec), self.level.tolist(), self.peak.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, GridVerdicts):
-            return NotImplemented
-        return self.spec == other.spec and list(self) == list(other)
-
-    def _record(self, point, level, peak):
-        if level < 0:
-            return MembershipRecord(point, True, None, None)
-        return MembershipRecord(point, False, level, self.orders[level][peak])
+        verdicts, inverse = self.classes()
+        for point, i in zip(_points(self.spec), inverse.tolist()):
+            level, order = verdicts[i]
+            yield MembershipRecord(point, level is None, level, order)
 
     def classes(self):
         """Distinct verdicts and each point's index into them.
@@ -257,23 +235,21 @@ def _shifted_degree(f):
     return max(sum(e[i] - mins[i] for i in range(f.nvars)) for e in f.terms)
 
 
-def _point_texts(spec, fmt, sep):
-    """fmt of every grid point's coordinates joined by sep, row major.
+def _write_lines(records, stream, head, fmt, sep, tail):
+    """Write head, the sep-joined fmt of the coordinates and the verdict's
+    tail for every point, row major, one last-axis line per write.
 
-    The axis values are formatted once.
+    The axis values and the tail of each distinct verdict are formatted
+    once.
     """
+    spec = records.spec
     axis = [fmt(x) for x in spec.axis_values()]
-    texts = axis
-    for _ in range(spec.nvars - 1):
-        texts = [t + sep + v for t in texts for v in axis]
-    return texts
-
-
-def _write_lines(records, stream, points, tail):
-    # one tail per distinct verdict, appended to each point's text
     verdicts, inverse = records.classes()
     tails = [tail(level, order) for level, order in verdicts]
-    stream.write("".join(map(operator.add, points, [tails[i] for i in inverse.tolist()])))
+    prefixes = product(axis, repeat=spec.nvars - 1)
+    for prefix, line in zip(prefixes, inverse.reshape(-1, spec.count)):
+        start = head + "".join(v + sep for v in prefix)
+        stream.write("".join([start + v + tails[i] for v, i in zip(axis, line.tolist())]))
 
 
 def records_to_csv(records, stream):
@@ -292,7 +268,7 @@ def records_to_csv(records, stream):
             return ",1," + "," * n + "\r\n"
         return ",0," + ",".join(map(str, (level, *order))) + "\r\n"
 
-    _write_lines(records, stream, _point_texts(records.spec, str, ","), tail)
+    _write_lines(records, stream, "", str, ",", tail)
 
 
 def records_to_jsonl(records, stream):
@@ -300,12 +276,10 @@ def records_to_jsonl(records, stream):
 
     Each line is ``json.dumps`` of that object.
     """
-    points = _point_texts(records.spec, lambda x: json.dumps(str(x)), ", ")
-
     def tail(level, order):
         rest = json.dumps(
             {"inAmoeba": level is None, "level": level, "order": None if order is None else list(order)}
         )
         return "], " + rest[1:] + "\n"
 
-    _write_lines(records, stream, ['{"point": [' + t for t in points], tail)
+    _write_lines(records, stream, '{"point": [', lambda x: json.dumps(str(x)), ", ", tail)

@@ -151,13 +151,15 @@ class TermTable:
             m = np.asarray(rows, dtype=np.int64)
         except OverflowError:
             m = None
-        if m is not None and self._emat is not None:
-            # |int64 min| wraps to itself; its uint64 view is exact
-            nmax = int(np.abs(m).view(np.uint64).max(initial=0))
-            if self._row_bound * nmax < _SAFE_DOT:
-                return (m @ self._emat.T).astype(np.float64) / float(den)
-        exponents = np.array(self.exponents, dtype=object)
-        exact = np.asarray(rows, dtype=object) @ exponents.T
+        # |int64 min| wraps to itself; its uint64 view is exact
+        if (
+            m is not None
+            and self._emat is not None
+            and self._row_bound * int(np.abs(m).view(np.uint64).max(initial=0)) < _SAFE_DOT
+        ):
+            exact = m @ self._emat.T
+        else:
+            exact = np.asarray(rows, dtype=object) @ np.array(self.exponents, dtype=object).T
         try:
             return exact.astype(np.float64) / float(den)
         except OverflowError:

@@ -78,11 +78,9 @@ def _counted_variable(f):
 def _term_matrices(f, v, d):
     """(coefficient matrix, magnitude matrix, prefix exponents) of f's terms.
 
-    The coefficient matrix is T x A(d+1): term e's coefficient turned by
+    The coefficient matrix is T x 4(d+1): term e's coefficient turned by
     the angle unit i^(a * sum of e's other exponents), in angle a's block
-    at column e_v - lo_v.  A is 4, or 3 when every coefficient is real:
-    the polynomial at angle 3 is then the conjugate of the one at angle
-    1, with the same count.  The magnitude matrix is T x (d+1), the same
+    at column e_v - lo_v.  The magnitude matrix is T x (d+1), the same
     without the units.  None when a value does not fit a float.
     """
     lo_v = f.exponent_range(v + 1)[0]
@@ -95,12 +93,11 @@ def _term_matrices(f, v, d):
     mag = np.abs(coef)
     if not (np.all(np.isfinite(mag)) and np.all(mag > 2.0 ** -960)):
         return None
-    angles = 3 if all(c.is_real for _, c in terms) else 4
     spin = np.array([(sum(e) - e[v]) % 4 for e, _ in terms])
     col = np.array([e[v] - lo_v for e, _ in terms])
     t = np.arange(len(terms))
-    turned = np.zeros((len(terms), angles, d + 1), dtype=complex)
-    for a in range(angles):
+    turned = np.zeros((len(terms), 4, d + 1), dtype=complex)
+    for a in range(4):
         turned[t, a, col] = coef * _UNITS[spin * a % 4]
     magnitude = np.zeros((len(terms), d + 1))
     magnitude[t, col] = mag
@@ -198,7 +195,6 @@ def zero_counts(f, rows, den):
     n, terms = f.nvars, len(prefix)
 
     keys, where = _prefixes(rows[:, [j for j in range(n) if j != v]])
-    angles = turned.shape[1] // (d + 1)
     with np.errstate(all="ignore"):
         w = keys.astype(np.float64) / float(den)
         logs = w @ prefix.T
@@ -206,13 +202,13 @@ def zero_counts(f, rows, den):
         usable = np.all((np.abs(logs) <= _MAX_LOG) & (log_err <= _MAX_LOG_ERROR), axis=1)
         values = np.exp(np.where(usable[:, None], logs, 0))
         rel = 2 * (log_err + _EXP_ERR)
-        coef = (values @ turned).reshape(len(keys), angles, d + 1)
+        coef = (values @ turned).reshape(len(keys), 4, d + 1)
         err = 2 * ((values * rel) @ magnitude + (terms + 6) * _U * (values @ magnitude)) + _TINY
 
-        lo = np.empty((len(keys), angles, d))
-        hi = np.empty((len(keys), angles, d))
-        known = np.empty((len(keys), angles), dtype=bool)
-        step = max(1, _BATCH_VALUES // (angles * d * d))
+        lo = np.empty((len(keys), 4, d))
+        hi = np.empty((len(keys), 4, d))
+        known = np.empty((len(keys), 4), dtype=bool)
+        step = max(1, _BATCH_VALUES // (4 * d * d))
         for s in range(0, len(keys), step):
             part = slice(s, s + step)
             lo[part], hi[part], known[part] = _discs(coef[part], err[part, None, :], d)
@@ -225,15 +221,12 @@ def zero_counts(f, rows, den):
         # a count is proven when every disc lies wholly inside or wholly
         # outside the circle; arrays run angle by row
         clear = np.take((known & usable[:, None]).T, where, axis=1) & fits
-        inside = np.zeros((angles, len(rows)), dtype=np.int64)
+        inside = np.zeros((4, len(rows)), dtype=np.int64)
         for lo_k, hi_k in zip(lo.T, hi.T):
             below = np.take(hi_k, where, axis=1) < r_lo
             inside += below
             clear &= below | (np.take(lo_k, where, axis=1) > r_hi)
-    counts[:angles] = np.where(clear, inside, -1)
-    if angles == 3:
-        counts[3] = counts[1]
-    return counts
+    return np.where(clear, inside, -1)
 
 
 def proven_inside(f, rows, den):

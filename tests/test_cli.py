@@ -302,6 +302,22 @@ def test_grid_with_inner_products_beyond_float_range_exits_2(capsys):
     assert err.startswith("error:") and "too large for a float" in err
 
 
+def test_grid_denominator_beyond_float_range_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "amoeba", "-f", "z1+z2+1",
+        "--box", "0", f"1/{10**399}", "--step", f"1/{10**400}", "--kmax", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "too large for a float" in err
+
+
+def test_amoeba_box_takes_negative_fractions(capsys):
+    grid = ("amoeba", "-f", "z1+z2+1", "-n", "2", "--kmax", "1")
+    code, out, _ = run_cli(capsys, *grid, "--box", "-1/2", "1/2", "--step", "1/2")
+    assert code == 0 and out.startswith("w1,w2,bit,level,order1,order2\r\n-1/2,-1/2,")
+    assert run_cli(capsys, *grid, "--box", "-0.5", "0.5", "--step", "0.5") == (0, out, "")
+
+
 def test_file_errors_exit_2(capsys, tmp_path):
     missing = tmp_path / "no_such_dir" / "p.txt"
     code, _, err = run_cli(capsys, "cres", "--poly-file", str(missing))

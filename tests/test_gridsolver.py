@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,7 +127,7 @@ def _scalar_verdict(folds, pt):
 
 def _assert_scalar_route(f, spec, kmax):
     folds = [f] + [quick_cyclic_resultant(f, k) for k in range(1, kmax + 1)]
-    records = approximate_amoeba(f, spec, kmax=kmax)
+    records = list(approximate_amoeba(f, spec, kmax=kmax))
     assert len(records) == spec.npoints
     for rec, pt in zip(records, make_grid(spec)):
         assert rec.point == pt
@@ -184,7 +185,7 @@ def test_inside_proofs_keep_the_plain_verdicts(text, spec, kmax, monkeypatch):
     monkeypatch.setattr(gridsolver, "proven_inside", spy)
     records = approximate_amoeba(f, spec, kmax=kmax)
     assert len(retired) == 1 and retired[0] > 0
-    assert records == plain_escalation(f, spec, kmax)
+    assert list(records) == list(plain_escalation(f, spec, kmax))
 
 
 @given(polys(2, max_terms=5, lo=0, hi=4, coeffs=st.integers(-3, 3).filter(bool)))
@@ -206,7 +207,7 @@ def test_scalar_route_catches_a_wrong_inside_proof(monkeypatch):
         return prove(f, rows, den) | np.all(rows == target, axis=1)
 
     monkeypatch.setattr(gridsolver, "proven_inside", wrong)
-    assert approximate_amoeba(f, spec, kmax=2) != plain
+    assert list(approximate_amoeba(f, spec, kmax=2)) != list(plain)
     with pytest.raises(AssertionError):
         _assert_scalar_route(f, spec, 2)
 
@@ -243,7 +244,7 @@ def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
     pool_chunks.clear()
     pooled = approximate_amoeba(cubic, spec, kmax=1)
     assert pool_chunks and max(pool_chunks) > 1
-    assert solo == pooled
+    assert list(solo) == list(pooled)
 
 
 def test_kmax_and_eps_are_exclusive(cubic):
@@ -264,7 +265,7 @@ def test_eps_handles_laurent_exponents():
     f = parse("z1*z2^-1 + z1^-1 + 1", 2)
     spec = GridSpec(-1, 1, 1, 2)
     records = approximate_amoeba(f, spec, eps=2.0)
-    assert len(records) == 9
+    assert len(list(records)) == 9
 
 
 def test_input_validation(cubic):
@@ -382,18 +383,45 @@ def test_writers_match_record_reference(text, spec, kmax):
     assert out.getvalue() == _jsonl_reference(records)
 
 
-def test_verdicts_index_like_a_list(sample_records):
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        (CUBIC_B2, GridSpec(-2, 2, Fraction(1, 50), 2)),
+        (THREE_VAR, GridSpec(-1, 1, Fraction(1, 20), 3)),
+    ],
+)
+@pytest.mark.parametrize("writer", [records_to_csv, records_to_jsonl])
+def test_writers_stream_in_bounded_memory(text, spec, writer):
+    # the writers hold one last-axis line of text at a time; what is left
+    # is classes()' numpy temporaries, about 49 bytes per point
+    records = approximate_amoeba(parse(text, spec.nvars), spec, kmax=1)
+    tracemalloc.start()
+    try:
+        writer(records, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / spec.npoints < 80
+
+
+def test_verdicts_iterate_row_major(sample_records):
     listed = list(sample_records)
-    assert len(sample_records) == len(listed) == SAMPLE_SPEC.npoints
-    assert [sample_records[i] for i in range(len(listed))] == listed
-    assert sample_records[-1] == listed[-1]
-    assert sample_records[1:8:3] == listed[1:8:3]
     assert [rec.point for rec in listed] == make_grid(SAMPLE_SPEC)
-    with pytest.raises(IndexError):
-        sample_records[len(listed)]
+    columns = zip(sample_records.level.tolist(), sample_records.peak.tolist())
+    for rec, (level, peak) in zip(listed, columns, strict=True):
+        if level < 0:
+            assert (rec.in_amoeba, rec.level, rec.order) == (True, None, None)
+        else:
+            assert (rec.level, rec.order) == (level, sample_records.orders[level][peak])
+    assert list(sample_records) == listed
     again = approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=2)
-    assert again == sample_records
-    assert approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=1) != sample_records
+    assert list(again) == listed
+    assert list(approximate_amoeba(parse(SAMPLE_POLY, 2), SAMPLE_SPEC, kmax=1)) != listed
 
 
 def level_color(record):

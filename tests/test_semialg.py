@@ -174,6 +174,13 @@ def test_certify_matches_raw_certificate(w):
         assert contains_log(_CUBIC_SYSTEM, w)
 
 
+@pytest.mark.parametrize("num", [1, 10**400 + 1])
+def test_denominator_beyond_float_range_is_a_value_error(line_system, num):
+    # numerator 1 takes the int64 route, 10^400 + 1 the exact one
+    with pytest.raises(ValueError, match="too large for a float"):
+        line_system.certify_log((Fraction(num, 10**400), 0))
+
+
 def test_contains_takes_magnitudes(line_system):
     assert contains(line_system, (1.0, 1.0))
     assert not contains(line_system, (0.05, 2.9))

@@ -142,12 +142,13 @@ def test_zero_counts_equal_the_last_order_coordinate(text):
     f = parse(text, 2)
     spec = GridSpec(-2, 2, Fraction(1, 20), 2)
     records = approximate_amoeba(f, spec, kmax=4)
+    listed = list(records)
     rows, den = _grid(spec)
     counts = zero_counts(f, rows, den)
     certified = np.flatnonzero(records.level >= 0)
     assert certified.size > 4000
     for i in certified.tolist():
-        rec = records[i]
+        rec = listed[i]
         assert zero_counts_at_angles(f, rec.point) == [rec.order[-1]] * 4, rec
         assert all(c in (-1, rec.order[-1]) for c in counts[:, i].tolist()), rec
 
@@ -164,7 +165,7 @@ def test_grid_workload_retires_only_never_certified_rows():
     assert (pending.size, retired.size) == (31_100, 23_475)
     plain = plain_escalation(f, spec, 4)
     assert np.all(plain.level[retired] == -1)
-    assert approximate_amoeba(f, spec, kmax=4) == plain
+    assert list(approximate_amoeba(f, spec, kmax=4)) == list(plain)
 
 
 def test_csv_bytes_equal_the_plain_escalation():
