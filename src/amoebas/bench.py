@@ -27,14 +27,14 @@ class BenchResult:
     poly_id: str
     level: int
     runs: int
-    quick_seconds: float | None
-    baseline_seconds: float | None
-    factor: float | None
-    term_count: int | None
-    degree: int | None
-    max_coeff_digits: int | None
-    timed_out: bool
-    error: str | None
+    quick_seconds: float | None = None
+    baseline_seconds: float | None = None
+    factor: float | None = None
+    term_count: int | None = None
+    degree: int | None = None
+    max_coeff_digits: int | None = None
+    timed_out: bool = False
+    error: str | None = None
 
 
 def coeff_digits(p):
@@ -72,36 +72,31 @@ def run_case(poly_id, f, level, *, runs=1, baseline=True, timeout=None):
     try:
         g, tq = _mean_of(lambda: quick_cyclic_resultant(f, level), runs)
     except (TermBudgetError, ValueError) as exc:
-        return BenchResult(
-            poly_id, level, runs, None, None, None, None, None, None, False, str(exc)
-        )
-    stats = (g.num_terms, g.total_degree(), coeff_digits(g))
+        return BenchResult(poly_id, level, runs, error=str(exc))
+    quick = dict(
+        quick_seconds=tq,
+        term_count=g.num_terms,
+        degree=g.total_degree(),
+        max_coeff_digits=coeff_digits(g),
+    )
     if not baseline:
-        return BenchResult(
-            poly_id, level, runs, tq, None, None, *stats, False, None
-        )
+        return BenchResult(poly_id, level, runs, **quick)
     try:
         b, tb = _mean_of(
             lambda: iterated_resultant_baseline(f, 1 << level, timeout=timeout),
             runs,
         )
     except BaselineTimeout:
-        return BenchResult(
-            poly_id, level, runs, tq, None, None, *stats, True, None
-        )
+        return BenchResult(poly_id, level, runs, **quick, timed_out=True)
     except TermBudgetError as exc:
-        return BenchResult(
-            poly_id, level, runs, tq, None, None, *stats, False, str(exc)
-        )
+        return BenchResult(poly_id, level, runs, **quick, error=str(exc))
     if b != g:
         return BenchResult(
-            poly_id, level, runs, tq, tb, None, *stats, False,
-            "baseline and quick results differ",
+            poly_id, level, runs, **quick, baseline_seconds=tb,
+            error="baseline and quick results differ",
         )
     factor = tb / tq if tq > 0 else math.inf
-    return BenchResult(
-        poly_id, level, runs, tq, tb, factor, *stats, False, None
-    )
+    return BenchResult(poly_id, level, runs, **quick, baseline_seconds=tb, factor=factor)
 
 
 def run_bench(cases, *, runs=1, baseline=True, timeout=None):

@@ -73,11 +73,6 @@ class GaussianRational:
             return GaussianRational(self.re - other.re, self.im - other.im)
         return NotImplemented
 
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re * other, self.im * other)
@@ -107,9 +102,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):

@@ -94,7 +94,7 @@ def _grid_rows(spec, den):
 
     Row major (last axis varies fastest).  int64 when the axis
     numerators fit, Python ints (dtype object) otherwise, which
-    ``TermTable.dots`` sends down its exact route.
+    ``TermTable.values`` sends down its exact route.
     """
     axis = list(range(int(spec.lo * den), int(spec.hi * den) + 1, int(spec.step * den)))
     try:
@@ -151,16 +151,22 @@ class GridVerdicts:
         """Distinct verdicts and each point's index into them.
 
         Returns (verdicts, inverse): verdicts is a list of (level, order)
-        pairs, (None, None) for presumed amoeba points, and verdicts[inverse[i]]
-        is point i's.
+        pairs, (None, None) for presumed amoeba points, in order of level
+        and then peak, and verdicts[inverse[i]] is point i's.
         """
-        width = max(map(len, self.orders), default=1)
-        keys, inverse = np.unique(self.level * width + self.peak, return_inverse=True)
-        verdicts = []
-        for key in keys.tolist():
-            level, peak = divmod(key, width)
-            verdicts.append((None, None) if level < 0 else (level, self.orders[level][peak]))
-        return verdicts, inverse
+        # slot 0 is "never certified", then level k's peak p is slot
+        # 1 + (terms of the levels below k) + p: a presence table no
+        # larger than the orders held, so no point's slot is sorted
+        every = [(None, None)] + [(k, o) for k, orders in enumerate(self.orders) for o in orders]
+        starts = np.cumsum([1, *map(len, self.orders)])
+        slots = starts[self.level]
+        slots += self.peak
+        slots[self.level < 0] = 0  # level -1 read the last start
+        seen = np.zeros(len(every), dtype=bool)
+        seen[slots] = True
+        # every slot is in range; the default mode would buffer a copy
+        np.take(np.cumsum(seen) - 1, slots, out=slots, mode="clip")
+        return [every[s] for s in np.flatnonzero(seen).tolist()], slots
 
 
 def approximate_amoeba(

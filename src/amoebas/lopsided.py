@@ -21,9 +21,11 @@ CHUNK_CELLS values and map the chunks over ``pool_map``'s worker threads.
 Scalar and batched queries share one float pipeline: inner products are
 float(exact integer) / float(common denominator), and ties between
 equal values resolve to the earliest term in graded-lex descending
-order.  A point is therefore classified identically no matter which
-route tested it, how the batch was chunked or how many worker threads
-ran the chunks.
+order.  The exact integers come from a float64 matmul while every
+product and partial sum stays below 2^53, where float64 is exact in any
+summation order, and from Python ints past that.  A point is therefore
+classified identically no matter which route tested it, how the batch
+was chunked or how many worker threads ran the chunks.
 
 Most verdicts need only the peak p and the second-largest value m2
 (the gap bracket).  The computed margin is p - (m2 + log S), where S
@@ -57,9 +59,9 @@ TAU = 2.0 ** -20
 
 LEVEL_CAP = 30
 
-# int64 matmul is used only when every possible inner product is
-# provably below this, leaving headroom inside the int64 range.
-_SAFE_DOT = 2 ** 62
+# Integers below this in magnitude are exact in float64, and so are
+# their products and sums while those stay below it too.
+_EXACT_FLOAT = 2 ** 53
 
 # Values per classify chunk, rows times terms, so each of a chunk's
 # float matrices stays near 512 KB however many terms the level has.
@@ -113,7 +115,7 @@ class TermTable:
 
     __slots__ = (
         "nvars", "level", "exponents", "sq", "logb", "orders",
-        "_has_order", "_emat", "_row_bound", "_fmat",
+        "_has_order", "_row_bound", "_fmat",
     )
 
     def __init__(self, p: LaurentPoly, level=0):
@@ -127,25 +129,26 @@ class TermTable:
         self.logb = np.array([half_ln_fraction(q) for q in self.sq])
         self.orders = tuple(exponent_order(e, level) for e in self.exponents)
         self._has_order = np.array([o is not None for o in self.orders])
-        try:
-            self._emat = np.array(self.exponents, dtype=np.int64)
-        except OverflowError:
-            self._emat = None
         # in Python ints: an int64 sum of magnitudes can wrap
         self._row_bound = max(sum(map(abs, e)) for e in self.exponents)
-        self._fmat = None
+        try:
+            self._fmat = np.array(self.exponents, dtype=np.float64)
+        except OverflowError:
+            self._fmat = None
 
     def __len__(self):
         return len(self.exponents)
 
-    def dots(self, rows, den):
-        """Inner products <exponent, row>/den for every term, shape (N, T).
+    def values(self, rows, den):
+        """Log magnitudes of every term at every row, shape (N, T).
 
         rows is a sequence of integer rows or an (N, nvars) array of them.
-        Each entry is float(exact integer) / float(den).  The int64 fast
-        path is taken only when the exactness of the integer part is
-        guaranteed, so both paths round identically.  ValueError when an
-        exact inner product or den does not fit a float.
+        Each inner product is float(exact integer) / float(den).  The
+        float64 matmul computes the integers only when the row bound
+        times the largest row entry is below 2^53, which makes every
+        product and partial sum exact; Python ints compute them
+        otherwise.  ValueError when an exact inner product or den does
+        not fit a float.
         """
         try:
             m = np.asarray(rows, dtype=np.int64)
@@ -154,23 +157,19 @@ class TermTable:
         # |int64 min| wraps to itself; its uint64 view is exact
         if (
             m is not None
-            and self._emat is not None
-            and self._row_bound * int(np.abs(m).view(np.uint64).max(initial=0)) < _SAFE_DOT
+            and self._fmat is not None
+            and self._row_bound * int(np.abs(m).view(np.uint64).max(initial=0)) < _EXACT_FLOAT
         ):
-            exact = m @ self._emat.T
+            exact = m @ self._fmat.T
         else:
             exact = np.asarray(rows, dtype=object) @ np.array(self.exponents, dtype=object).T
         try:
-            return exact.astype(np.float64) / float(den)
+            return self.logb + np.asarray(exact, dtype=np.float64) / float(den)
         except OverflowError:
             raise ValueError(
                 "an inner product of a point with an exponent, or the point's "
                 "denominator, is too large for a float"
             ) from None
-
-    def values(self, rows, den):
-        """Log magnitudes of every term at every row, shape (N, T)."""
-        return self.logb + self.dots(rows, den)
 
     def float_values(self, wmat):
         """Log magnitudes at float log points, shape (N, T).

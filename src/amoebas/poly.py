@@ -134,17 +134,12 @@ class LaurentPoly:
     __hash__ = None  # mutable dict inside
 
     def __repr__(self):
-        text = self.to_string()
+        text = format_poly(self)
         if len(text) > 60:
             text = text[:57] + "..."
         return f"LaurentPoly({self.nvars}, {text!r})"
 
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, LaurentPoly):
-            return add(self, other)
-        return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, LaurentPoly):
@@ -153,24 +148,6 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, value: GaussianRational | int | Fraction) -> "LaurentPoly":
-        value = GaussianRational.coerce(value)
-        if value.is_zero:
-            return LaurentPoly(self.nvars)
-        return LaurentPoly(self.nvars, {e: c * value for e, c in self.terms.items()})
-
-    def to_string(self) -> str:
-        return format_poly(self)
 
 
 # -- addition ------------------------------------------------------------

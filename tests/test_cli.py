@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -328,10 +330,14 @@ def test_file_errors_exit_2(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # pytest's pythonpath setting reaches only its own process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "amoebas.cli", "cres", "-f", "z1 + 1", "-k", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "-z1^2+1\n"

@@ -251,8 +251,29 @@ def test_bracket_numpy_primitives_hold_on_simd_lengths():
         assert (np.log(ones) >= 0.0).all()
 
 
-# exponents up to 7 in magnitude, so the int64 route would need
-# |row entries| below 2**62 / 10
+def by_hand(table, rows, entry):
+    """logb[j] + entry(exact <exponents[j], row>) for every row and term j."""
+    terms = list(zip(table.exponents, table.logb))
+    return np.array(
+        [[b + entry(sum(a * x for a, x in zip(e, row))) for e, b in terms] for row in rows]
+    )
+
+
+def fraction_values(table, rows, den):
+    return by_hand(table, rows, lambda dot: float(Fraction(dot, den)))
+
+
+def int_values(table, rows, den):
+    """The exact route: float(integer) / float(den)."""
+    return by_hand(table, rows, lambda dot: float(dot) / float(den))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# exponents up to 7 in magnitude, row bound 10, so the float route
+# needs |row entries| below 2**53 / 10
 FALLBACK_POLY = "z1^7*z2^-3 - 2*z1^-2*z2^5 + 3*z2 + 1"
 
 
@@ -260,24 +281,22 @@ FALLBACK_POLY = "z1^7*z2^-3 - 2*z1^-2*z2^5 + 3*z2 + 1"
     "rows",
     [
         [(10**19, 3), (-5, 10**20)],  # overflows int64
-        [(2**61, -5), (3, 2**60 + 1)],  # fits int64, row bound * 2**61 >= 2**62
+        [(2**61, -5), (3, 2**60 + 1)],  # fits int64, products past 2**53
         [(-(2**63), 1), (0, -(2**63))],  # |int64 min| wraps to itself in int64
     ],
 )
 def test_dots_exact_fallback(rows):
     table = TermTable(parse(FALLBACK_POLY, 2))
-    den = 3
-    want = np.array(
-        [[float(sum(a * b for a, b in zip(e, row))) / float(den) for e in table.exponents] for row in rows]
-    )
+    # a power of two, so float(integer) / float(den) rounds once, as
+    # float(Fraction) does
+    den = 4
+    want = fraction_values(table, rows, den)
     try:
         as_array = np.array(rows, dtype=np.int64)
     except OverflowError:
         as_array = np.array(rows, dtype=object)
     for form in (rows, as_array, np.array(rows, dtype=object)):
-        got = table.dots(form, den)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert np.array_equal(bits(table.values(form, den)), bits(want))
 
 
 def test_huge_exponent_sums_take_the_exact_route():
@@ -285,9 +304,72 @@ def test_huge_exponent_sums_take_the_exact_route():
     # an int64 row bound would wrap to a negative number
     big = 2**62
     table = TermTable(parse(f"z1^{big}*z2^{big} + 1", 2))
-    assert np.array_equal(table.dots([(1, 1), (-1, 0)], 1), [[2.0**63, 0.0], [-(2.0**62), 0.0]])
+    rows = [(1, 1), (-1, 0)]
+    got = table.values(rows, 1)
+    assert np.array_equal(bits(got), bits(fraction_values(table, rows, 1)))
+    assert np.array_equal(got, [[2.0**63, 0.0], [-(2.0**62), 0.0]])
     cert = table.certificate((1, 1))
     assert cert.lopsided and cert.dominant == (big, big)
+    # an exponent past the float range leaves only the exact route
+    beyond = TermTable(parse(f"z1^{10**400} + 1", 1))
+    assert np.array_equal(beyond.values([(0,)], 1), [[0.0, 0.0]])
+
+
+# row bound 6,361 and largest entry 1,416,003,655,831: the row bound
+# times the entry is 2**53 - 1 = 6,361 * 69,431 * 20,394,401, and so is
+# the first term's inner product with (entry, -entry)
+EDGE_POLY = "z1^6000*z2^-361 + 2*z1^-17*z2^40 + 3"
+EDGE_ENTRY = 69431 * 20394401
+
+
+@pytest.mark.parametrize(
+    "text, rows, float_route",
+    [
+        (EDGE_POLY, [(EDGE_ENTRY, -EDGE_ENTRY), (-EDGE_ENTRY, 5)], True),
+        # row bound 8 times 2**50 is 2**53
+        ("z1^5*z2^-3 - 2*z1^-1*z2^2 + 3", [(2**50, -(2**50)), (-(2**50) + 1, 7)], False),
+    ],
+)
+def test_float_route_ends_at_2_53(text, rows, float_route):
+    table = TermTable(parse(text, 2))
+    den = 8
+    want = bits(fraction_values(table, rows, den))
+    assert np.array_equal(bits(table.values(rows, den)), want)
+    # no partial sum exceeds the bound, so at 2**53 both routes give the
+    # same bits; a NaN exponent matrix shows which one ran
+    table._fmat = np.full_like(table._fmat, math.nan)
+    assert np.isnan(table.values(rows, den)).all() == float_route
+    if not float_route:
+        assert np.array_equal(bits(table.values(rows, den)), want)
+
+
+def test_past_the_bound_the_float_route_would_round():
+    # 2**54 + 1 is not a float64, so a float matmul would take the first
+    # term's inner product to 0; the exact one is 1
+    table = TermTable(parse("z1*z2^-1 + 1", 2))
+    assert float(2**54 + 1) - float(2**54) == 0.0
+    assert np.array_equal(table.values([(2**54 + 1, 2**54)], 1), [[1.0, 0.0]])
+
+
+@given(
+    polys(2, max_terms=6, lo=-40, hi=40),
+    st.lists(
+        st.tuples(st.integers(-(2**45), 2**45), st.integers(-(2**45), 2**45)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([1, 3, 7, 10**6, 2**40 + 1]),
+)
+@settings(max_examples=300)
+def test_float_route_matches_the_exact_route(p, rows, den):
+    # row bound at most 80, so every row is under the float route's bound
+    table = TermTable(p)
+    want = bits(int_values(table, rows, den))
+    for form in (rows, np.array(rows, dtype=np.int64)):
+        assert np.array_equal(bits(table.values(form, den)), want)
+    # one row at a time: numpy multiplies a single row by another BLAS routine
+    single = np.concatenate([table.values([row], den) for row in rows])
+    assert np.array_equal(bits(single), want)
 
 
 def test_point_numerators():

@@ -105,8 +105,8 @@ def test_ring_axioms(p, q, r):
     assert add(p, q) == add(q, p)
     assert mul(p, q) == mul(q, p)
     assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
-    assert p + (-p) == LaurentPoly(2)
-    assert p * LaurentPoly.constant(2, 1) == p
+    assert add(p, -p) == LaurentPoly(2)
+    assert mul(p, LaurentPoly.constant(2, 1)) == p
 
 
 @given(polys(2), polys(2))
@@ -136,12 +136,12 @@ def test_flip_signs_negates_masked_terms(p, var, level):
 
 
 def test_operator_sugar_matches_functions():
+    # binary and unary minus, the operators the baseline's pseudo-remainder uses
     p = parse("z1 + 1", 1)
     q = parse("z1 - 1", 1)
-    assert p * q == parse("z1^2 - 1", 1)
-    assert p - q == parse("2", 1)
-    assert p.scale(Fraction(1, 2)) == parse("1/2*z1 + 1/2", 1)
-    assert 3 * p == parse("3*z1 + 3", 1)
+    minus_one = LaurentPoly.constant(1, -1)
+    assert p - q == add(p, mul(q, minus_one)) == parse("2", 1)
+    assert -p == mul(p, minus_one) == parse("-z1 - 1", 1)
 
 
 def test_evaluate_complex():
