@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from amoebas.bench import format_table, run_bench, to_csv
+from amoebas.bench import format_table, run_case, to_csv
 from amoebas.poly import parse
 
 CASES = [
@@ -29,8 +29,11 @@ def main():
     ap.add_argument("--csv", help="also write raw rows to this file")
     args = ap.parse_args()
 
-    cases = [(pid, f, k) for pid, f, levels in CASES for k in levels]
-    results = run_bench(cases, runs=args.runs, timeout=args.timeout)
+    results = [
+        run_case(pid, f, k, runs=args.runs, timeout=args.timeout)
+        for pid, f, levels in CASES
+        for k in levels
+    ]
     print(format_table(results))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -11,7 +11,7 @@ vectors are packed into integer keys once per fold, and every squaring is a
 real one: a Gaussian half A + iB costs A^2, B^2 and (A + B)^2.
 """
 
-from .bench import BenchResult, run_bench
+from .bench import BenchResult
 from .cycres import (
     BaselineTimeout,
     TermBudgetError,
@@ -69,7 +69,6 @@ __all__ = [
     "quick_cyclic_resultant",
     "records_to_csv",
     "records_to_jsonl",
-    "run_bench",
     "semialg_description",
     "__version__",
 ]

@@ -99,14 +99,6 @@ def run_case(poly_id, f, level, *, runs=1, baseline=True, timeout=None):
     return BenchResult(poly_id, level, runs, **quick, baseline_seconds=tb, factor=factor)
 
 
-def run_bench(cases, *, runs=1, baseline=True, timeout=None):
-    """cases: iterable of (poly_id, poly, level) triples, run in order."""
-    return [
-        run_case(pid, f, level, runs=runs, baseline=baseline, timeout=timeout)
-        for pid, f, level in cases
-    ]
-
-
 def _fmt_seconds(s):
     if s is None:
         return "-"

@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .bench import format_table, run_bench, to_csv
+from .bench import format_table, run_case, to_csv
 from .cycres import TermBudgetError
 from .gridsolver import GridSpec, approximate_amoeba, records_to_csv, records_to_jsonl
 from .poly import ParseError, format_poly, max_variable_index, parse
@@ -176,9 +176,10 @@ def _cmd_bench(args):
             raise CliError(f"bad polynomial {name}: {exc}") from None
         for level in args.level:
             cases.append((name, f, level))
-    results = run_bench(
-        cases, runs=args.runs, baseline=not args.no_baseline, timeout=args.timeout
-    )
+    results = [
+        run_case(name, f, level, runs=args.runs, baseline=not args.no_baseline, timeout=args.timeout)
+        for name, f, level in cases
+    ]
     with _output(args) as stream:
         if args.format == "csv":
             to_csv(results, stream)

@@ -4,6 +4,9 @@ Coefficient arithmetic throughout the package is exact: a Gaussian rational
 is a complex number ``a + b*i`` whose real and imaginary parts are
 arbitrary-precision fractions. Canonical form (coprime numerator and
 denominator, positive denominator) is inherited from ``fractions.Fraction``.
+Both operands of ``+``, ``-``, ``*`` and ``/`` are Gaussian rationals; an int
+or Fraction enters through ``GaussianRational.coerce``, and only ``==``
+compares with one directly. Instances are not hashable.
 
 Log magnitudes need care. Squared magnitudes of cyclic-resultant
 coefficients reach 10^1600 and beyond, far outside float range, so the
@@ -58,47 +61,33 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        return NotImplemented
-
-    __radd__ = __add__
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return GaussianRational(self.re / other, self.im / other)
-        if isinstance(other, GaussianRational):
-            d = other.abs_squared()
-            if not d:
-                raise ZeroDivisionError("division by zero")
-            return GaussianRational(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        d = other.abs_squared()
+        if not d:
+            raise ZeroDivisionError("division by zero")
+        return GaussianRational(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -109,12 +98,6 @@ class GaussianRational:
         if isinstance(other, (int, Fraction)):
             return not self.im and self.re == other
         return NotImplemented
-
-    def __hash__(self):
-        # match int/Fraction hashing when purely real so mixed containers behave
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
 
     def __bool__(self):
         return not self.is_zero

@@ -177,10 +177,11 @@ class TermTable:
         For sampled magnitudes whose logs are irrational the exact
         numerator pipeline does not apply; this path is still
         deterministic for a fixed input because every row of a matmul of
-        two or more rows is computed alike.
+        two or more rows is computed alike.  ValueError when an exponent
+        does not fit a float.
         """
         if self._fmat is None:
-            self._fmat = np.array(self.exponents, dtype=np.float64)
+            raise ValueError("an exponent is too large for a float")
         return self.logb + np.asarray(wmat, dtype=np.float64) @ self._fmat.T
 
     def classify(self, rows, den):

@@ -2,9 +2,11 @@
 
 A polynomial in n variables is a map from exponent vectors (tuples of n
 signed integers, negative entries giving Laurent terms) to nonzero
-:class:`~amoebas.gaussian.GaussianRational` coefficients. The zero
-polynomial is the empty map. Every operation prunes exact cancellations, so
-two polynomials are equal iff their term maps are equal.
+:class:`~amoebas.gaussian.GaussianRational` coefficients, and
+``LaurentPoly(n, terms)`` takes that map (int and Fraction coefficients are
+coerced, zero ones dropped). The zero polynomial is the empty map. Every
+operation prunes exact cancellations, so two polynomials are equal iff their
+term maps are equal.
 
 Text format, whitespace insignificant::
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .gaussian import GaussianRational
 
@@ -66,28 +68,18 @@ class LaurentPoly:
     def __init__(
         self,
         nvars: int,
-        terms: Mapping[ExponentVector, GaussianRational | int | Fraction]
-        | Iterable[tuple[ExponentVector, GaussianRational | int | Fraction]] = (),
+        terms: Mapping[ExponentVector, GaussianRational | int | Fraction] = {},
     ):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         self.nvars = nvars
-        items = terms.items() if isinstance(terms, Mapping) else terms
         table: dict[ExponentVector, GaussianRational] = {}
-        for exponent, coeff in items:
+        for exponent, coeff in terms.items():
             exponent = tuple(exponent)
             if len(exponent) != nvars or not all(isinstance(e, int) for e in exponent):
                 raise ValueError(f"exponent {exponent!r} is not a length-{nvars} integer vector")
             coeff = GaussianRational.coerce(coeff)
-            if coeff.is_zero:
-                continue
-            if exponent in table:
-                merged = table[exponent] + coeff
-                if merged.is_zero:
-                    del table[exponent]
-                else:
-                    table[exponent] = merged
-            else:
+            if not coeff.is_zero:
                 table[exponent] = coeff
         self.terms = table
 

@@ -51,23 +51,17 @@ class Candidate:
     sq_magnitude: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Raster:
     """Point-sampled membership image of a system over the square [lo, hi]^2.
 
     mask[i, j] is True where the approximation holds at the magnitudes
     (x_i, x_j), x_i = lo + i*(hi - lo)/(res - 1) with res = len(mask).
-    Two rasters are equal when their bounds and masks are.
     """
 
     lo: Fraction
     hi: Fraction
     mask: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, Raster):
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi) and np.array_equal(self.mask, other.mask)
 
 
 def check_raster(nvars, lo, hi, res):
@@ -158,7 +152,8 @@ class SemiAlgSystem:
         at lo + i*(hi - lo)/(res - 1), endpoints included, rounded once
         to a float.  Membership runs in log coordinates, so huge
         exponents cannot overflow, with every sample of the lattice in
-        one ``float_classify`` batch.  Two variables only.
+        one ``float_classify`` batch; an exponent past the float range is
+        a ValueError.  Two variables only.
         """
         check_raster(self.nvars, lo, hi, res)
         lo, hi = Fraction(lo), Fraction(hi)

@@ -162,13 +162,10 @@ def _prefixes(cols):
     Each column is ranked on its own and the ranks are combined into one
     integer code, which sorts far faster than whole rows do.
     """
-    code, size = np.zeros(len(cols), dtype=np.int64), 1
+    # grid rows: each column has <= count values, so codes < count^(n-1) <= MAX_GRID_POINTS
+    code = np.zeros(len(cols), dtype=np.int64)
     for col in cols.T:
         values, rank = np.unique(col, return_inverse=True)
-        size *= len(values)
-        if size >= 2**62:
-            keys, where = np.unique(cols, axis=0, return_inverse=True)
-            return keys, where.reshape(-1)
         code = code * len(values) + rank.reshape(-1)
     _, first, where = np.unique(code, return_index=True, return_inverse=True)
     return cols[first], where.reshape(-1)

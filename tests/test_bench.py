@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from amoebas.bench import BenchResult, format_table, run_bench, run_case, to_csv
+from amoebas.bench import BenchResult, format_table, run_case, to_csv
 from amoebas.poly import LaurentPoly, parse
 from oracles import OVER_BUDGET
 
@@ -69,12 +69,6 @@ def test_baseline_timeout_keeps_quick_stats(cubic):
     assert r.baseline_seconds is None
     assert r.factor is None
     assert r.term_count == 109
-
-
-def test_run_bench_keeps_order(cubic):
-    results = run_bench([("a", cubic, 1), ("b", cubic, 2)], baseline=False)
-    assert [r.poly_id for r in results] == ["a", "b"]
-    assert [r.level for r in results] == [1, 2]
 
 
 def test_format_table(cubic):

@@ -204,6 +204,22 @@ def test_bench_text_and_csv(capsys):
     assert out.splitlines()[1].startswith("p1,1,")
 
 
+def test_bench_keeps_case_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", f"b={CUBIC}", f"a={LINE}", "-k", "2,1", "--no-baseline"
+    )
+    assert code == 0
+    rows = [line.split()[:2] for line in out.splitlines()[2:]]
+    assert rows == [["b", "2"], ["b", "1"], ["a", "2"], ["a", "1"]]
+
+    code, out, _ = run_cli(
+        capsys, "bench", f"b={CUBIC}", f"a={LINE}", "-k", "2,1", "--no-baseline", "--format", "csv"
+    )
+    assert code == 0
+    rows = [line.split(",")[:2] for line in out.splitlines()[1:]]
+    assert rows == [["b", "2"], ["b", "1"], ["a", "2"], ["a", "1"]]
+
+
 def test_bench_reports_case_failures(capsys):
     code, out, _ = run_cli(capsys, "bench", OVER_BUDGET, "-k", "1")
     assert code == 1  # per-case failure, not a usage error
@@ -302,6 +318,17 @@ def test_grid_with_inner_products_beyond_float_range_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "too large for a float" in err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "ppm"])
+def test_raster_of_exponents_beyond_float_range_exits_2(capsys, fmt):
+    n = 10**400
+    code, out, err = run_cli(
+        capsys, "semialg", "-f", f"z1^{n} + z1^{n}*z2 + z1^{n + 1}", "-k", "1",
+        "--format", fmt, "--res", "16",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: an exponent is too large for a float\n"
 
 
 def test_grid_denominator_beyond_float_range_exits_2(capsys):

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -29,25 +30,28 @@ def test_arithmetic_identities():
     assert a - a == GaussianRational(0)
     assert a * b == GaussianRational(2 * Fraction(-1, 2) - 3, 2 + 3 * Fraction(-1, 2))
     assert (a / b) * b == a
-    assert 1 + a == a + 1
-    assert 2 * a == a + a
     assert -a + a == GaussianRational(0)
+    # operands are Gaussian rationals only; coerce an int or Fraction first
+    for other in (1, Fraction(1, 2), 1.5):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1) / GaussianRational(0)
-    with pytest.raises(ZeroDivisionError):
-        GaussianRational(1) / 0
 
 
 def test_equality_and_hash_with_rationals():
     assert GaussianRational(3) == 3
     assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
-    assert hash(GaussianRational(3)) == hash(3)
     assert GaussianRational(3, 1) != 3
-    d = {GaussianRational(2): "a"}
-    assert d[2] == "a"
+    # no program path hashes a coefficient; hashing one fails loudly
+    with pytest.raises(TypeError):
+        hash(GaussianRational(3))
 
 
 @given(coefficients, coefficients)

