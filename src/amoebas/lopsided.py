@@ -36,7 +36,27 @@ accurate to a few ulps and keeps log(x >= 1) >= 0, so 0 <= log S <
 L = log(t - 1) + 1e-6.  By monotone rounding again, p - m2 <= TAU
 rejects and p - (m2 + L) > TAU accepts, each with the verdict the full
 sum would give, bit for bit.  Only the rows in between, and rows whose
-p or m2 is not finite, take the exp, sort and sum.
+p or m2 is not finite, take the exp.
+
+Those band rows have a third edge.  With u = 2^-53 and the same exp
+values x_i, both the sorted sequential sum S and the plain row sum S'
+lie within gamma_{t-2} X of their exact sum X, where gamma_k =
+ku / (1 - ku) (Higham, Accuracy and Stability of Numerical Algorithms,
+4.2): any summation tree of the t values, one of them the peak's
+exp(-inf) = 0, makes at most t - 2 inexact additions on a path.  Both
+sums lie in [1, t - 1], so |log S - log S'| <= 2 gamma / (1 - gamma)
+<= 2.2 gamma_{t-2} for any table that fits in memory; each log is
+within 4 ulps, 8u log(t - 1) absolutely; and each of the two final
+subtractions in p - (m2 + log S) is within u times its operands.  So
+the two margins differ by at most
+
+    2.2 gamma_{t-2} + 16u log t + 2u (|p| + 2|m2| + 2 log t)
+        < B = 2^-50 (t + |p| + 2|m2| + 10 log t),
+
+whose factor of about two also covers the rounding of B itself.  A row
+whose margin m' from S' lies more than B from the threshold therefore
+takes the verdict m' gives; only rows within B of it, and rows with a
+non-finite p or m2 (where B is not finite), sort and sum sequentially.
 """
 
 from __future__ import annotations
@@ -215,15 +235,16 @@ class TermTable:
         outs = pool_map(test, [rows[a:b] for a, b in zip(cuts, cuts[1:])])
         return tuple(np.concatenate(column) for column in zip(*outs))
 
-    def _certify(self, values):
-        """``peak_margins(values)[1] > TAU`` per row, by the gap bracket.
+    def _certify(self, values, tau=TAU):
+        """``peak_margins(values)[1] > tau`` per row, by the gap bracket.
 
-        Rows whose gap p - m2 is at most TAU are rejected, and rows where
-        p - (m2 + log(t - 1) + 1e-6) exceeds TAU are accepted, without
-        an exp (see the module docstring for why both verdicts equal
-        the full margin's).  The rest, and rows whose gap is not finite
-        (a non-finite p or m2), run the exact tail of ``peak_margins`` on
-        their own slice.  values is overwritten.
+        Rows whose gap p - m2 is at most tau are rejected, and rows where
+        p - (m2 + log(t - 1) + 1e-6) exceeds tau are accepted, without
+        an exp.  The rest, and rows whose gap is not finite (a non-finite
+        p or m2), take the exp and an unsorted sum, and only those whose
+        margin then lies within the bound B of tau also sort and sum
+        sequentially.  The module docstring shows why every verdict
+        equals the full margin's, for any tau.  values is overwritten.
         """
         n, t = values.shape
         if t == 1:
@@ -232,11 +253,10 @@ class TermTable:
         else:
             idx, peak, rest, m2 = _mask_peaks(values)
             gap = peak - m2
-            lopsided = peak - (m2 + (math.log(t - 1) + 1e-6)) > TAU
-            band = ~(np.isfinite(gap) & (lopsided | (gap <= TAU)))
+            lopsided = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
+            band = ~(np.isfinite(gap) & (lopsided | (gap <= tau)))
             if band.any():
-                m2b = m2[band]
-                lopsided[band] = peak[band] - (m2b + _log_rest_sum(rest[band], m2b)) > TAU
+                lopsided[band] = _band_verdicts(peak[band], rest[band], m2[band], tau)
         return lopsided & self._has_order[idx], idx, lopsided
 
     def certificate(self, w):
@@ -260,7 +280,7 @@ def peak_margins(values):
     if t == 1:
         return np.zeros(n, dtype=np.intp), np.full(n, math.inf)
     idx, peak, rest, m2 = _mask_peaks(values.copy())
-    return idx, peak - (m2 + _log_rest_sum(rest, m2))
+    return idx, peak - (m2 + _log_sorted_sum(_rest_exp(rest, m2)))
 
 
 def _mask_peaks(values):
@@ -275,10 +295,31 @@ def _mask_peaks(values):
     return idx, peak, values, values.max(axis=1)
 
 
-def _log_rest_sum(z, m2):
-    """log(sum of exp(z - m2)) per row, summed ascending; z is overwritten."""
+def _band_verdicts(peak, rest, m2, tau):
+    """peak - (m2 + log S) > tau per row, S the ascending sequential sum.
+
+    The margin from an unsorted sum decides every row where it lies
+    more than B from tau (see the module docstring); the rest sort and
+    sum sequentially.  rest is overwritten.
+    """
+    t = rest.shape[1]
+    z = _rest_exp(rest, m2)
+    margin = peak - (m2 + np.log(z.sum(axis=1)))
+    bound = 2.0 ** -50 * (t + np.abs(peak) + 2 * np.abs(m2) + 10 * math.log(t))
+    near = ~(np.abs(margin - tau) > bound)
+    if near.any():
+        margin[near] = peak[near] - (m2[near] + _log_sorted_sum(z[near]))
+    return margin > tau
+
+
+def _rest_exp(z, m2):
+    """exp(z - m2) per row, in place in z."""
     z -= m2[:, None]
-    np.exp(z, out=z)
+    return np.exp(z, out=z)
+
+
+def _log_sorted_sum(z):
+    """log of each row's sum, taken ascending and sequentially; z is overwritten."""
     z.sort(axis=1)
     np.cumsum(z, axis=1, out=z)
     return np.log(z[:, -1])

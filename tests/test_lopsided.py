@@ -177,8 +177,10 @@ def bracket_rows(draw, t):
     The second-largest value m2 is repeated ``ties`` times; with every
     other value at m2 the margin is exactly gap - log(t - 1), so a gap
     of log(t - 1) + TAU sits on the margin threshold, log(t - 1) + 1e-6
-    + TAU on the accept edge and TAU on the reject edge.  Each is moved
-    a few ulps either way.
+    + TAU on the accept edge and TAU on the reject edge.  The last kind
+    of row has uneven values just below an m2 near 0, whose sorted and
+    unsorted sums differ in their last bits, and its peak sits on the
+    threshold of the sorted margin.  Each is moved a few ulps either way.
     """
     m2 = draw(st.floats(-300, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -186,14 +188,21 @@ def bracket_rows(draw, t):
         row = [m2]
     else:
         ln = math.log(t - 1)
-        gap = draw(st.sampled_from([0.0, TAU, ln + TAU, ln + 1e-6 + TAU, 2 * ln + 1.0, 40.0]))
-        peak = m2 + gap
+        gap = draw(st.sampled_from([0.0, TAU, ln + TAU, ln + 1e-6 + TAU, 2 * ln + 1.0, 40.0, None]))
+        if gap is None:
+            m2 = draw(st.floats(-1, 1))
+            others = [m2] + (m2 - rng.uniform(0, 1, t - 2)).tolist()
+            ascending = np.sort(np.exp(np.array(others) - m2))
+            peak = (m2 + np.log(np.cumsum(ascending)[-1])) + TAU
+        else:
+            ties = draw(st.one_of(st.just(t - 1), st.integers(1, t - 1)))
+            lows = m2 - rng.uniform(0, 800, t - 1 - ties)  # exp underflows to 0 below -745
+            others = [m2] * ties + lows.tolist()
+            peak = m2 + gap
         ulps = draw(st.integers(-4, 4))
         for _ in range(abs(ulps)):
             peak = math.nextafter(peak, math.copysign(math.inf, ulps))
-        ties = draw(st.one_of(st.just(t - 1), st.integers(1, t - 1)))
-        lows = m2 - rng.uniform(0, 800, t - 1 - ties)  # exp underflows to 0 below -745
-        row = [peak] + [m2] * ties + lows.tolist()
+        row = [float(peak)] + others
     if draw(st.integers(0, 4)) == 0:  # non-finite entries in one row of five
         for j in draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=3)):
             row[j] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
@@ -231,7 +240,8 @@ def test_gap_bracket_matches_full_margins(values):
 
 def test_bracket_numpy_primitives_hold_on_simd_lengths():
     # the bracket proof needs exp(0) == 1, exp(x <= 0) <= 1 and
-    # log(x >= 1) >= 0 from the vectorised loops, in place as well
+    # log(x >= 1) >= 0 from the vectorised loops, in place as well, and
+    # the raster tiles a log that keeps the order of its inputs
     rng = np.random.default_rng(7)
     tiny = np.nextafter(0.0, -1.0)
     for n in (1, 7, 64, 1023, 4099):
@@ -249,6 +259,10 @@ def test_bracket_numpy_primitives_hold_on_simd_lengths():
         ones[::4] = 1.0
         ones[1::6] = np.nextafter(1.0, 2.0)
         assert (np.log(ones) >= 0.0).all()
+        # rasters certify whole tiles only along a nondecreasing log axis
+        spread = np.exp(rng.uniform(-700, 700, n))
+        axis = np.sort(np.concatenate([spread, np.nextafter(spread, math.inf)]))[:n]
+        assert (np.diff(np.log(axis)) >= 0).all()
 
 
 def by_hand(table, rows, entry):

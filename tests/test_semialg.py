@@ -261,17 +261,68 @@ def per_row_mask(table, raster):
     )
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_raster_batch_matches_per_row_reference(level, pool_chunks):
-    # GAUSS_PAIR's region is not symmetric under swapping x1 and x2, so a
-    # transposed mask fails
-    f = parse(GAUSS_PAIR, 2)
+# (polynomial, level, box, res, AMOEBA_THREADS, tiles): tiles is "all"
+# when the corners certify every tile, and "straddle" when tile (3, 0)
+# has four certified corners with two peaks around uncertified samples
+RASTER_CASES = [
+    # the workload's box, where w crosses 0; res 130 is not 1 more than a
+    # multiple of TILE, so the last tiles are one step wide
+    *[pytest.param(GAUSS_PAIR, k, ("1/20", "3"), 130, "1", None, id=str(k)) for k in (1, 2, 3, 4)],
+    pytest.param(GAUSS_PAIR, 3, ("1/20", "3"), 130, "4", None, id="threads-4"),
+    pytest.param(GAUSS_PAIR, 2, ("1/20", "3"), 33, "1", "straddle", id="tentacle"),
+    pytest.param(LINE, 2, ("1/2", "2"), 64, "1", None, id="around-1"),
+    pytest.param(CUBIC, 2, ("1/100", "1/50"), 64, "1", "all", id="all-tiles"),
+    *[pytest.param(GAUSS_PAIR, 2, ("1/20", "3"), res, "1", None, id=f"res-{res}") for res in (2, 3, 9)],
+    pytest.param("z1*z2", 1, ("1/2", "2"), 20, "1", "all", id="monomial"),
+]
+
+
+@pytest.mark.parametrize("text, level, box, res, threads, tiles", RASTER_CASES)
+def test_raster_batch_matches_per_row_reference(
+    text, level, box, res, threads, tiles, monkeypatch, pool_chunks
+):
+    monkeypatch.setenv("AMOEBA_THREADS", threads)
+    f = parse(text, 2)
+    lo, hi = map(Fraction, box)
     table = TermTable(quick_cyclic_resultant(f, level), level)
-    raster = semialg_description(f, level).rasterize(Fraction(1, 20), 3, 130)
-    assert pool_chunks and max(pool_chunks) > 1
-    assert raster.mask.shape == (130, 130)
-    assert not np.array_equal(raster.mask, raster.mask.T)
+    system = semialg_description(f, level)
+    raster = system.rasterize(lo, hi, res)
+    assert raster.mask.shape == (res, res)
     assert np.array_equal(raster.mask, per_row_mask(table, raster))
+    if res == 130:
+        assert pool_chunks and max(pool_chunks) > 1
+        # GAUSS_PAIR's region is not symmetric under swapping x1 and x2,
+        # so a transposed mask fails
+        assert not np.array_equal(raster.mask, raster.mask.T)
+    if tiles == "all":
+        assert system._certified_tiles(np.log(_sample_axis(lo, hi, res))).all()
+    if tiles == "straddle":
+        axis = raster_axis(lo, hi, res)
+        corners = [(axis[i], axis[j]) for i in (24, 32) for j in (0, 8)]
+        ok, idx, _ = table.float_classify(np.log(np.array(corners, dtype=float)))
+        assert ok.all() and len(set(idx)) > 1
+        assert raster.mask[24:, :9].any()
+
+
+def test_raster_tiles_leave_under_two_fifths_of_the_samples(monkeypatch):
+    # the raster workload's last level: the corners and the samples
+    # tested one by one come to 28.5% of the samples
+    rows = {"float_values": 0, "float_classify": 0}
+
+    def counted(name):
+        original = getattr(TermTable, name)
+
+        def wrapper(self, wmat):
+            rows[name] += len(wmat)
+            return original(self, wmat)
+
+        monkeypatch.setattr(TermTable, name, wrapper)
+
+    counted("float_values")
+    counted("float_classify")
+    semialg_description(parse(CUBIC, 2), 4).rasterize(Fraction(1, 20), 3, 256)
+    assert rows["float_values"] == rows["float_classify"] + 33**2
+    assert rows["float_values"] < 0.4 * 256**2
 
 
 def test_rasters_compare_by_value(line_system):
