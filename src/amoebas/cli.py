@@ -31,7 +31,7 @@ from .render import (
     scatter_svg,
     write_ppm,
 )
-from .semialg import check_raster, semialg_description
+from .semialg import check_raster, inside_samples, semialg_description
 
 
 class CliError(Exception):
@@ -140,16 +140,16 @@ def _cmd_semialg(args):
     if args.format in ("svg", "ppm"):
         check_raster(f.nvars, *args.box, args.res)
     systems = [semialg_description(f, level) for level in args.level]
+    if args.format in ("svg", "ppm"):
+        # one proof for every level's raster
+        inside = inside_samples(f, *args.box, args.res)
+        masks = [system.rasterize(*args.box, args.res, inside).mask for system in systems]
     if args.format == "ppm":
-        raster = systems[0].rasterize(*args.box, args.res)
         with _output(args, binary=True) as stream:
-            write_ppm(stream, mask_to_pixels(raster.mask))
+            write_ppm(stream, mask_to_pixels(masks[0]))
         return 0
     if args.format == "svg":
-        layers = [
-            (f"level {system.level}", system.rasterize(*args.box, args.res).mask, None)
-            for system in systems
-        ]
+        layers = [(f"level {system.level}", mask, None) for system, mask in zip(systems, masks)]
         text = overlay_svg(layers, *args.box)
     elif args.format == "json":
         blocks = [system.to_json() for system in systems]
@@ -188,6 +188,12 @@ def _cmd_bench(args):
     return 0 if all(r.error is None for r in results) else 1
 
 
+# argparse takes only -2 and -0.5 for negative numbers; a box may start
+# at a negative fraction such as -1/2, and a semialg box is then refused
+# with the reason the library gives
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
+
+
 def build_parser():
     top = argparse.ArgumentParser(prog="amoeba", description=__doc__.strip().splitlines()[0])
     subs = top.add_subparsers(dest="command", required=True)
@@ -199,9 +205,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_cres)
 
     p = subs.add_parser("amoeba", help="classify a log-space grid")
-    # argparse takes only -2 and -0.5 for negative numbers; a log-space
-    # box may start at a negative fraction such as -1/2
-    p._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     _add_poly_args(p)
     p.add_argument("--box", nargs=2, type=_fraction, metavar=("LO", "HI"), default=(Fraction(-2), Fraction(2)))
     p.add_argument("--step", type=_fraction, default=Fraction(1, 20))
@@ -212,6 +216,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_amoeba)
 
     p = subs.add_parser("semialg", help="certificate region description")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     _add_poly_args(p)
     p.add_argument("-k", "--level", type=_levels, default=[1], help="level or comma list")
     p.add_argument("--format", choices=("json", "text", "svg", "ppm"), default="json")

@@ -143,3 +143,18 @@ def half_ln_fraction(value: Fraction) -> float:
         return (mant + LN2) * 0.5 + ((exp2 - 1) // 2) * LN2
     return mant * 0.5 + (exp2 // 2) * LN2
 
+
+def half_ln_error(x: float) -> float:
+    """A bound on |half_ln_fraction(value) - ln(value) / 2| from its result x.
+
+    With u = 2^-53: the ratio entering log or log1p is correctly rounded
+    and lies in [1/2, 2], so its log moves by about u, and log and log1p
+    add 4 ulps of a value below 1, so mant is within 5u.  The odd-exponent
+    sum mant + LN2 adds u for LN2's rounding and for its own, and the
+    halving is exact: 3.25u.  With q the whole multiple of LN2, |q| <=
+    1.45|x| + 1.5, and q * LN2 is within 1.2|q|u (LN2's half ulp, then
+    the product's rounding); the last addition rounds by u|x|.  That sums
+    to under u(5.1 + 2.8|x|), below the 2^-50 (1 + |x|) returned.
+    """
+    return 2.0 ** -50 * (1 + abs(x))
+

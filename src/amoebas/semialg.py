@@ -29,6 +29,21 @@ sample steps clear the threshold with one peak by more than the float
 error of the margin, every sample inside passes the pointwise test
 with that peak too; only the samples of the other tiles are tested one
 by one.
+
+Samples proven inside the amoeba are not tested at all.  A raster
+proves them once, before its first level: ``zerocount.lattice_inside``
+finds the samples w, their floats as exact reals, that lie in the
+amoeba of the input f.  The amoeba of every fold g of f is that of f,
+so at such a w no term of g outweighs the others: g's exact margin,
+with its exact log magnitudes, is at most 0.  The table's logb are each
+within epsilon = ``gaussian.half_ln_error`` of those, which moves the
+margin by at most 2*epsilon, and the margin ``_certify`` computes is
+within delta = ``_margin_error`` of the one at the table's logb, when
+the exponents are exact floats.  So the computed margin is at most
+delta + 2*epsilon; when that is below TAU the sample is one the
+pointwise test rejects, and a level leaves it uncertified untested.
+At a level where the bound does not hold, proven samples are tested as
+any other.
 """
 
 from __future__ import annotations
@@ -41,11 +56,13 @@ from fractions import Fraction
 import numpy as np
 
 from .cycres import quick_cyclic_resultant
+from .gaussian import half_ln_error
 from .gridsolver import MAX_GRID_POINTS
-from .lopsided import TAU, TermTable, point_numerators
+from .lopsided import _EXACT_FLOAT, TAU, TermTable, point_numerators
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _format_monomial, _grade_key
+from .zerocount import lattice_inside
 
 # Sample steps per side of a raster tile whose corners may certify it whole.
 TILE = 8
@@ -100,6 +117,21 @@ def check_raster(nvars, lo, hi, res):
         raise ValueError("box bounds must be nonzero and finite as floats")
 
 
+def inside_samples(f, lo, hi, res):
+    """(res, res) mask of the raster samples proven to lie in the amoeba of f.
+
+    The samples are ``SemiAlgSystem.rasterize``'s for the same box and
+    res; hand the mask to the rasterize of every level of f.
+    """
+    check_raster(f.nvars, lo, hi, res)
+    return lattice_inside(f, _log_axis(Fraction(lo), Fraction(hi), res))
+
+
+def _log_axis(lo: Fraction, hi: Fraction, res):
+    """The log of each ``_sample_axis`` float."""
+    return np.log(_sample_axis(lo, hi, res))
+
+
 def _sample_axis(lo: Fraction, hi: Fraction, res):
     """Floats of lo + i*(hi - lo)/(res - 1), i < res, each rounded once.
 
@@ -145,6 +177,21 @@ def _margin_error(table, wmax):
     return 2.0 ** -52 * (5 * v + t + 6 * math.log(t) + 5)
 
 
+def _rejects_inside(table, w):
+    """Whether the pointwise test rejects every sample proven inside.
+
+    True when the table's exponents are exact floats and delta +
+    2*epsilon < TAU over the log sample axis w, delta being
+    ``_margin_error`` and epsilon ``half_ln_error`` of the largest
+    |logb|: the module docstring shows that the computed margin at a
+    sample in the amoeba is then below TAU.
+    """
+    if table._row_bound >= _EXACT_FLOAT:
+        return False
+    wmax = float(np.abs(w).max())
+    return _margin_error(table, wmax) + 2 * half_ln_error(float(np.abs(table.logb).max())) < TAU
+
+
 def magnitude_string(sq: Fraction):
     """Exact rendering of sqrt(sq): a rational when possible."""
     if sq == 0:
@@ -162,22 +209,23 @@ def _product(*factors):
 
 
 class SemiAlgSystem:
-    """Union-of-branches description at a fixed folding level.
+    """Union-of-branches description of f at a fixed folding level.
 
-    g is the level's fold of f; orders, the lattice points of f's
-    exponent hull, give one candidate each.  The module docstring shows
-    why the order of every certified peak is among them.
+    g is the level's fold of f; the lattice points of f's exponent hull
+    give one candidate each.  The module docstring shows why the order
+    of every certified peak is among them.
     """
 
-    __slots__ = ("level", "nvars", "candidates", "_table")
+    __slots__ = ("f", "level", "nvars", "candidates", "_table")
 
-    def __init__(self, level, g: LaurentPoly, orders):
+    def __init__(self, f: LaurentPoly, level, g: LaurentPoly):
+        self.f = f
         self.level = level
         self.nvars = g.nvars
         self._table = TermTable(g, level)
         scale = 1 << (level * g.nvars)
         sq = dict(zip(self._table.exponents, self._table.sq))
-        scaled = [(o, tuple(scale * v for v in o)) for o in sorted(orders, key=_grade_key)]
+        scaled = [(o, tuple(scale * v for v in o)) for o in sorted(newton(f), key=_grade_key)]
         self.candidates = tuple(Candidate(o, s, sq.get(s, Fraction(0))) for o, s in scaled)
 
     # -- point queries ----------------------------------------------------
@@ -190,7 +238,7 @@ class SemiAlgSystem:
 
     # -- rasterization ------------------------------------------------------
 
-    def rasterize(self, lo, hi, res):
+    def rasterize(self, lo, hi, res, inside=None):
         """Sample the magnitude-space square [lo, hi]^2 on a res x res lattice.
 
         The square lies in the open positive orthant, and lo and hi must
@@ -202,14 +250,19 @@ class SemiAlgSystem:
 
         The mask is the one a ``float_classify`` of every sample would
         give, bit for bit.  ``_certified_tiles`` marks the samples whose
-        tile its corners certify whole, and the samples left go through
+        tile its corners certify whole; inside, the mask of
+        ``inside_samples(self.f, lo, hi, res)``, taken here when not
+        given, marks samples that stay uncertified untested while
+        ``_rejects_inside`` holds; the samples left go through
         ``float_classify`` in one batch.
         """
         check_raster(self.nvars, lo, hi, res)
         lo, hi = Fraction(lo), Fraction(hi)
-        w = np.log(_sample_axis(lo, hi, res))
+        w = _log_axis(lo, hi, res)
+        if inside is None:
+            inside = lattice_inside(self.f, w)
         mask = ~self._certified_tiles(w)
-        todo = np.flatnonzero(mask)
+        todo = np.flatnonzero(mask & ~inside if _rejects_inside(self._table, w) else mask)
         if len(todo):
             # numpy multiplies a lone row by another BLAS routine
             i, j = np.divmod(np.repeat(todo, 2) if len(todo) == 1 else todo, res)
@@ -307,5 +360,4 @@ def semialg_description(f: LaurentPoly, level):
     if level < 1:
         raise ValueError("level must be at least 1")
     # fold first: its term budget also bounds the hull's box scan
-    g = quick_cyclic_resultant(f, level)
-    return SemiAlgSystem(level, g, newton(f))
+    return SemiAlgSystem(f, level, quick_cyclic_resultant(f, level))

@@ -1,9 +1,11 @@
-"""Proofs that grid points lie inside the amoeba, from counts of zeros.
+"""Proofs that grid points and raster samples lie inside the amoeba, from counts of zeros.
 
 Lopsidedness certifies points outside the amoeba only, so a point inside
 it would be tested at every level of an escalation and never certified.
 This module proves such points inside, by the order map of
-Forsberg-Passare-Tsikh (cf. Theobald, "Computing amoebas", 2002).
+Forsberg-Passare-Tsikh (cf. Theobald, "Computing amoebas", 2002):
+``proven_inside`` at the rational points of a grid, ``lattice_inside``
+at the float samples of a raster.
 
 Fix a log point w, one counted variable z_v and an angle theta.  Let
 N(theta) count the zeros of
@@ -171,6 +173,50 @@ def _prefixes(cols):
     return cols[first], where.reshape(-1)
 
 
+def _prefix_discs(turned, magnitude, prefix, w, d):
+    """Inclusion discs at the prefix points w: (lo, hi, known).
+
+    w is (P, n - 1), the log coordinates of the variables other than the
+    counted one, and turned, magnitude and prefix are
+    ``_term_matrices``'.  lo and hi are (P, 4, d), known is (P, 4): the
+    discs of the polynomial in t at each point and angle are proven and
+    every log and exp taken fits its error bound.  The bounds hold for
+    w's floats as exact reals and also for w as the rounding of a
+    rational once.
+    """
+    n, terms, count = prefix.shape[1] + 1, len(prefix), len(w)
+    with np.errstate(all="ignore"):
+        logs = w @ prefix.T
+        log_err = 2 * (n + 6) * _U * (np.abs(w) @ np.abs(prefix).T)
+        usable = np.all((np.abs(logs) <= _MAX_LOG) & (log_err <= _MAX_LOG_ERROR), axis=1)
+        values = np.exp(np.where(usable[:, None], logs, 0))
+        rel = 2 * (log_err + _EXP_ERR)
+        coef = (values @ turned).reshape(count, 4, d + 1)
+        err = 2 * ((values * rel) @ magnitude + (terms + 6) * _U * (values @ magnitude)) + _TINY
+
+        lo = np.empty((count, 4, d))
+        hi = np.empty((count, 4, d))
+        known = np.empty((count, 4), dtype=bool)
+        step = max(1, _BATCH_VALUES // (4 * d * d))
+        for s in range(0, count, step):
+            part = slice(s, s + step)
+            lo[part], hi[part], known[part] = _discs(coef[part], err[part, None, :], d)
+    return lo, hi, known & usable[:, None]
+
+
+def _circles(wv):
+    """(fits, r_lo, r_hi): whether e^wv can be taken, and bounds below and above it.
+
+    The bounds hold for wv's floats as exact reals and also for wv as
+    the rounding of a rational once.
+    """
+    fits = np.abs(wv) <= _MAX_LOG
+    with np.errstate(all="ignore"):
+        radius = np.exp(np.clip(wv, -_MAX_LOG, _MAX_LOG))
+        slack = 2 * (3 * _U * np.abs(wv) + _EXP_ERR)
+    return fits, radius * (1 - slack), radius * (1 + slack)
+
+
 def zero_counts(f, rows, den):
     """Proven zero counts of each row at the four angles, -1 where unknown.
 
@@ -188,42 +234,78 @@ def zero_counts(f, rows, den):
     tables = _term_matrices(f, v, d)
     if tables is None:
         return counts
-    turned, magnitude, prefix = tables
-    n, terms = f.nvars, len(prefix)
 
-    keys, where = _prefixes(rows[:, [j for j in range(n) if j != v]])
-    with np.errstate(all="ignore"):
-        w = keys.astype(np.float64) / float(den)
-        logs = w @ prefix.T
-        log_err = 2 * (n + 6) * _U * (np.abs(w) @ np.abs(prefix).T)
-        usable = np.all((np.abs(logs) <= _MAX_LOG) & (log_err <= _MAX_LOG_ERROR), axis=1)
-        values = np.exp(np.where(usable[:, None], logs, 0))
-        rel = 2 * (log_err + _EXP_ERR)
-        coef = (values @ turned).reshape(len(keys), 4, d + 1)
-        err = 2 * ((values * rel) @ magnitude + (terms + 6) * _U * (values @ magnitude)) + _TINY
-
-        lo = np.empty((len(keys), 4, d))
-        hi = np.empty((len(keys), 4, d))
-        known = np.empty((len(keys), 4), dtype=bool)
-        step = max(1, _BATCH_VALUES // (4 * d * d))
-        for s in range(0, len(keys), step):
-            part = slice(s, s + step)
-            lo[part], hi[part], known[part] = _discs(coef[part], err[part, None, :], d)
-
-        wv = rows[:, v].astype(np.float64) / float(den)
-        fits = np.abs(wv) <= _MAX_LOG
-        radius = np.exp(np.where(fits, wv, 0))
-        slack = 2 * (3 * _U * np.abs(wv) + _EXP_ERR)
-        r_lo, r_hi = radius * (1 - slack), radius * (1 + slack)
-        # a count is proven when every disc lies wholly inside or wholly
-        # outside the circle; arrays run angle by row
-        clear = np.take((known & usable[:, None]).T, where, axis=1) & fits
-        inside = np.zeros((4, len(rows)), dtype=np.int64)
-        for lo_k, hi_k in zip(lo.T, hi.T):
-            below = np.take(hi_k, where, axis=1) < r_lo
-            inside += below
-            clear &= below | (np.take(lo_k, where, axis=1) > r_hi)
+    keys, where = _prefixes(rows[:, [j for j in range(f.nvars) if j != v]])
+    lo, hi, known = _prefix_discs(*tables, keys.astype(np.float64) / float(den), d)
+    fits, r_lo, r_hi = _circles(rows[:, v].astype(np.float64) / float(den))
+    # a count is proven when every disc lies wholly inside or wholly
+    # outside the circle; arrays run angle by row
+    clear = np.take(known.T, where, axis=1) & fits
+    inside = np.zeros((4, len(rows)), dtype=np.int64)
+    for lo_k, hi_k in zip(lo.T, hi.T):
+        below = np.take(hi_k, where, axis=1) < r_lo
+        inside += below
+        clear &= below | (np.take(lo_k, where, axis=1) > r_hi)
     return np.where(clear, inside, -1)
+
+
+def lattice_zero_counts(f, w):
+    """Proven zero counts at the samples of a 2-variable raster, -1 where unknown.
+
+    w is the raster's log sample axis; its floats are taken as exact
+    reals.  Returns a (4, R, R) int8 array: entry (a, i, j) is the count
+    at theta = a*pi/2 of the log point (w_i, w_j), as ``zero_counts``
+    defines it.  Every entry is -1 when f has no counted variable or w
+    decreases anywhere.
+
+    Discs are taken once per value of the other variable, so R x 4
+    polynomials are solved, not R^2 x 4.  Along the counted axis the
+    circles grow, so the circles a disc lies wholly inside, meets, or
+    lies wholly outside are three runs, found by ``searchsorted`` on
+    bounds made monotone (a running minimum of the lower bound from the
+    right, a running maximum of the upper one from the left, each only
+    looser than the sample's own).  Each disc adds 1 to the count from
+    the first circle it lies inside on, and marks the run of circles it
+    meets unknown; both are difference arrays summed along the axis.
+    """
+    res = len(w)
+    counts = np.full((4, res, res), -1, dtype=np.int8)
+    picked = _counted_variable(f)
+    if picked is None or f.nvars != 2 or (np.diff(w) < 0).any():
+        return counts
+    v, d = picked
+    tables = _term_matrices(f, v, d)
+    if tables is None:
+        return counts
+
+    lo, hi, known = _prefix_discs(*tables, w[:, None], d)
+    fits, r_lo, r_hi = _circles(w)
+    r_lo = np.minimum.accumulate(r_lo[::-1])[::-1]
+    r_hi = np.maximum.accumulate(r_hi)
+    # circle q holds disc k from q = below on, and has it wholly outside
+    # for q < above; the two runs never overlap
+    below = np.searchsorted(r_lo, hi.reshape(-1), "right").reshape(hi.shape)
+    above = np.minimum(np.searchsorted(r_hi, lo.reshape(-1), "left").reshape(lo.shape), below)
+    prefix = np.repeat(np.arange(res), d)
+    for a in range(4):
+        inside = np.zeros((res, res + 1), dtype=np.int8)
+        meets = np.zeros((res, res + 1), dtype=np.int8)
+        np.add.at(inside, (prefix, below[:, a].reshape(-1)), 1)
+        np.add.at(meets, (prefix, above[:, a].reshape(-1)), 1)
+        np.add.at(meets, (prefix, below[:, a].reshape(-1)), -1)
+        np.cumsum(inside, axis=1, dtype=np.int8, out=inside)
+        np.cumsum(meets, axis=1, dtype=np.int8, out=meets)
+        clear = (meets[:, :res] == 0) & known[:, a, None] & fits
+        np.copyto(counts[a], inside[:, :res], where=clear)
+    # rows run over the other variable: z1 when z2 is counted
+    return counts if v == 1 else counts.transpose(0, 2, 1)
+
+
+def _differ(counts):
+    """Mask of the columns of counts with two known entries that differ."""
+    most = counts.max(axis=0)
+    # an unknown count (-1) stands in as the largest, so it decides nothing
+    return np.where(counts < 0, most, counts).min(axis=0) < most
 
 
 def proven_inside(f, rows, den):
@@ -232,7 +314,13 @@ def proven_inside(f, rows, den):
     Each such row is a point of the amoeba of f: no level of the
     lopsided escalation can certify it.
     """
-    counts = zero_counts(f, rows, den)
-    most = counts.max(axis=0)
-    # an unknown count (-1) stands in as the largest, so it decides nothing
-    return np.where(counts < 0, most, counts).min(axis=0) < most
+    return _differ(zero_counts(f, rows, den))
+
+
+def lattice_inside(f, w):
+    """(R, R) mask of the raster samples whose zero counts provably differ.
+
+    Samples as in ``lattice_zero_counts``: each masked sample (w_i, w_j),
+    its floats as exact reals, is a point of the amoeba of f.
+    """
+    return _differ(lattice_zero_counts(f, w))

@@ -347,6 +347,16 @@ def test_amoeba_box_takes_negative_fractions(capsys):
     assert run_cli(capsys, *grid, "--box", "-0.5", "0.5", "--step", "0.5") == (0, out, "")
 
 
+@pytest.mark.parametrize("lo", ["-1/2", "-0.5"])
+def test_semialg_box_takes_negative_fractions(capsys, lo):
+    # json does not use the box; a picture refuses it with the library's reason
+    described = run_cli(capsys, "semialg", "-f", LINE, "--format", "json")
+    assert run_cli(capsys, "semialg", "-f", LINE, "--format", "json", "--box", lo, "3") == described
+    code, out, err = run_cli(capsys, "semialg", "-f", LINE, "--format", "svg", "--box", lo, "3")
+    assert (code, out) == (2, "")
+    assert err == "error: the box must lie in the open positive orthant\n"
+
+
 def test_file_errors_exit_2(capsys, tmp_path):
     missing = tmp_path / "no_such_dir" / "p.txt"
     code, _, err = run_cli(capsys, "cres", "--poly-file", str(missing))

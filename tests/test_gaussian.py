@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebas.gaussian import GaussianRational, half_ln_fraction
+from amoebas.gaussian import GaussianRational, half_ln_error, half_ln_fraction
 from conftest import coefficients, nonzero_coefficients, small_fractions
 from oracles import ln_fraction
 
@@ -110,6 +110,26 @@ def test_half_ln_fraction_is_half(num, den):
 def test_half_ln_odd_exponent_stays_integral():
     # an odd raw binary exponent is halved without losing accuracy
     assert half_ln_fraction(Fraction(8)) == pytest.approx(1.5 * math.log(2), rel=1e-15)
+
+
+# positive rationals whose numerator or denominator runs past 2^1000,
+# near 1 (the log1p branch) and with odd and even binary exponents
+_RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(1, 2**1100), st.integers(1, 2**1100)),
+    st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)),
+    st.builds(lambda d, k: Fraction(d + k, d), st.integers(2**60, 2**1050), st.integers(-(2**40), 2**40)),
+    st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e, st.integers(1, 2**60), st.integers(-3000, 3000)),
+).filter(bool)
+
+
+@given(_RATIONALS)
+@settings(max_examples=2000)
+def test_half_ln_fraction_within_its_error_bound(v):
+    # the raster's inside guard takes this bound for the table's logb
+    x = half_ln_fraction(v)
+    with mpmath.workdps(50):
+        exact = mpmath.log(mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)) / 2
+        assert abs(mpmath.mpf(x) - exact) <= half_ln_error(x)
 
 
 def test_log_abs_of_zero_rejected():

@@ -1,7 +1,10 @@
 """Branch-union description of the certified region, and its raster image."""
 
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import math
 
@@ -11,16 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from amoebas import cli, semialg, zerocount
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.gaussian import GaussianRational
-from amoebas.lopsided import TermTable, order_from_certificate
-from amoebas.newton import newton
+from amoebas.lopsided import TAU, TermTable, order_from_certificate
 from amoebas.poly import LaurentPoly, parse
 from amoebas.semialg import (
     Raster,
     SemiAlgSystem,
+    _log_axis,
+    _rejects_inside,
     _sample_axis,
     check_raster,
+    inside_samples,
     magnitude_string,
     semialg_description,
 )
@@ -118,7 +124,7 @@ def test_description_takes_each_magnitude_once(cubic, monkeypatch):
         return original(c)
 
     monkeypatch.setattr(GaussianRational, "abs_squared", counted)
-    system = SemiAlgSystem(2, g, newton(cubic))
+    system = SemiAlgSystem(cubic, 2, g)
     system.to_json()
     system.pretty()
     assert len(calls) == len(g.terms)
@@ -240,13 +246,15 @@ def test_raster_samples_are_the_exact_fractions_rounded_once(lo, gap, res):
     assert _sample_axis(lo, hi, res).tobytes() == want.tobytes()
 
 
-def test_raster_thread_determinism(line_system, monkeypatch, pool_chunks):
-    # 128^2 samples of 6 terms are more than one classify chunk
+def test_raster_thread_determinism(monkeypatch, pool_chunks):
+    # the samples of a 128^2 raster left to test one by one, at 51 terms,
+    # are more than one classify chunk
+    system = semialg_description(parse(GAUSS_PAIR, 2), 2)
     monkeypatch.setenv("AMOEBA_THREADS", "1")
-    solo = line_system.rasterize(Fraction(1, 20), 3, 128)
+    solo = system.rasterize(Fraction(1, 20), 3, 128)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
     pool_chunks.clear()
-    pooled = line_system.rasterize(Fraction(1, 20), 3, 128)
+    pooled = system.rasterize(Fraction(1, 20), 3, 128)
     assert pool_chunks and max(pool_chunks) > 1
     assert (solo.mask == pooled.mask).all()
     assert boundary_centers(solo) == boundary_centers(pooled)
@@ -323,6 +331,133 @@ def test_raster_tiles_leave_under_two_fifths_of_the_samples(monkeypatch):
     semialg_description(parse(CUBIC, 2), 4).rasterize(Fraction(1, 20), 3, 256)
     assert rows["float_values"] == rows["float_classify"] + 33**2
     assert rows["float_values"] < 0.4 * 256**2
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_PERFBENCH_INPUTS = _perfbench_inputs()
+
+
+def _raster_inputs(seed):
+    """(polynomial text, lo, hi) of the benchmark's raster workload at seed."""
+    given = _PERFBENCH_INPUTS.make_inputs("raster", seed)["raster"]
+    argv = list(given.argv)
+    box = argv[argv.index("--box") + 1:][:2] if "--box" in argv else ("1/20", "3")
+    return given.poly, *map(Fraction, box)
+
+
+# a factor z2^N leaves the amoeba as it is but makes the row bound, and
+# with it delta, so large that the guard fails at every level; the
+# coefficients 10^300 put the amoeba among magnitudes near 1e300 or 1e-300
+_E300 = 10**300
+NO_GUARD_NEAR_1E300 = f"z1*z2^1000000 + z2^1000001 + {_E300}*z2^1000000"
+NO_GUARD_NEAR_1EM300 = f"{_E300}*z1*z2^1000000 + {_E300}*z2^1000001 + z2^1000000"
+
+# (polynomial, box, res, levels, proofs): every level of each is rastered
+# with the proofs and compared with a float_classify of every sample.
+# proofs is "skipped" when samples are proven inside and the guard holds
+# at every level, "tested" when it fails at every level, and "none" when
+# no sample is proven
+INSIDE_CASES = [
+    *[
+        pytest.param(*_raster_inputs(seed), 256, (1, 2, 3, 4), "skipped", id=f"workload-seed-{seed}")
+        for seed in range(4)
+    ],
+    pytest.param(
+        "(2-1i)*z1*z2^-2 - 3/4 + z1^2 + z1*z2", Fraction(1, 20), Fraction(3), 128, (1, 2, 3, 4), "skipped",
+        id="gauss",
+    ),
+    pytest.param(LINE, Fraction(1, 20), Fraction(3), 128, (1, 2, 3, 4), "skipped", id="line"),
+    # both spans are 17, so no variable is counted
+    pytest.param("z1^17*z2^17 - 3*z1*z2^2 + 1", Fraction(1, 20), Fraction(3), 64, (1, 2, 3, 4), "none", id="uncounted"),
+    pytest.param(CUBIC, Fraction(1, 3), Fraction(7, 3), 97, (1, 2, 3, 4), "skipped", id="odd-box-97"),
+    pytest.param(CUBIC, Fraction("0.07"), Fraction("3.07"), 131, (1, 2, 3, 4), "skipped", id="odd-box-131"),
+    pytest.param(NO_GUARD_NEAR_1E300, Fraction("1e299"), Fraction("3e300"), 64, (1, 2, 3, 4), "tested", id="near-1e300"),
+    # its level-4 fold takes seconds
+    pytest.param(NO_GUARD_NEAR_1EM300, Fraction("1e-301"), Fraction("3e-300"), 64, (1, 2, 3), "tested", id="near-1e-300"),
+]
+
+
+def _count_float_classify_rows(monkeypatch):
+    """The row count of every ``float_classify`` call, in call order."""
+    rows = []
+    original = TermTable.float_classify
+
+    def counted(self, wmat):
+        rows.append(len(wmat))
+        return original(self, wmat)
+
+    monkeypatch.setattr(TermTable, "float_classify", counted)
+    return rows
+
+
+@pytest.mark.parametrize("text, lo, hi, res, levels, proofs", INSIDE_CASES)
+def test_raster_skips_only_samples_the_pointwise_test_rejects(text, lo, hi, res, levels, proofs, monkeypatch):
+    # the mask equals the verdicts of every sample classified in one
+    # batch, no sample proven inside is certified at any level, and a
+    # level skips exactly the proven samples outside certified tiles when
+    # the guard holds, and none when it does not
+    f = parse(text, 2)
+    inside = inside_samples(f, lo, hi, res)
+    assert inside.any() == (proofs != "none")
+    w = _log_axis(lo, hi, res)
+    samples = np.column_stack([np.repeat(w, res), np.tile(w, res)])
+    rows = _count_float_classify_rows(monkeypatch)
+    for level in levels:
+        system = semialg_description(f, level)
+        certified = system._table.float_classify(samples)[0].reshape(res, res)
+        assert not (certified & inside).any()
+        guard = _rejects_inside(system._table, w)
+        if proofs != "none":
+            assert guard == (proofs == "skipped")
+        rows.clear()
+        raster = system.rasterize(lo, hi, res, inside)
+        assert np.array_equal(raster.mask, ~certified)
+        todo = ~system._certified_tiles(w) & ~(inside if guard else False)
+        # a lone sample is classified as a batch of two
+        assert rows == ([max(2, todo.sum())] if todo.any() else [])
+    # a raster not handed the proof takes it itself
+    assert np.array_equal(system.rasterize(lo, hi, res).mask, raster.mask)
+
+
+def test_a_failing_guard_tests_the_proven_samples(monkeypatch):
+    # with delta at TAU every sample outside certified tiles is
+    # classified, the proven ones too, and the mask does not change
+    f = parse(CUBIC, 2)
+    lo, hi, res = Fraction(1, 20), Fraction(3), 64
+    system = semialg_description(f, 2)
+    w = _log_axis(lo, hi, res)
+    inside = inside_samples(f, lo, hi, res)
+    assert _rejects_inside(system._table, w)
+    proved = system.rasterize(lo, hi, res, inside)
+    monkeypatch.setattr(semialg, "_margin_error", lambda table, wmax: TAU)
+    assert not _rejects_inside(system._table, w)
+    untiled = ~system._certified_tiles(w)
+    assert (inside & untiled).any()
+    rows = _count_float_classify_rows(monkeypatch)
+    assert np.array_equal(system.rasterize(lo, hi, res, inside).mask, proved.mask)
+    assert rows == [untiled.sum()]
+
+
+def test_raster_workload_proves_once_and_tests_under_33000_samples(monkeypatch, tmp_path):
+    # the benchmark's raster command at seed 0: one proof for its four
+    # levels, and 32,220 samples tested one by one (81,628 without it)
+    proofs = []
+    lattice_inside = zerocount.lattice_inside
+    monkeypatch.setattr(semialg, "lattice_inside", lambda f, w: proofs.append(f) or lattice_inside(f, w))
+    rows = _count_float_classify_rows(monkeypatch)
+    argv = ["semialg", "-f", CUBIC, "-k", "1,2,3,4", "--format", "svg", "--res", "256"]
+    assert cli.main([*argv, "-o", str(tmp_path / "raster.svg")]) == 0
+    assert len(proofs) == 1
+    assert sum(rows) <= 33_000
 
 
 def test_rasters_compare_by_value(line_system):

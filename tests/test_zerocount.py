@@ -19,10 +19,13 @@ from amoebas import cli, gridsolver
 from amoebas.gridsolver import GridSpec, _grid_rows, approximate_amoeba
 from amoebas.lopsided import TermTable
 from amoebas.poly import parse
+from amoebas.semialg import _log_axis
 from amoebas.zerocount import (
     _EXP_ERR,
     MAX_COUNT_DEGREE,
     _counted_variable,
+    lattice_inside,
+    lattice_zero_counts,
     proven_inside,
     zero_counts,
 )
@@ -177,6 +180,58 @@ def test_csv_bytes_equal_the_plain_escalation():
         gridsolver.records_to_csv(records, out)
         outs.append(out.getvalue())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "text, counted_last",
+    [
+        (CUBIC_B2, CUBIC_B2),
+        (GAUSS_PAIR, GAUSS_PAIR),
+        # z1 is counted, so the counts come back transposed
+        ("z1^2 + z1*z2^3 + z2^3 + 1", "z2^2 + z2*z1^3 + z1^3 + 1"),
+    ],
+)
+def test_lattice_counts_match_numpy_roots(text, counted_last):
+    # every known count at a raster sample is the one numpy.roots finds
+    # for the same polynomial with its variables swapped so that the
+    # counted one is last
+    f, last = parse(text, 2), parse(counted_last, 2)
+    w = _log_axis(Fraction(1, 20), Fraction(3), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = lattice_zero_counts(f, w)
+    assert counts.shape == (4, 40, 40) and counts.dtype == np.int8
+    assert np.mean(counts >= 0) > 0.5
+    swap = text != counted_last
+    assert _counted_variable(f)[0] == (0 if swap else 1)
+    for i, j in np.argwhere(np.any(counts >= 0, axis=0)).tolist():
+        want = zero_counts_at_angles(last, [w[j], w[i]] if swap else [w[i], w[j]])
+        got = counts[:, i, j].tolist()
+        assert all(g == c for g, c in zip(got, want) if g >= 0), (i, j, got, want)
+    if swap:
+        inside = lattice_inside(f, w)
+        assert inside.any() and np.array_equal(inside, lattice_inside(last, w).T)
+
+
+def test_lattice_double_root_on_the_circle():
+    # (z2 - z1)^2 at the raster samples: on the diagonal the double zero
+    # lies on the circle, so no count is known there, and the counts off
+    # it, where known, are 0 or 2 and prove nothing
+    f = parse("z1^2 - 2*z1*z2 + z2^2", 2)
+    w = _log_axis(Fraction(1, 20), Fraction(3), 40)
+    counts = lattice_zero_counts(f, w)
+    diagonal = np.eye(40, dtype=bool)
+    assert np.all(counts[:, diagonal] == -1)
+    assert np.all(np.isin(counts[:, ~diagonal], (-1, 0, 2)))
+    assert np.mean(counts[:, ~diagonal] >= 0) > 0.5
+    assert not lattice_inside(f, w).any()
+
+
+def test_lattice_proves_nothing_on_a_decreasing_axis():
+    f = parse(CUBIC_B2, 2)
+    w = _log_axis(Fraction(1, 20), Fraction(3), 16)
+    assert lattice_inside(f, w).any()
+    assert np.all(lattice_zero_counts(f, w[::-1]) == -1)
 
 
 def test_exp_stays_within_its_error_bound():
