@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from amoebas.poly import parse
 from amoebas.render import overlay_svg
-from amoebas.semialg import inside_samples, semialg_description
+from amoebas.semialg import rasterize_levels, semialg_description
 
 DEFAULT_POLY = "z1^3 + z2^3 + 2*z1*z2 + 1"
 LEVEL_COLORS = {1: "#0000FF", 2: "#006400", 3: "#FF0000"}
@@ -38,13 +38,10 @@ def main():
     levels = [int(k) for k in args.levels.split(",")]
     lo, hi = (Fraction(v) for v in args.box)
 
-    # samples proven inside the amoeba, once for every level
-    inside = inside_samples(f, lo, hi, args.res)
+    systems = [semialg_description(f, k) for k in levels]
     layers = []
     deepest = None
-    for k in levels:
-        system = semialg_description(f, k)
-        raster = system.rasterize(lo, hi, args.res, inside)
+    for k, raster in zip(levels, rasterize_levels(systems, lo, hi, args.res)):
         frac = raster.mask.mean()
         print(f"level {k}: {raster.mask.sum()} of {raster.mask.size} samples inside ({frac:.1%})")
         color = LEVEL_COLORS.get(k)

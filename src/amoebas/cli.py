@@ -31,7 +31,7 @@ from .render import (
     scatter_svg,
     write_ppm,
 )
-from .semialg import check_raster, inside_samples, semialg_description
+from .semialg import check_raster, rasterize_levels, semialg_description
 
 
 class CliError(Exception):
@@ -140,16 +140,14 @@ def _cmd_semialg(args):
     if args.format in ("svg", "ppm"):
         check_raster(f.nvars, *args.box, args.res)
     systems = [semialg_description(f, level) for level in args.level]
-    if args.format in ("svg", "ppm"):
-        # one proof for every level's raster
-        inside = inside_samples(f, *args.box, args.res)
-        masks = [system.rasterize(*args.box, args.res, inside).mask for system in systems]
     if args.format == "ppm":
+        raster = systems[0].rasterize(*args.box, args.res)
         with _output(args, binary=True) as stream:
-            write_ppm(stream, mask_to_pixels(masks[0]))
+            write_ppm(stream, mask_to_pixels(raster.mask))
         return 0
     if args.format == "svg":
-        layers = [(f"level {system.level}", mask, None) for system, mask in zip(systems, masks)]
+        rasters = rasterize_levels(systems, *args.box, args.res)
+        layers = [(f"level {system.level}", raster.mask, None) for system, raster in zip(systems, rasters)]
         text = overlay_svg(layers, *args.box)
     elif args.format == "json":
         blocks = [system.to_json() for system in systems]

@@ -30,20 +30,22 @@ error of the margin, every sample inside passes the pointwise test
 with that peak too; only the samples of the other tiles are tested one
 by one.
 
-Samples proven inside the amoeba are not tested at all.  A raster
-proves them once, before its first level: ``zerocount.lattice_inside``
-finds the samples w, their floats as exact reals, that lie in the
-amoeba of the input f.  The amoeba of every fold g of f is that of f,
-so at such a w no term of g outweighs the others: g's exact margin,
-with its exact log magnitudes, is at most 0.  The table's logb are each
-within epsilon = ``gaussian.half_ln_error`` of those, which moves the
-margin by at most 2*epsilon, and the margin ``_certify`` computes is
-within delta = ``_margin_error`` of the one at the table's logb, when
-the exponents are exact floats.  So the computed margin is at most
-delta + 2*epsilon; when that is below TAU the sample is one the
-pointwise test rejects, and a level leaves it uncertified untested.
-At a level where the bound does not hold, proven samples are tested as
-any other.
+Samples proven inside the amoeba need not be tested at all.  When a
+picture draws several levels, ``rasterize_levels`` proves them once,
+before the first level: ``zerocount.lattice_inside`` finds the samples
+w, their floats as exact reals, that lie in the amoeba of the input f.
+The amoeba of every fold g of f is that of f, so at such a w no term of
+g outweighs the others: g's exact margin, with its exact log
+magnitudes, is at most 0.  The table's logb are each within epsilon =
+``gaussian.half_ln_error`` of those, which moves the margin by at most
+2*epsilon, and the margin ``_certify`` computes is within delta =
+``_margin_error`` of the one at the table's logb, when the exponents
+are exact floats.  So the computed margin is at most delta + 2*epsilon;
+when that is below TAU the sample is one the pointwise test rejects,
+and a level leaves it uncertified untested.  At a level where the bound
+does not hold, proven samples are tested as any other.  A picture of
+one level is drawn without the proof: at 256 x 256 samples the proof
+costs more than level 1 saves by it.
 """
 
 from __future__ import annotations
@@ -121,10 +123,23 @@ def inside_samples(f, lo, hi, res):
     """(res, res) mask of the raster samples proven to lie in the amoeba of f.
 
     The samples are ``SemiAlgSystem.rasterize``'s for the same box and
-    res; hand the mask to the rasterize of every level of f.
+    res.
     """
     check_raster(f.nvars, lo, hi, res)
     return lattice_inside(f, _log_axis(Fraction(lo), Fraction(hi), res))
+
+
+def rasterize_levels(systems, lo, hi, res):
+    """The ``rasterize`` of each of several levels of one f over one box.
+
+    Two or more levels share one ``inside_samples`` proof, handed to
+    each level's rasterize; one level is drawn without it.
+    """
+    f = systems[0].f
+    if any(system.f != f for system in systems):
+        raise ValueError("the levels must describe one polynomial")
+    inside = inside_samples(f, lo, hi, res) if len(systems) > 1 else None
+    return [system.rasterize(lo, hi, res, inside) for system in systems]
 
 
 def _log_axis(lo: Fraction, hi: Fraction, res):
@@ -250,19 +265,21 @@ class SemiAlgSystem:
 
         The mask is the one a ``float_classify`` of every sample would
         give, bit for bit.  ``_certified_tiles`` marks the samples whose
-        tile its corners certify whole; inside, the mask of
-        ``inside_samples(self.f, lo, hi, res)``, taken here when not
-        given, marks samples that stay uncertified untested while
-        ``_rejects_inside`` holds; the samples left go through
-        ``float_classify`` in one batch.
+        tile its corners certify whole; inside, when given, must be
+        ``inside_samples(self.f, lo, hi, res)``, and its samples stay
+        uncertified untested while ``_rejects_inside`` holds; the samples
+        left go through ``float_classify`` in one batch.
         """
         check_raster(self.nvars, lo, hi, res)
+        if inside is not None and not (
+            isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == (res, res)
+        ):
+            raise ValueError("inside must be a (res, res) bool mask")
         lo, hi = Fraction(lo), Fraction(hi)
         w = _log_axis(lo, hi, res)
-        if inside is None:
-            inside = lattice_inside(self.f, w)
         mask = ~self._certified_tiles(w)
-        todo = np.flatnonzero(mask & ~inside if _rejects_inside(self._table, w) else mask)
+        skip = inside is not None and _rejects_inside(self._table, w)
+        todo = np.flatnonzero(mask & ~inside if skip else mask)
         if len(todo):
             # numpy multiplies a lone row by another BLAS routine
             i, j = np.divmod(np.repeat(todo, 2) if len(todo) == 1 else todo, res)

@@ -255,23 +255,16 @@ def lattice_zero_counts(f, w):
     w is the raster's log sample axis; its floats are taken as exact
     reals.  Returns a (4, R, R) int8 array: entry (a, i, j) is the count
     at theta = a*pi/2 of the log point (w_i, w_j), as ``zero_counts``
-    defines it.  Every entry is -1 when f has no counted variable or w
-    decreases anywhere.
+    defines it.  Every entry is -1 when f has no counted variable.
 
     Discs are taken once per value of the other variable, so R x 4
-    polynomials are solved, not R^2 x 4.  Along the counted axis the
-    circles grow, so the circles a disc lies wholly inside, meets, or
-    lies wholly outside are three runs, found by ``searchsorted`` on
-    bounds made monotone (a running minimum of the lower bound from the
-    right, a running maximum of the upper one from the left, each only
-    looser than the sample's own).  Each disc adds 1 to the count from
-    the first circle it lies inside on, and marks the run of circles it
-    meets unknown; both are difference arrays summed along the axis.
+    polynomials are solved, not R^2 x 4; each disc is then compared with
+    every circle, one angle at a time.
     """
     res = len(w)
     counts = np.full((4, res, res), -1, dtype=np.int8)
     picked = _counted_variable(f)
-    if picked is None or f.nvars != 2 or (np.diff(w) < 0).any():
+    if picked is None or f.nvars != 2:
         return counts
     v, d = picked
     tables = _term_matrices(f, v, d)
@@ -280,24 +273,17 @@ def lattice_zero_counts(f, w):
 
     lo, hi, known = _prefix_discs(*tables, w[:, None], d)
     fits, r_lo, r_hi = _circles(w)
-    r_lo = np.minimum.accumulate(r_lo[::-1])[::-1]
-    r_hi = np.maximum.accumulate(r_hi)
-    # circle q holds disc k from q = below on, and has it wholly outside
-    # for q < above; the two runs never overlap
-    below = np.searchsorted(r_lo, hi.reshape(-1), "right").reshape(hi.shape)
-    above = np.minimum(np.searchsorted(r_hi, lo.reshape(-1), "left").reshape(lo.shape), below)
-    prefix = np.repeat(np.arange(res), d)
+    # as in zero_counts; rows run over the other variable, columns over
+    # the counted one's circles
     for a in range(4):
-        inside = np.zeros((res, res + 1), dtype=np.int8)
-        meets = np.zeros((res, res + 1), dtype=np.int8)
-        np.add.at(inside, (prefix, below[:, a].reshape(-1)), 1)
-        np.add.at(meets, (prefix, above[:, a].reshape(-1)), 1)
-        np.add.at(meets, (prefix, below[:, a].reshape(-1)), -1)
-        np.cumsum(inside, axis=1, dtype=np.int8, out=inside)
-        np.cumsum(meets, axis=1, dtype=np.int8, out=meets)
-        clear = (meets[:, :res] == 0) & known[:, a, None] & fits
-        np.copyto(counts[a], inside[:, :res], where=clear)
-    # rows run over the other variable: z1 when z2 is counted
+        clear = known[:, a, None] & fits
+        inside = np.zeros((res, res), dtype=np.int8)
+        for k in range(d):
+            below = hi[:, a, k, None] < r_lo
+            inside += below
+            clear &= below | (lo[:, a, k, None] > r_hi)
+        np.copyto(counts[a], inside, where=clear)
+    # rows run over z1 when z2 is counted
     return counts if v == 1 else counts.transpose(0, 2, 1)
 
 

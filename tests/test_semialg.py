@@ -28,6 +28,7 @@ from amoebas.semialg import (
     check_raster,
     inside_samples,
     magnitude_string,
+    rasterize_levels,
     semialg_description,
 )
 from conftest import rational_points
@@ -246,15 +247,13 @@ def test_raster_samples_are_the_exact_fractions_rounded_once(lo, gap, res):
     assert _sample_axis(lo, hi, res).tobytes() == want.tobytes()
 
 
-def test_raster_thread_determinism(monkeypatch, pool_chunks):
-    # the samples of a 128^2 raster left to test one by one, at 51 terms,
-    # are more than one classify chunk
-    system = semialg_description(parse(GAUSS_PAIR, 2), 2)
+def test_raster_thread_determinism(line_system, monkeypatch, pool_chunks):
+    # 128^2 samples of 6 terms are more than one classify chunk
     monkeypatch.setenv("AMOEBA_THREADS", "1")
-    solo = system.rasterize(Fraction(1, 20), 3, 128)
+    solo = line_system.rasterize(Fraction(1, 20), 3, 128)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
     pool_chunks.clear()
-    pooled = system.rasterize(Fraction(1, 20), 3, 128)
+    pooled = line_system.rasterize(Fraction(1, 20), 3, 128)
     assert pool_chunks and max(pool_chunks) > 1
     assert (solo.mask == pooled.mask).all()
     assert boundary_centers(solo) == boundary_centers(pooled)
@@ -411,6 +410,7 @@ def test_raster_skips_only_samples_the_pointwise_test_rejects(text, lo, hi, res,
     w = _log_axis(lo, hi, res)
     samples = np.column_stack([np.repeat(w, res), np.tile(w, res)])
     rows = _count_float_classify_rows(monkeypatch)
+    systems, masks = [], []
     for level in levels:
         system = semialg_description(f, level)
         certified = system._table.float_classify(samples)[0].reshape(res, res)
@@ -424,8 +424,16 @@ def test_raster_skips_only_samples_the_pointwise_test_rejects(text, lo, hi, res,
         todo = ~system._certified_tiles(w) & ~(inside if guard else False)
         # a lone sample is classified as a batch of two
         assert rows == ([max(2, todo.sum())] if todo.any() else [])
-    # a raster not handed the proof takes it itself
+        systems.append(system)
+        masks.append(raster.mask)
+    # the levels drawn together take the same proof; a raster not handed
+    # it tests every sample outside certified tiles, with the same mask
+    together = rasterize_levels(systems, lo, hi, res)
+    assert all(np.array_equal(r.mask, m) for r, m in zip(together, masks))
+    rows.clear()
     assert np.array_equal(system.rasterize(lo, hi, res).mask, raster.mask)
+    untiled = (~system._certified_tiles(w)).sum()
+    assert rows == ([max(2, untiled)] if untiled else [])
 
 
 def test_a_failing_guard_tests_the_proven_samples(monkeypatch):
@@ -447,17 +455,57 @@ def test_a_failing_guard_tests_the_proven_samples(monkeypatch):
     assert rows == [untiled.sum()]
 
 
-def test_raster_workload_proves_once_and_tests_under_33000_samples(monkeypatch, tmp_path):
-    # the benchmark's raster command at seed 0: one proof for its four
-    # levels, and 32,220 samples tested one by one (81,628 without it)
+def _count_proofs(monkeypatch):
+    """The polynomial of every ``lattice_inside`` call semialg makes."""
     proofs = []
     lattice_inside = zerocount.lattice_inside
     monkeypatch.setattr(semialg, "lattice_inside", lambda f, w: proofs.append(f) or lattice_inside(f, w))
+    return proofs
+
+
+def test_raster_workload_proves_once_and_tests_under_33000_samples(monkeypatch, tmp_path):
+    # the benchmark's raster command at seed 0: one proof for its four
+    # levels, and 32,220 samples tested one by one (81,628 without it)
+    proofs = _count_proofs(monkeypatch)
     rows = _count_float_classify_rows(monkeypatch)
     argv = ["semialg", "-f", CUBIC, "-k", "1,2,3,4", "--format", "svg", "--res", "256"]
     assert cli.main([*argv, "-o", str(tmp_path / "raster.svg")]) == 0
     assert len(proofs) == 1
     assert sum(rows) <= 33_000
+
+
+@pytest.mark.parametrize("fmt", ["svg", "ppm"])
+def test_one_level_picture_is_drawn_without_the_proof(fmt, monkeypatch, tmp_path):
+    # at level 1 the proof costs more than it saves, so every sample
+    # outside certified tiles is tested
+    proofs = _count_proofs(monkeypatch)
+    rows = _count_float_classify_rows(monkeypatch)
+    argv = ["semialg", "-f", CUBIC, "-k", "1", "--format", fmt, "--res", "256"]
+    assert cli.main([*argv, "-o", str(tmp_path / f"raster.{fmt}")]) == 0
+    assert proofs == []
+    w = _log_axis(Fraction(1, 20), Fraction(3), 256)
+    untiled = ~semialg_description(parse(CUBIC, 2), 1)._certified_tiles(w)
+    assert sum(rows) == untiled.sum()
+
+
+@pytest.mark.parametrize(
+    "inside",
+    [
+        np.zeros(16, dtype=bool),
+        np.zeros((16, 15), dtype=bool),
+        np.zeros((16, 16), dtype=np.int8),
+        [[False] * 16] * 16,
+    ],
+    ids=["row", "short", "int8", "list"],
+)
+def test_inside_must_be_a_res_by_res_bool_mask(line_system, inside):
+    with pytest.raises(ValueError, match="bool mask"):
+        line_system.rasterize(Fraction(1, 20), 3, 16, inside)
+
+
+def test_levels_drawn_together_describe_one_polynomial(line_system, cubic):
+    with pytest.raises(ValueError, match="one polynomial"):
+        rasterize_levels([line_system, semialg_description(cubic, 1)], Fraction(1, 20), 3, 16)
 
 
 def test_rasters_compare_by_value(line_system):
