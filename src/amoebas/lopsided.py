@@ -21,11 +21,14 @@ CHUNK_CELLS values and map the chunks over ``pool_map``'s worker threads.
 Scalar and batched queries share one float pipeline: inner products are
 float(exact integer) / float(common denominator), and ties between
 equal values resolve to the earliest term in graded-lex descending
-order.  The exact integers come from a float64 matmul while every
+order.  The exact integers come from a float64 BLAS product while every
 product and partial sum stays below 2^53, where float64 is exact in any
-summation order, and from Python ints past that.  A point is therefore
-classified identically no matter which route tested it, how the batch
-was chunked or how many worker threads ran the chunks.
+summation order, and from Python ints past that.  So any BLAS routine
+may compute them, the matrix-vector product of a lone row included,
+and only ``float_values``, whose float products round, needs batches
+of two or more rows.  A point is therefore classified identically no
+matter which route tested it, how the batch was chunked or how many
+worker threads ran the chunks.
 
 Most verdicts need only the peak p and the second-largest value m2
 (the gap bracket).  The computed margin is p - (m2 + log S), where S
@@ -164,32 +167,45 @@ class TermTable:
 
         rows is a sequence of integer rows or an (N, nvars) array of them.
         Each inner product is float(exact integer) / float(den).  The
-        float64 matmul computes the integers only when the row bound
-        times the largest row entry is below 2^53, which makes every
+        float64 BLAS product computes the integers only when the row
+        bound times the largest row entry is below 2^53, which makes every
         product and partial sum exact; Python ints compute them
-        otherwise.  ValueError when an exact inner product or den does
-        not fit a float.
+        otherwise.  A lone row takes that bound in Python ints and the
+        matrix-vector product.  ValueError when an exact inner product or
+        den does not fit a float.
         """
+        exact = None
+        if len(rows) == 1 and self._fmat is not None:
+            # an np.int64 product of the row bound can wrap, a Python int
+            # cannot; a constant table has row bound 0, so bound the row too
+            row = [int(x) for x in rows[0]]
+            big = max(map(abs, row), default=0)
+            if big < _EXACT_FLOAT and self._row_bound * big < _EXACT_FLOAT:
+                exact = (self._fmat @ np.array(row, dtype=np.float64))[None, :]
+        if exact is None:
+            try:
+                m = np.asarray(rows, dtype=np.int64)
+            except OverflowError:
+                m = None
+            # |int64 min| wraps to itself; its uint64 view is exact
+            if (
+                m is not None
+                and self._fmat is not None
+                and self._row_bound * int(np.abs(m).view(np.uint64).max(initial=0)) < _EXACT_FLOAT
+            ):
+                exact = m @ self._fmat.T
+            else:
+                exact = np.asarray(rows, dtype=object) @ np.array(self.exponents, dtype=object).T
         try:
-            m = np.asarray(rows, dtype=np.int64)
-        except OverflowError:
-            m = None
-        # |int64 min| wraps to itself; its uint64 view is exact
-        if (
-            m is not None
-            and self._fmat is not None
-            and self._row_bound * int(np.abs(m).view(np.uint64).max(initial=0)) < _EXACT_FLOAT
-        ):
-            exact = m @ self._fmat.T
-        else:
-            exact = np.asarray(rows, dtype=object) @ np.array(self.exponents, dtype=object).T
-        try:
-            return self.logb + np.asarray(exact, dtype=np.float64) / float(den)
+            exact = np.asarray(exact, dtype=np.float64)
+            exact /= float(den)
         except OverflowError:
             raise ValueError(
                 "an inner product of a point with an exponent, or the point's "
                 "denominator, is too large for a float"
             ) from None
+        exact += self.logb
+        return exact
 
     def float_values(self, wmat):
         """Log magnitudes at float log points, shape (N, T).
@@ -223,7 +239,9 @@ class TermTable:
 
         The chunks split the rows evenly and hold at least two rows:
         numpy multiplies a single row by another BLAS routine, whose
-        float products can differ in the last bit.  One chunk runs
+        float products in ``float_values`` can differ in the last bit.
+        ``values`` computes exact integers, which any BLAS routine gives
+        alike, so only ``float_values`` needs that rule.  One chunk runs
         inline; more are mapped over ``pool_map`` and their (certified,
         peak, lopsided) columns joined in row order.
         """
@@ -244,12 +262,25 @@ class TermTable:
         p or m2), take the exp and an unsorted sum, and only those whose
         margin then lies within the bound B of tau also sort and sum
         sequentially.  The module docstring shows why every verdict
-        equals the full margin's, for any tau.  values is overwritten.
+        equals the full margin's, for any tau.  A batch of one row
+        decides both edges in Python floats, by the same IEEE double
+        operations as the array form.  values is overwritten.
         """
         n, t = values.shape
         if t == 1:
             idx = np.zeros(n, dtype=np.intp)
             lopsided = np.ones(n, dtype=bool)
+        elif n == 1:
+            v = values[0]
+            i = int(v.argmax())
+            peak = float(v[i])
+            v[i] = -math.inf
+            m2 = float(v.max())
+            gap = peak - m2
+            ok = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
+            if not (math.isfinite(gap) and (ok or gap <= tau)):
+                ok = bool(_band_verdicts(np.array([peak]), values, np.array([m2]), tau)[0])
+            return np.array([ok and self._has_order[i]]), np.array([i]), np.array([ok])
         else:
             idx, peak, rest, m2 = _mask_peaks(values)
             gap = peak - m2

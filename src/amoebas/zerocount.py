@@ -250,48 +250,63 @@ def zero_counts(f, rows, den):
 
 
 def lattice_zero_counts(f, w):
-    """Proven zero counts at the samples of a 2-variable raster, -1 where unknown.
+    """Proven zero counts at the samples of a 2-variable raster, one angle at a time.
 
     w is the raster's log sample axis; its floats are taken as exact
-    reals.  Returns a (4, R, R) int8 array: entry (a, i, j) is the count
-    at theta = a*pi/2 of the log point (w_i, w_j), as ``zero_counts``
-    defines it.  Every entry is -1 when f has no counted variable.
+    reals.  Yields four (R, R) int8 arrays, -1 where unknown: entry
+    (i, j) of the a-th is the count at theta = a*pi/2 of the log point
+    (w_i, w_j), as ``zero_counts`` defines it.  Every entry is -1 when f
+    has no counted variable.
 
     Discs are taken once per value of the other variable, so R x 4
     polynomials are solved, not R^2 x 4; each disc is then compared with
-    every circle, one angle at a time.
+    every circle, in blocks of rows, and each angle's counts are yielded
+    before the next angle's are built.
     """
     res = len(w)
-    counts = np.full((4, res, res), -1, dtype=np.int8)
-    picked = _counted_variable(f)
-    if picked is None or f.nvars != 2:
-        return counts
-    v, d = picked
-    tables = _term_matrices(f, v, d)
+    picked = _counted_variable(f) if f.nvars == 2 else None
+    tables = None if picked is None else _term_matrices(f, *picked)
     if tables is None:
-        return counts
-
+        for _ in range(4):
+            yield np.full((res, res), -1, dtype=np.int8)
+        return
+    v, d = picked
     lo, hi, known = _prefix_discs(*tables, w[:, None], d)
     fits, r_lo, r_hi = _circles(w)
     # as in zero_counts; rows run over the other variable, columns over
-    # the counted one's circles
+    # the counted one's circles, a block of rows at a time
+    step = max(1, _BATCH_VALUES // res)
     for a in range(4):
-        clear = known[:, a, None] & fits
-        inside = np.zeros((res, res), dtype=np.int8)
-        for k in range(d):
-            below = hi[:, a, k, None] < r_lo
-            inside += below
-            clear &= below | (lo[:, a, k, None] > r_hi)
-        np.copyto(counts[a], inside, where=clear)
-    # rows run over z1 when z2 is counted
-    return counts if v == 1 else counts.transpose(0, 2, 1)
+        counts = np.full((res, res), -1, dtype=np.int8)
+        for s in range(0, res, step):
+            part = slice(s, s + step)
+            clear = known[part, a, None] & fits
+            inside = np.zeros(clear.shape, dtype=np.int8)
+            for k in range(d):
+                below = hi[part, a, k, None] < r_lo
+                inside += below
+                clear &= below | (lo[part, a, k, None] > r_hi)
+            np.copyto(counts[part], inside, where=clear)
+        # rows run over z1 when z2 is counted
+        yield counts if v == 1 else counts.T
 
 
 def _differ(counts):
-    """Mask of the columns of counts with two known entries that differ."""
-    most = counts.max(axis=0)
-    # an unknown count (-1) stands in as the largest, so it decides nothing
-    return np.where(counts < 0, most, counts).min(axis=0) < most
+    """Mask of the points with two known counts that differ.
+
+    counts yields each angle's counts, -1 where unknown; only a running
+    max and a running min of them are kept.
+    """
+    counts = iter(counts)
+    most = next(counts).copy(order="K")
+    # -1 is the least count signed and the largest unsigned, so an
+    # unknown count decides neither the max nor the min; with every
+    # count unknown, both read as the largest unsigned
+    least = most.view(f"u{most.itemsize}").copy(order="K")
+    for c in counts:
+        np.maximum(most, c, out=most)
+        np.minimum(least, c.view(least.dtype), out=least)
+    return least < most.view(least.dtype)
 
 
 def proven_inside(f, rows, den):

@@ -311,6 +311,10 @@ def test_dots_exact_fallback(rows):
         as_array = np.array(rows, dtype=object)
     for form in (rows, as_array, np.array(rows, dtype=object)):
         assert np.array_equal(bits(table.values(form, den)), bits(want))
+    # each row alone, a batch of one, in every form
+    for i, row in enumerate(rows):
+        for form in ([row], as_array[i : i + 1], np.array([row], dtype=object)):
+            assert np.array_equal(bits(table.values(form, den)), bits(want[i : i + 1]))
 
 
 def test_huge_exponent_sums_take_the_exact_route():
@@ -322,11 +326,17 @@ def test_huge_exponent_sums_take_the_exact_route():
     got = table.values(rows, 1)
     assert np.array_equal(bits(got), bits(fraction_values(table, rows, 1)))
     assert np.array_equal(got, [[2.0**63, 0.0], [-(2.0**62), 0.0]])
+    for i, row in enumerate(rows):
+        assert np.array_equal(bits(table.values([row], 1)), bits(got[i : i + 1]))
     cert = table.certificate((1, 1))
     assert cert.lopsided and cert.dominant == (big, big)
     # an exponent past the float range leaves only the exact route
     beyond = TermTable(parse(f"z1^{10**400} + 1", 1))
     assert np.array_equal(beyond.values([(0,)], 1), [[0.0, 0.0]])
+    # a constant's row bound is 0, so only the row's own size keeps an
+    # entry past the float range off the float route
+    constant = TermTable(parse("4", 1))
+    assert np.array_equal(constant.values([(10**400,)], 1), [[math.log(4)]])
 
 
 # row bound 6,361 and largest entry 1,416,003,655,831: the row bound
@@ -349,12 +359,20 @@ def test_float_route_ends_at_2_53(text, rows, float_route):
     den = 8
     want = bits(fraction_values(table, rows, den))
     assert np.array_equal(bits(table.values(rows, den)), want)
+    for i, row in enumerate(rows):
+        assert np.array_equal(bits(table.values([row], den)), want[i : i + 1])
     # no partial sum exceeds the bound, so at 2**53 both routes give the
-    # same bits; a NaN exponent matrix shows which one ran
+    # same bits; a NaN exponent matrix shows which one ran, for the batch
+    # and for each row as a batch of one.  The first row sets the batch's
+    # bound; the second alone stays below 2**53 in both cases
     table._fmat = np.full_like(table._fmat, math.nan)
     assert np.isnan(table.values(rows, den)).all() == float_route
     if not float_route:
         assert np.array_equal(bits(table.values(rows, den)), want)
+    for i, (row, route) in enumerate(zip(rows, [float_route, True])):
+        assert np.isnan(table.values([row], den)).all() == route
+        if not route:
+            assert np.array_equal(bits(table.values([row], den)), want[i : i + 1])
 
 
 def test_past_the_bound_the_float_route_would_round():

@@ -8,6 +8,7 @@ compared with ``numpy.roots`` through ``oracles.zero_counts_at_angles``.
 
 import io
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from amoebas import cli, gridsolver
+from amoebas import cli, gridsolver, zerocount
 from amoebas.gridsolver import GridSpec, _grid_rows, approximate_amoeba
 from amoebas.lopsided import TermTable
 from amoebas.poly import parse
@@ -199,7 +200,7 @@ def test_lattice_counts_match_numpy_roots(text, counted_last):
     w = _log_axis(Fraction(1, 20), Fraction(3), 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = lattice_zero_counts(f, w)
+        counts = np.stack(list(lattice_zero_counts(f, w)))
     assert counts.shape == (4, 40, 40) and counts.dtype == np.int8
     assert np.mean(counts >= 0) > 0.5
     swap = text != counted_last
@@ -219,7 +220,7 @@ def test_lattice_double_root_on_the_circle():
     # it, where known, are 0 or 2 and prove nothing
     f = parse("z1^2 - 2*z1*z2 + z2^2", 2)
     w = _log_axis(Fraction(1, 20), Fraction(3), 40)
-    counts = lattice_zero_counts(f, w)
+    counts = np.stack(list(lattice_zero_counts(f, w)))
     diagonal = np.eye(40, dtype=bool)
     assert np.all(counts[:, diagonal] == -1)
     assert np.all(np.isin(counts[:, ~diagonal], (-1, 0, 2)))
@@ -233,7 +234,7 @@ def test_lattice_counts_hold_on_a_decreasing_axis():
     # proofs are the forward ones reversed
     f = parse(CUBIC_B2, 2)
     w = _log_axis(Fraction(1, 20), Fraction(3), 16)[::-1]
-    counts = lattice_zero_counts(f, w)
+    counts = np.stack(list(lattice_zero_counts(f, w)))
     assert np.mean(counts >= 0) > 0.5
     for i, j in np.argwhere(np.any(counts >= 0, axis=0)).tolist():
         want = zero_counts_at_angles(f, [w[i], w[j]])
@@ -241,6 +242,30 @@ def test_lattice_counts_hold_on_a_decreasing_axis():
         assert all(g == c for g, c in zip(got, want) if g >= 0), (i, j, got, want)
     inside = lattice_inside(f, w)
     assert inside.any() and np.array_equal(inside, lattice_inside(f, w[::-1])[::-1, ::-1])
+
+
+def test_lattice_proof_holds_no_four_angle_array(monkeypatch):
+    # the proof keeps a running max and min of the known counts and one
+    # angle's counts at a time, in blocks of rows: at res 1024 its traced
+    # peak stays below 6 bytes per sample (four full-size int8 arrays
+    # and the blocks), where the (4, R, R) counts alone took 4
+    f = parse(CUBIC_B2, 2)
+    w = _log_axis(Fraction(1, 20), Fraction(3), 1024)
+    tracemalloc.start()
+    try:
+        inside = lattice_inside(f, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inside.any() and peak < 6 * len(w) ** 2
+    # blocks of 7 rows, the last one short, give the counts of one block,
+    # and the running max and min the mask of all four angles at once
+    w = w[::25]
+    whole = np.stack(list(lattice_zero_counts(f, w)))
+    most = whole.max(axis=0)
+    monkeypatch.setattr(zerocount, "_BATCH_VALUES", 7 * len(w))
+    assert np.array_equal(np.stack(list(lattice_zero_counts(f, w))), whole)
+    assert np.array_equal(lattice_inside(f, w), np.where(whole < 0, most, whole).min(axis=0) < most)
 
 
 def test_exp_stays_within_its_error_bound():
