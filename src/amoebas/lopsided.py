@@ -213,12 +213,16 @@ class TermTable:
         For sampled magnitudes whose logs are irrational the exact
         numerator pipeline does not apply; this path is still
         deterministic for a fixed input because every row of a matmul of
-        two or more rows is computed alike.  ValueError when an exponent
-        does not fit a float.
+        two or more rows is computed alike.  logb is added into the
+        product in place, one (N, T) array in all; IEEE addition
+        commutes, so each value is bit for bit ``logb + product``.
+        ValueError when an exponent does not fit a float.
         """
         if self._fmat is None:
             raise ValueError("an exponent is too large for a float")
-        return self.logb + np.asarray(wmat, dtype=np.float64) @ self._fmat.T
+        values = np.asarray(wmat, dtype=np.float64) @ self._fmat.T
+        values += self.logb
+        return values
 
     def classify(self, rows, den):
         """Batched test at rational rows: (certified, peak indices, lopsided).
@@ -264,7 +268,9 @@ class TermTable:
         sequentially.  The module docstring shows why every verdict
         equals the full margin's, for any tau.  A batch of one row
         decides both edges in Python floats, by the same IEEE double
-        operations as the array form.  values is overwritten.
+        operations as the array form.  A chunk whose rows all lie in the
+        band is tested where it lies; a partial band is gathered first.
+        values is overwritten.
         """
         n, t = values.shape
         if t == 1:
@@ -287,7 +293,8 @@ class TermTable:
             lopsided = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
             band = ~(np.isfinite(gap) & (lopsided | (gap <= tau)))
             if band.any():
-                lopsided[band] = _band_verdicts(peak[band], rest[band], m2[band], tau)
+                sel = slice(None) if band.all() else band
+                lopsided[sel] = _band_verdicts(peak[sel], rest[sel], m2[sel], tau)
         return lopsided & self._has_order[idx], idx, lopsided
 
     def certificate(self, w):
@@ -331,7 +338,9 @@ def _band_verdicts(peak, rest, m2, tau):
 
     The margin from an unsorted sum decides every row where it lies
     more than B from tau (see the module docstring); the rest sort and
-    sum sequentially.  rest is overwritten.
+    sum sequentially.  rest may be a caller's whole chunk, tested where
+    it lies, or a gathered copy of its band rows; each row's verdict is
+    the same either way.  rest is overwritten; peak and m2 are only read.
     """
     t = rest.shape[1]
     z = _rest_exp(rest, m2)

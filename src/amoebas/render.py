@@ -4,7 +4,9 @@ Two-variable only.  Grid pictures color each point by one palette rule
 on the ``GridVerdicts`` level column, formatting each SVG axis
 coordinate once.  Region rasters are read through ``cell_codes``, whose
 crossed cells are the one definition of where the boundary runs: the
-marching-squares contour visits only those.
+marching-squares contour visits only those, looking each cell's code
+up in a 16-code table of at most two segments and computing every
+endpoint of a layer in one array pass.
 Everything is written with the math orientation w2 increasing upward.
 """
 
@@ -135,23 +137,38 @@ _CASES = {
 }
 
 
-def boundary_segments(bitmap, lo, hi):
+def _segment_table():
+    """(16, 2, 4) array: the (di1, dj1, di2, dj2) offsets of each code's
+    segments in ``_CASES`` order, NaN in a code's unused slots."""
+    table = np.full((16, 2, 4), np.nan)
+    for code, pairs in _CASES.items():
+        for slot, (e1, e2) in enumerate(pairs):
+            table[code, slot] = _EDGES[e1] + _EDGES[e2]
+    return table
+
+
+_SEGMENTS = _segment_table()
+
+
+def _contour(mask, lo, hi):
     """Marching-squares contour of a point-sampled boolean raster.
 
-    bitmap[i, j] is the sample at lattice point i along the first axis,
+    mask[i, j] is the sample at lattice point i along the first axis,
     j along the second, of a square lattice spanning [lo, hi] on both
-    axes with endpoints included.
-    Returns a list of ((x1, y1), (x2, y2)) segments in data
-    coordinates, crossed cells in row-major order; saddle cells split
-    arbitrarily.
+    axes with endpoints included.  Returns (x, y), each of shape (S, 2):
+    segment s runs from (x[s, 0], y[s, 0]) to (x[s, 1], y[s, 1]) in data
+    coordinates, crossed cells in row-major order and a cell's segments
+    in ``_CASES`` order; saddle cells split arbitrarily.  Each
+    coordinate is lo + (i + di) * step, as floats.
     """
     lo = float(lo)
-    step = (float(hi) - lo) / (len(bitmap) - 1)
-    return [
-        tuple((lo + (i + di) * step, lo + (j + dj) * step) for di, dj in (_EDGES[e1], _EDGES[e2]))
-        for i, j, code in zip(*(a.tolist() for a in crossed_cells(bitmap)))
-        for e1, e2 in _CASES[code]
-    ]
+    step = (float(hi) - lo) / (len(mask) - 1)
+    i, j, codes = crossed_cells(mask)
+    cell, slot = np.nonzero(~np.isnan(_SEGMENTS[codes, :, 0]))
+    off = _SEGMENTS[codes[cell], slot]
+    x = lo + (i[cell, None] + off[:, 0::2]) * step
+    y = lo + (j[cell, None] + off[:, 1::2]) * step
+    return x, y
 
 
 def mask_to_pixels(mask):
@@ -166,9 +183,10 @@ def mask_to_pixels(mask):
 def overlay_svg(layers, lo, hi, base=None):
     """Contour overlay: layers are (label, bitmap, color | None) triples.
 
-    Bitmaps follow the boundary_segments convention.  base, when given,
-    is painted as a light gray underlay so the contours have context.
-    Colors default to a fixed palette.
+    Bitmaps follow the ``_contour`` convention.  base, when given, is
+    painted as a light gray underlay so the contours have context.
+    Colors default to a fixed palette.  Each layer's path and the
+    underlay are formatted in one pass over their coordinate arrays.
     """
     head, to_px = _svg_head(lo, hi)
     parts = [head]
@@ -179,20 +197,15 @@ def overlay_svg(layers, lo, hi, base=None):
         # a square per cell whose corner a is inside, placed by corner d
         i, j = np.nonzero(base[:-1, :-1])
         xs, ys = to_px(float(lo) + i * step, float(lo) + (j + 1) * step)
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{side:.2f}" '
-                f'height="{side:.2f}" fill="#dddddd"/>\n'
-            )
+        rect = f'<rect x="{{:.2f}}" y="{{:.2f}}" width="{side:.2f}" height="{side:.2f}" fill="#dddddd"/>\n'
+        parts.extend(map(rect.format, xs.tolist(), ys.tolist()))
     for pos, (label, bitmap, color) in enumerate(layers):
         stroke = color or CONTOUR_PALETTE[pos % len(CONTOUR_PALETTE)]
-        path = []
-        for (x1, y1), (x2, y2) in boundary_segments(bitmap, lo, hi):
-            ax, ay = to_px(x1, y1)
-            bx, by = to_px(x2, y2)
-            path.append(f"M {ax:.2f} {ay:.2f} L {bx:.2f} {by:.2f}")
+        px, py = to_px(*_contour(bitmap, lo, hi))
+        ends = (px[:, 0], py[:, 0], px[:, 1], py[:, 1])
+        path = " ".join(map("M {:.2f} {:.2f} L {:.2f} {:.2f}".format, *(a.tolist() for a in ends)))
         parts.append(
-            f'<path d="{" ".join(path)}" stroke="{stroke}" fill="none" '
+            f'<path d="{path}" stroke="{stroke}" fill="none" '
             f'stroke-width="1.5"><title>{label}</title></path>\n'
         )
     parts.append("</svg>\n")

@@ -22,7 +22,7 @@ from amoebas.cycres import _is_one
 from amoebas.gaussian import LN2, _ln_positive_ratio
 from amoebas.gridsolver import MAX_GRID_POINTS
 from amoebas.poly import LaurentPoly, exact_div, mul
-from amoebas.render import crossed_cells
+from amoebas.render import _CASES, _EDGES, crossed_cells
 
 CUBIC = "z1^3 + z1*z2 + z2^3 + 1"
 CUBIC_B2 = "z1^3 + 2*z1*z2 + z2^3 + 1"
@@ -446,6 +446,25 @@ def raster_axis(lo, hi, res):
     of [lo, hi]^2: lo + i*(hi - lo)/(res - 1), endpoints included."""
     lo, hi = Fraction(lo), Fraction(hi)
     return tuple(lo + i * (hi - lo) / (res - 1) for i in range(res))
+
+
+def boundary_segments(bitmap, lo, hi):
+    """Marching-squares contour of a point-sampled boolean raster, one
+    Python tuple at a time: the reference for ``render._contour``.
+
+    bitmap[i, j] is the sample at lattice point i along the first axis,
+    j along the second, of a square lattice spanning [lo, hi] on both
+    axes with endpoints included.
+    Returns a list of ((x1, y1), (x2, y2)) segments in data
+    coordinates, crossed cells in row-major order.
+    """
+    lo = float(lo)
+    step = (float(hi) - lo) / (len(bitmap) - 1)
+    return [
+        tuple((lo + (i + di) * step, lo + (j + dj) * step) for di, dj in (_EDGES[e1], _EDGES[e2]))
+        for i, j, code in zip(*(a.tolist() for a in crossed_cells(bitmap)))
+        for e1, e2 in _CASES[code]
+    ]
 
 
 def boundary_centers(raster):

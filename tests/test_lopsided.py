@@ -238,6 +238,75 @@ def test_gap_bracket_matches_full_margins(values):
         assert (fidx == peaks).all() and (flopsided == want).all()
 
 
+def _band_batch(rng, n, t):
+    """n rows of t values, each with its gap p - m2 inside the bracket's
+    band (TAU, log(t - 1) + 1e-6 + TAU]; a third of them put the margin
+    within a few ulps of TAU, where the band sorts its sum."""
+    m2 = rng.uniform(-1.0, 1.0, n)
+    others = np.minimum(rng.uniform(-30.0, 5.0, (n, t - 1)), m2[:, None])
+    others[:, 0] = m2
+    others[::3] = m2[::3, None]  # margin exactly gap - log(t - 1)
+    ln = math.log(t - 1)
+    peak = m2 + rng.uniform(2 * TAU, ln, n)
+    peak[::3] = m2[::3] + ln + TAU
+    peak[::3] += rng.integers(-3, 4, len(peak[::3])) * np.spacing(peak[::3])
+    return rng.permuted(np.column_stack([peak, others]), axis=1)
+
+
+def test_all_band_and_mixed_batches_match_full_margins(monkeypatch):
+    # a chunk whose every row lies in the band is tested where it lies,
+    # a mixed one gathers its band rows; both give the full margins'
+    # verdicts and peaks bit for bit
+    from amoebas import lopsided
+
+    seen = []
+    band_verdicts = lopsided._band_verdicts
+
+    def spy(peak, rest, m2, tau):
+        seen.append(rest)
+        return band_verdicts(peak, rest, m2, tau)
+
+    monkeypatch.setattr(lopsided, "_band_verdicts", spy)
+    rng = np.random.default_rng(21)
+    for t in (3, 30, 257):
+        table = unit_table(t)
+        for n in (2, 17, 300):
+            band = _band_batch(rng, n, t)
+            decided = rng.uniform(-5.0, 5.0, (n, t))
+            decided[::2, 0] = decided[::2].max(axis=1) + 50.0  # accepted by the gap
+            decided[1::4, 0] = np.nan  # a non-finite row joins the band
+            mixed = rng.permutation(np.concatenate([band, decided]))
+            for values in (band, mixed):
+                work = values.copy()
+                seen.clear()
+                with np.errstate(invalid="ignore"):  # the NaN rows
+                    peaks, margin = peak_margins(values)
+                    ok, idx, lopsided_ = table._certify(work)
+                assert np.array_equal(idx, peaks)
+                assert np.array_equal(lopsided_, margin > TAU)
+                assert np.array_equal(ok, margin > TAU)
+                (rest,) = seen
+                if values is band:
+                    assert np.shares_memory(rest, work) and rest.shape == work.shape
+                else:
+                    assert not np.shares_memory(rest, work) and len(rest) < len(values)
+
+
+def test_float_values_add_logb_in_place_bit_for_bit(cubic):
+    # the in-place sum equals logb + product, the same matmul's bits
+    rng = np.random.default_rng(5)
+    for level in (0, 2, 4):
+        table = TermTable(quick_cyclic_resultant(cubic, level), level)
+        for n in (2, 3, 64, 1000):
+            wmat = rng.uniform(-3.0, 1.1, (n, 2))
+            want = table.logb + wmat @ table._fmat.T
+            assert np.array_equal(table.float_values(wmat), want)
+            # the batched classify reads the same values
+            ok, idx, lopsided_ = table.float_classify(wmat)
+            peaks, margin = peak_margins(want)
+            assert np.array_equal(idx, peaks) and np.array_equal(lopsided_, margin > TAU)
+
+
 def test_bracket_numpy_primitives_hold_on_simd_lengths():
     # the bracket proof needs exp(0) == 1, exp(x <= 0) <= 1 and
     # log(x >= 1) >= 0 from the vectorised loops, in place as well, and

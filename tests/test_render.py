@@ -1,8 +1,11 @@
 """Marching squares: cell codes and the exact contour segment list."""
 
+import re
+
 import numpy as np
 
-from amoebas.render import boundary_segments, cell_codes, crossed_cells
+from amoebas.render import _contour, cell_codes, crossed_cells, overlay_svg
+from oracles import boundary_segments
 
 # code -> segments of the one cell of a 2x2 mask over [0, 2]^2, whose
 # corners a=(0,0) b=(1,0) c=(1,1) d=(0,1) carry bits 0..3 of the code;
@@ -62,11 +65,19 @@ def _one_cell(code):
     return m
 
 
+def _array_segments(mask, lo, hi):
+    """``render._contour``'s arrays as the reference's list of tuples."""
+    x, y = _contour(mask, lo, hi)
+    ends = (x[:, 0], y[:, 0], x[:, 1], y[:, 1])
+    return [((a, b), (c, d)) for a, b, c, d in zip(*(v.tolist() for v in ends))]
+
+
 def test_every_cell_code_segments():
     for code, want in ONE_CELL.items():
         mask = _one_cell(code)
         assert cell_codes(mask).tolist() == [[code]]
         assert boundary_segments(mask, 0, 2) == want, code
+        assert _array_segments(mask, 0, 2) == want, code
 
 
 def test_segments_follow_row_major_cells():
@@ -75,4 +86,22 @@ def test_segments_follow_row_major_cells():
     assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(4) for b in range(4)]
     assert codes.tolist() == sum(GRID_CODES, [])
     assert boundary_segments(GRID, 0, 12) == GRID_SEGMENTS
+    assert _array_segments(GRID, 0, 12) == GRID_SEGMENTS
+
+
+def test_array_segments_match_reference_on_random_mask():
+    # every code, saddles included, at float lo, hi and step, bit for bit
+    mask = np.random.default_rng(21).random((64, 64)) < 0.5
+    assert set(cell_codes(mask).ravel().tolist()) == set(range(16))
+    for lo, hi in [(0, 12), (0.05, 3.0), (-1.5, 2.25)]:
+        want = boundary_segments(mask, lo, hi)
+        assert len(want) > 64**2 // 2
+        assert _array_segments(mask, lo, hi) == want
+
+
+def test_uniform_masks_draw_empty_paths():
+    for fill in (False, True):
+        mask = np.full((9, 9), fill)
+        svg = overlay_svg([("level 1", mask, None), ("level 2", mask, "#123456")], 0.5, 2)
+        assert re.findall(r'<path d="([^"]*)"', svg) == ["", ""]
 

@@ -334,6 +334,22 @@ def test_raster_batch_matches_per_row_reference(
         assert raster.mask[24:, :9].any()
 
 
+def test_raster_masks_hold_across_thread_counts(monkeypatch, pool_chunks):
+    # the workload's picture at a smaller res: inside proof, tiles and
+    # pointwise chunks, each chunk's band tested in place or gathered
+    f = parse(CUBIC, 2)
+    systems = [semialg_description(f, k) for k in (1, 2, 3, 4)]
+    masks = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AMOEBA_THREADS", threads)
+        masks[threads] = [r.mask for r in rasterize_levels(systems, Fraction(1, 20), 3, 128)]
+    assert max(pool_chunks) > 1
+    for system, one, two in zip(systems, masks["1"], masks["2"]):
+        assert np.array_equal(one, two)
+        table = TermTable(quick_cyclic_resultant(f, system.level), system.level)
+        assert np.array_equal(one, per_row_mask(table, Raster(Fraction(1, 20), Fraction(3), one)))
+
+
 def test_raster_tiles_leave_under_two_fifths_of_the_samples(monkeypatch):
     # the raster workload's last level: the corners and the samples
     # tested one by one come to 28.5% of the samples
