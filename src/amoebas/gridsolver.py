@@ -7,6 +7,15 @@ region shrinks toward the true log image.  Points certified at some
 level are removed with their component order; points that survive every
 level are presumed to lie on or near the amoeba.
 
+Level 0 tests every point, so most of them are certified a tile at a
+time: ``lopsided._certified_tiles`` tests the corners of tiles of 8
+steps per side, and a tile whose corners all pass with one peak, by a
+margin that covers the float error, holds only points the pointwise
+test certifies with that peak.  Its proof needs the grid's inner
+products to be exact floats, so a grid whose denominator or numerators
+are too large for that, and every later level, whose pending points
+are few, test each point one by one.
+
 Lopsidedness only ever certifies points outside the amoeba.  So right
 after level 0, ``zerocount.proven_inside`` takes the pending points and
 proves some of them inside it (their counts of zeros differ between two
@@ -26,8 +35,9 @@ verdicts do not depend on either.
 Verdicts stay columnar from classification to output: a
 ``GridVerdicts`` holds each point's certifying level and peak term as
 integer arrays, and ``MembershipRecord`` objects are built only when it
-is iterated.  The writers format the axis values and each distinct
-verdict once, and write one last-axis line of points at a time.
+is iterated.  The writers format each last-axis value followed by each
+distinct verdict once, and write at most one last-axis line of points
+at a time.
 """
 
 from __future__ import annotations
@@ -42,13 +52,17 @@ from itertools import product
 import numpy as np
 
 from .cycres import quick_cyclic_resultant
-from .lopsided import TermTable, choose_level
+from .lopsided import _EXACT_FLOAT, TermTable, _certified_tiles, choose_level
 from .poly import LaurentPoly
 from .zerocount import proven_inside
 
 MAX_GRID_POINTS = 10**7  # points of a grid, and samples of a raster
 
 DEFAULT_KMAX = 3
+
+# Points per writer call, so a long last-axis line (a 1-variable grid is
+# one) is not held as one string beside its preformatted ends.
+_WRITE_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,20 +103,44 @@ def _points(spec):
     return product(spec.axis_values(), repeat=spec.nvars)
 
 
-def _grid_rows(spec, den):
-    """Integer numerators over den of every grid point, shape (N, nvars).
+def _grid_axis(spec, den):
+    """Integer numerators over den of the axis values, ascending.
 
-    Row major (last axis varies fastest).  int64 when the axis
-    numerators fit, Python ints (dtype object) otherwise, which
+    int64 when they fit, Python ints (dtype object) otherwise, which
     ``TermTable.values`` sends down its exact route.
     """
     axis = list(range(int(spec.lo * den), int(spec.hi * den) + 1, int(spec.step * den)))
     try:
-        col = np.array(axis, dtype=np.int64)
+        return np.array(axis, dtype=np.int64)
     except OverflowError:
-        col = np.array(axis, dtype=object)
-    grids = np.meshgrid(*[col] * spec.nvars, indexing="ij")
+        return np.array(axis, dtype=object)
+
+
+def _grid_rows(spec, den):
+    """Integer numerators over den of every grid point, shape (N, nvars).
+
+    Row major (last axis varies fastest), of ``_grid_axis``'s dtype.
+    """
+    grids = np.meshgrid(*[_grid_axis(spec, den)] * spec.nvars, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _tile_peaks(table, spec, den):
+    """Per point, row major, its peak when a certified tile holds it, else -1.
+
+    The tiles are ``lopsided._certified_tiles``'s over the axis
+    numerators.  Its proof needs each value float(I)/float(den) + logb
+    with I an exact float, so no tile is certified unless den and the
+    row bound times the largest |numerator| are below 2^53; grids of
+    huge points or denominators are tested point by point.
+    """
+    axis = _grid_axis(spec, den)
+    big = max(abs(int(axis[0])), abs(int(axis[-1])))
+    if den >= _EXACT_FLOAT or table._row_bound * big >= _EXACT_FLOAT:
+        return np.full(spec.npoints, -1, dtype=np.int8)
+    # big / den rounds to nearest; one step up bounds every |coordinate|
+    wmax = math.nextafter(big / den, math.inf)
+    return _certified_tiles(table, lambda rows: table.values(rows, den), axis, spec.nvars, wmax).ravel()
 
 
 @dataclass(frozen=True)
@@ -182,10 +220,13 @@ def approximate_amoeba(
     ``choose_level`` from the polynomial's degree.  Returns a
     ``GridVerdicts``, one verdict per point in grid row-major order.
 
-    Points that level 0 leaves pending and that ``proven_inside`` proves
-    to lie in the amoeba are not tested at levels 1..kmax.  No level can
-    certify them, so their verdict (level -1, CSV bit 1: no level
-    certified it) is the one the full escalation gives.
+    Level 0 certifies the points of certified tiles (``_tile_peaks``)
+    with the level and peak the pointwise test gives them, and tests
+    only the others.  Points that level 0 leaves pending and that
+    ``proven_inside`` proves to lie in the amoeba are not tested at
+    levels 1..kmax.  No level can certify them, so their verdict (level
+    -1, CSV bit 1: no level certified it) is the one the full escalation
+    gives.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial fills all of log space")
@@ -209,12 +250,17 @@ def approximate_amoeba(
     level = np.full(len(rows), -1, dtype=np.int64)
     peak = np.zeros(len(rows), dtype=np.int64)
     orders = []
-    pending = np.arange(len(rows))
     for k in range(kmax + 1):
-        if not pending.size:
-            break
         g = f if k == 0 else quick_cyclic_resultant(f, k)
         table = TermTable(g, k)
+        if k == 0:
+            # certified tiles hold only points level 0 certifies one by
+            # one, with the same peak; the rest are tested point by point
+            tiled = _tile_peaks(table, spec, den)
+            in_tile = tiled >= 0
+            level[in_tile] = 0
+            peak[in_tile] = tiled[in_tile]
+            pending = np.flatnonzero(~in_tile)
         ok, idx, lopsided = table.classify(rows[pending], den)
         dropped = int(np.count_nonzero(lopsided)) - int(np.count_nonzero(ok))
         if dropped:
@@ -230,6 +276,8 @@ def approximate_amoeba(
         if k == 0 and kmax and pending.size:
             # proven amoeba points: no level could ever certify them
             pending = pending[~proven_inside(f, rows[pending], den)]
+        if not pending.size:
+            break
     return GridVerdicts(spec, level, peak, tuple(orders))
 
 
@@ -243,19 +291,39 @@ def _shifted_degree(f):
 
 def _write_lines(records, stream, head, fmt, sep, tail):
     """Write head, the sep-joined fmt of the coordinates and the verdict's
-    tail for every point, row major, one last-axis line per write.
+    tail for every point, row major, at most _WRITE_POINTS points of one
+    last-axis line per write.
 
-    The axis values and the tail of each distinct verdict are formatted
-    once.
+    Each pair of a last-axis value and a verdict that some point has is
+    formatted once, as the value followed by the verdict's tail, so a
+    write is one ``str.join`` of these ends with the line's start
+    between them, gathered from an object array with no int per point.
+    Only the pairs that occur are formatted: a 1-variable grid has one
+    line, where each pair occurs once, and formatting every pair would
+    hold len(tails) strings per point.
     """
     spec = records.spec
     axis = [fmt(x) for x in spec.axis_values()]
     verdicts, inverse = records.classes()
     tails = [tail(level, order) for level, order in verdicts]
-    prefixes = product(axis, repeat=spec.nvars - 1)
-    for prefix, line in zip(prefixes, inverse.reshape(-1, spec.count)):
+    t = len(tails)
+    # each point's pair, value index * t + verdict index, then the pair's
+    # index among those that occur, by a presence table as in classes()
+    lines = inverse.reshape(-1, spec.count)
+    lines += np.arange(spec.count) * t
+    seen = np.zeros(spec.count * t, dtype=bool)
+    seen[inverse] = True
+    pairs = np.flatnonzero(seen)
+    # the index table is freed before any string is built
+    np.take(np.cumsum(seen) - 1, inverse, out=inverse, mode="clip")
+    ends = np.array([axis[pair // t] + tails[pair % t] for pair in pairs.tolist()], dtype=object)
+    for prefix, line in zip(product(axis, repeat=spec.nvars - 1), lines):
         start = head + "".join(v + sep for v in prefix)
-        stream.write("".join([start + v + tails[i] for v, i in zip(axis, line.tolist())]))
+        for first in range(0, spec.count, _WRITE_POINTS):
+            # the leading "" puts start before the first end too
+            piece = ends[line[first : first + _WRITE_POINTS]].tolist()
+            piece.insert(0, "")
+            stream.write(start.join(piece))
 
 
 def records_to_csv(records, stream):

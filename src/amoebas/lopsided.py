@@ -60,6 +60,27 @@ whose factor of about two also covers the rounding of B itself.  A row
 whose margin m' from S' lies more than B from the threshold therefore
 takes the verdict m' gives; only rows within B of it, and rows with a
 non-finite p or m2 (where B is not finite), sort and sum sequentially.
+
+Grids and rasters certify most of their lattice points a tile at a
+time, in ``_certified_tiles``.  For a term j the margin
+
+    margin_j(w) = v_j(w) - log sum_{i != j} exp v_i(w)
+
+is concave in w, each v_i being linear (Boyd and Vandenberghe, Convex
+Optimization, 3.1.5), so on a box it is at least its smallest value at
+the box's corners.  Take the v_i exactly, from the table's float logb
+and exponents and the point as a real, and let delta = ``_margin_error``
+bound how far the margin ``_certify`` computes lies from that exact
+one.  The bound holds on both value routes, as no summand of a computed
+value is rounded more than three times: ``values`` divides an exact
+float(I) by float(den) and adds logb, and ``float_values`` of two
+variables adds logb to a dot of two products.  When the corners of a
+tile all pass ``_certify`` at TAU + 2*delta with one peak j, the exact
+margin_j exceeds TAU + delta at the corners, and so on the whole tile.
+At each of its points every computed value v_i, within delta / 2 of
+exact, then lies below the computed v_j, so j is the computed peak, and
+the computed margin exceeds TAU: the pointwise test certifies the point
+with peak j, and so with the same order.
 """
 
 from __future__ import annotations
@@ -69,6 +90,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -85,6 +107,9 @@ LEVEL_CAP = 30
 # Integers below this in magnitude are exact in float64, and so are
 # their products and sums while those stay below it too.
 _EXACT_FLOAT = 2 ** 53
+
+# Steps per side of a lattice tile whose corners may certify it whole.
+TILE = 8
 
 # Values per classify chunk, rows times terms, so each of a chunk's
 # float matrices stays near 512 KB however many terms the level has.
@@ -268,9 +293,9 @@ class TermTable:
         sequentially.  The module docstring shows why every verdict
         equals the full margin's, for any tau.  A batch of one row
         decides both edges in Python floats, by the same IEEE double
-        operations as the array form.  A chunk whose rows all lie in the
-        band is tested where it lies; a partial band is gathered first.
-        values is overwritten.
+        operations as the array form.  Band rows are tested where they
+        lie: the band test runs on the whole chunk and only the band
+        rows' verdicts are kept.  values is overwritten.
         """
         n, t = values.shape
         if t == 1:
@@ -293,8 +318,7 @@ class TermTable:
             lopsided = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
             band = ~(np.isfinite(gap) & (lopsided | (gap <= tau)))
             if band.any():
-                sel = slice(None) if band.all() else band
-                lopsided[sel] = _band_verdicts(peak[sel], rest[sel], m2[sel], tau)
+                lopsided[band] = _band_verdicts(peak, rest, m2, tau)[band]
         return lopsided & self._has_order[idx], idx, lopsided
 
     def certificate(self, w):
@@ -304,6 +328,83 @@ class TermTable:
         return Certificate(
             bool(margin[0] > TAU), self.exponents[int(idx[0])], float(margin[0]), self.level
         )
+
+
+def _certified_tiles(table, values, axis, nvars, wmax):
+    """Each lattice point's peak when a tile its corners certify holds it, else -1.
+
+    The lattice is axis^nvars, and values(rows) gives the table's log
+    magnitudes at an (N, nvars) array of its points: ``values`` at
+    integer numerators over a common denominator whose inner products
+    are exact floats, or ``float_values`` at log points of two
+    variables.  wmax bounds every coordinate's magnitude.  Tiles are
+    TILE steps per side, the last one per axis running to the last
+    point.  A tile is certified when its 2^nvars corners pass
+    ``_certify`` at TAU + 2*delta, delta being ``_margin_error``, all
+    with one peak that carries an order; the module docstring shows that
+    the pointwise test then certifies each of its points with that peak,
+    which holds them when axis is nondecreasing.  A point on a cut lies
+    in several tiles, whose certified peaks therefore agree, and takes
+    the largest.  Returns an array of shape (len(axis),) * nvars, of the
+    smallest signed dtype that holds every term index, -1 throughout when
+    axis decreases anywhere.
+    """
+    count = len(axis)
+    dtype = np.min_scalar_type(-len(table))
+    if (np.diff(axis) < 0).any():
+        return np.full((count,) * nvars, -1, dtype=dtype)
+    cuts = np.append(np.arange(0, count - 1, TILE), count - 1)
+    grids = np.meshgrid(*[axis[cuts]] * nvars, indexing="ij")
+    corners = np.stack([g.ravel() for g in grids], axis=1)
+    tau = TAU + 2 * _margin_error(table, wmax)
+    ok, idx, _ = table._batched(lambda part: table._certify(values(part), tau), corners)
+    peak = np.where(ok, idx, -1).astype(dtype).reshape((len(cuts),) * nvars)
+    # a tile keeps its low corner's peak when every other corner agrees
+    tiles = peak[(slice(-1),) * nvars].copy()
+    for offsets in product((0, 1), repeat=nvars):
+        tiles[peak[tuple(slice(o, o + len(cuts) - 1) for o in offsets)] != tiles] = -1
+    # each point's tile, and the tile before it for a point on a cut
+    steps = np.arange(count)
+    first = np.minimum(np.searchsorted(cuts, steps, "right") - 1, len(cuts) - 2)
+    second = np.maximum(np.searchsorted(cuts, steps, "left") - 1, 0)
+    for ax in range(nvars):
+        tiles = np.maximum(np.take(tiles, first, axis=ax), np.take(tiles, second, axis=ax))
+    return tiles
+
+
+def _margin_error(table, wmax):
+    """delta: a bound on |computed margin - exact margin| over a lattice.
+
+    The computed margin is ``_certify``'s, at a point whose coordinates
+    are at most wmax in magnitude; the exact one takes the table's float
+    logb and exponents and the point as reals.  With u = 2^-53, t terms
+    and V = max|logb| + wmax * (the table's row bound):
+
+    - no summand of a value logb_i + <e_i, w> is rounded more than three
+      times on either value route (see the module docstring), so the
+      value is within gamma_3 V <= 3.01u V of exact; the peak moves by
+      that much and the log-sum-exp of the rest too, 6.02u V in the
+      margin;
+    - each exp(v_i - m2) is within u|v_i - m2| + 8u of exact, relative,
+      from the subtraction and 4 ulps of exp; as exp(-x) x <= 1/e, their
+      sum X is off by at most u(0.37t + 8) X, X >= 1, and the summation
+      adds gamma_{t-2} X (underflow to a subnormal adds under 2^-1000);
+    - so log S is within 1.01u(1.4t + 8) of log X, and the log itself
+      within 4 ulps, 8u log t;
+    - the two final subtractions in p - (m2 + log S) add at most
+      u(|p| + 2|m2| + 2 log t) <= u(3.01V + 2 log t).
+
+    That sums to under u(9.1V + 1.42t + 10.1 log t + 8.1), and delta is
+    2^-52 (5V + t + 6 log t + 5), whose spare tenth covers its own
+    rounding.  Infinite when the row bound is past the float range.
+    """
+    t = len(table)
+    try:
+        reach = wmax * float(table._row_bound)
+    except OverflowError:
+        return math.inf
+    v = float(np.abs(table.logb).max()) + reach
+    return 2.0 ** -52 * (5 * v + t + 6 * math.log(t) + 5)
 
 
 def peak_margins(values):
@@ -324,13 +425,15 @@ def peak_margins(values):
 def _mask_peaks(values):
     """(peak index, peak, values with the peak set to -inf, m2) per row.
 
-    m2 is the largest value left; values is overwritten and returned.
+    m2 is the largest value left, read at its argmax, which costs less
+    than a row max and gives the same value, NaN rows and all -inf rows
+    included.  values is overwritten and returned.
     """
     idx = np.argmax(values, axis=1)
     rows = np.arange(len(values))
     peak = values[rows, idx]
     values[rows, idx] = -math.inf
-    return idx, peak, values, values.max(axis=1)
+    return idx, peak, values, values[rows, np.argmax(values, axis=1)]
 
 
 def _band_verdicts(peak, rest, m2, tau):
@@ -338,9 +441,9 @@ def _band_verdicts(peak, rest, m2, tau):
 
     The margin from an unsorted sum decides every row where it lies
     more than B from tau (see the module docstring); the rest sort and
-    sum sequentially.  rest may be a caller's whole chunk, tested where
-    it lies, or a gathered copy of its band rows; each row's verdict is
-    the same either way.  rest is overwritten; peak and m2 are only read.
+    sum sequentially.  rest is a caller's whole chunk, tested where it
+    lies; each row's verdict depends on that row alone.  rest is
+    overwritten; peak and m2 are only read.
     """
     t = rest.shape[1]
     z = _rest_exp(rest, m2)

@@ -20,15 +20,9 @@ whose logs are irrational, and runs the same margin test on float log
 coordinates.  A raster has at most ``MAX_GRID_POINTS`` samples, the
 grid's point limit, and each fold at most ``cycres.MAX_TERMS`` terms.
 
-Most of a raster is certified a tile at a time.  For a term j the
-margin_j(w) = v_j(w) - log sum_{i != j} exp v_i(w) is concave in w,
-each v_i being linear (Boyd and Vandenberghe, Convex Optimization,
-3.1.5), so on a box in log space it is at least its smallest value at
-the box's corners.  Where all four corners of a tile of TILE x TILE
-sample steps clear the threshold with one peak by more than the float
-error of the margin, every sample inside passes the pointwise test
-with that peak too; only the samples of the other tiles are tested one
-by one.
+Most of a raster is certified a tile at a time, by the tile pass that
+grids share, ``lopsided._certified_tiles``, over the float log sample
+axis; only the samples of the other tiles are tested one by one.
 
 Samples proven inside the amoeba need not be tested at all.  When a
 picture draws several levels, ``rasterize_levels`` proves them once,
@@ -39,13 +33,13 @@ g outweighs the others: g's exact margin, with its exact log
 magnitudes, is at most 0.  The table's logb are each within epsilon =
 ``gaussian.half_ln_error`` of those, which moves the margin by at most
 2*epsilon, and the margin ``_certify`` computes is within delta =
-``_margin_error`` of the one at the table's logb, when the exponents
-are exact floats.  So the computed margin is at most delta + 2*epsilon;
-when that is below TAU the sample is one the pointwise test rejects,
-and a level leaves it uncertified untested.  At a level where the bound
-does not hold, proven samples are tested as any other.  A picture of
-one level is drawn without the proof: at 256 x 256 samples the proof
-costs more than level 1 saves by it.
+``lopsided._margin_error`` of the one at the table's logb, when the
+exponents are exact floats.  So the computed margin is at most delta +
+2*epsilon; when that is below TAU the sample is one the pointwise test
+rejects, and a level leaves it uncertified untested.  At a level where
+the bound does not hold, proven samples are tested as any other.  A
+picture of one level is drawn without the proof: at 256 x 256 samples
+the proof costs more than level 1 saves by it.
 """
 
 from __future__ import annotations
@@ -60,15 +54,11 @@ import numpy as np
 from .cycres import quick_cyclic_resultant
 from .gaussian import half_ln_error
 from .gridsolver import MAX_GRID_POINTS
-from .lopsided import _EXACT_FLOAT, TAU, TermTable, point_numerators
+from .lopsided import _EXACT_FLOAT, TAU, TermTable, _certified_tiles, _margin_error, point_numerators
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _format_monomial, _grade_key
 from .zerocount import lattice_inside
-
-# Sample steps per side of a raster tile whose corners may certify it whole.
-TILE = 8
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -159,39 +149,6 @@ def _sample_axis(lo: Fraction, hi: Fraction, res):
     return np.array([(num0 + i * step) / den for i in range(res)])
 
 
-def _margin_error(table, wmax):
-    """delta: a bound on |computed margin - exact margin| over a raster.
-
-    The computed margin is ``_certify``'s, at a point whose coordinates
-    are at most wmax in magnitude; the exact one takes the table's float
-    logb and exponents and the point as reals.  With u = 2^-53, t terms
-    and V = max|logb| + wmax * (the table's row bound):
-
-    - each value logb_i + <e_i, w> is a dot of two products plus one
-      add, within gamma_3 V <= 3.01u V of exact; the peak moves by that
-      much and the log-sum-exp of the rest too, 6.02u V in the margin;
-    - each exp(v_i - m2) is within u|v_i - m2| + 8u of exact, relative,
-      from the subtraction and 4 ulps of exp; as exp(-x) x <= 1/e, their
-      sum X is off by at most u(0.37t + 8) X, X >= 1, and the summation
-      adds gamma_{t-2} X (underflow to a subnormal adds under 2^-1000);
-    - so log S is within 1.01u(1.4t + 8) of log X, and the log itself
-      within 4 ulps, 8u log t;
-    - the two final subtractions in p - (m2 + log S) add at most
-      u(|p| + 2|m2| + 2 log t) <= u(3.01V + 2 log t).
-
-    That sums to under u(9.1V + 1.42t + 10.1 log t + 8.1), and delta is
-    2^-52 (5V + t + 6 log t + 5), whose spare tenth covers its own
-    rounding.  Infinite when the row bound is past the float range.
-    """
-    t = len(table)
-    try:
-        reach = wmax * float(table._row_bound)
-    except OverflowError:
-        return math.inf
-    v = float(np.abs(table.logb).max()) + reach
-    return 2.0 ** -52 * (5 * v + t + 6 * math.log(t) + 5)
-
-
 def _rejects_inside(table, w):
     """Whether the pointwise test rejects every sample proven inside.
 
@@ -264,11 +221,12 @@ class SemiAlgSystem:
         ValueError.  Two variables only.
 
         The mask is the one a ``float_classify`` of every sample would
-        give, bit for bit.  ``_certified_tiles`` marks the samples whose
-        tile its corners certify whole; inside, when given, must be
-        ``inside_samples(self.f, lo, hi, res)``, and its samples stay
-        uncertified untested while ``_rejects_inside`` holds; the samples
-        left go through ``float_classify`` in one batch.
+        give, bit for bit.  ``lopsided._certified_tiles`` marks the
+        samples whose tile its corners certify whole; inside, when
+        given, must be ``inside_samples(self.f, lo, hi, res)``, and its
+        samples stay uncertified untested while ``_rejects_inside``
+        holds; the samples left go through ``float_classify`` in one
+        batch.
         """
         check_raster(self.nvars, lo, hi, res)
         if inside is not None and not (
@@ -277,52 +235,16 @@ class SemiAlgSystem:
             raise ValueError("inside must be a (res, res) bool mask")
         lo, hi = Fraction(lo), Fraction(hi)
         w = _log_axis(lo, hi, res)
-        mask = ~self._certified_tiles(w)
-        skip = inside is not None and _rejects_inside(self._table, w)
+        table = self._table
+        mask = _certified_tiles(table, table.float_values, w, 2, float(np.abs(w).max())) < 0
+        skip = inside is not None and _rejects_inside(table, w)
         todo = np.flatnonzero(mask & ~inside if skip else mask)
         if len(todo):
             # numpy multiplies a lone row by another BLAS routine
             i, j = np.divmod(np.repeat(todo, 2) if len(todo) == 1 else todo, res)
-            ok = self._table.float_classify(np.column_stack([w[i], w[j]]))[0]
+            ok = table.float_classify(np.column_stack([w[i], w[j]]))[0]
             mask.flat[todo] = ~ok[: len(todo)]
         return Raster(lo, hi, mask)
-
-    def _certified_tiles(self, w):
-        """(res, res) mask of the samples in a tile that its corners certify.
-
-        w is the log sample axis.  Tiles are TILE x TILE sample steps, the
-        last one per axis running to sample res - 1.  A tile is certified
-        when its four corners pass ``_certify`` at TAU + 2*delta, where
-        delta is ``_margin_error``, all with one peak j that carries an
-        order.  Then the exact margin_j, taken at the table's float
-        logb and exponents and the float sample logs as reals, exceeds
-        TAU + delta at the corners, and by concavity on the whole box the
-        corners span, which holds the tile's samples when w is
-        nondecreasing.  At each sample it follows that every computed
-        value v_i, within delta / 2 of its exact value, lies below the
-        computed v_j, so j is the computed peak, and that the computed
-        margin exceeds TAU: the sample is certified with peak j, as the
-        pointwise test would find.  Nothing is marked when w decreases
-        anywhere.
-        """
-        res = len(w)
-        if (np.diff(w) < 0).any():
-            return np.zeros((res, res), dtype=bool)
-        table = self._table
-        cuts = np.append(np.arange(0, res - 1, TILE), res - 1)
-        corners = w[cuts]
-        wmat = np.column_stack([np.repeat(corners, len(cuts)), np.tile(corners, len(cuts))])
-        tau = TAU + 2 * _margin_error(table, float(max(-w[0], w[-1])))
-        ok, idx, _ = table._batched(lambda part: table._certify(table.float_values(part), tau), wmat)
-        peak = np.where(ok, idx, -1).reshape(len(cuts), len(cuts))
-        low = peak[:-1, :-1]
-        tiles = (low >= 0) & (low == peak[1:, :-1]) & (low == peak[:-1, 1:]) & (low == peak[1:, 1:])
-        # each sample's tile, and the tile before it for a sample on a cut
-        steps = np.arange(res)
-        first = np.minimum(np.searchsorted(cuts, steps, "right") - 1, len(cuts) - 2)
-        second = np.maximum(np.searchsorted(cuts, steps, "left") - 1, 0)
-        rows = tiles[first] | tiles[second]
-        return rows[:, first] | rows[:, second]
 
     # -- presentation -------------------------------------------------------
 

@@ -429,6 +429,17 @@ def plain_escalation(f, spec, kmax):
         return gridsolver.approximate_amoeba(f, spec, kmax=kmax)
 
 
+def pointwise_escalation(f, spec, kmax):
+    """``approximate_amoeba`` with its certified tiles and inside proofs
+    switched off: every point is tested one by one at level 0, and each
+    point the levels leave pending at every level up to kmax."""
+    def no_tiles(table, spec, den):
+        return np.full(spec.npoints, -1)
+
+    with mock.patch.object(gridsolver, "_tile_peaks", no_tiles):
+        return plain_escalation(f, spec, kmax)
+
+
 def make_grid(spec, max_points=MAX_GRID_POINTS):
     """All grid points, row major (last axis varies fastest)."""
     if spec.npoints > max_points:

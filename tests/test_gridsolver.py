@@ -22,7 +22,13 @@ from amoebas.gridsolver import (
     records_to_jsonl,
 )
 from amoebas.cycres import quick_cyclic_resultant
-from amoebas.lopsided import CertificateError, is_lopsided, order_from_certificate, thread_count
+from amoebas.lopsided import (
+    CertificateError,
+    TermTable,
+    is_lopsided,
+    order_from_certificate,
+    thread_count,
+)
 from amoebas.poly import LaurentPoly, parse
 from amoebas.render import (
     COLOR_AMOEBA,
@@ -43,6 +49,7 @@ from oracles import (
     epsilon_for_grid,
     make_grid,
     plain_escalation,
+    pointwise_escalation,
 )
 
 
@@ -235,9 +242,9 @@ def test_thread_count_resolution(monkeypatch):
 
 
 def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
-    # 161^2 points of 4 terms are more than one classify chunk at level 0,
-    # so 4 workers share them
-    spec = GridSpec(-2, 2, Fraction(1, 40), 2)
+    # the 24,286 of 401^2 points that level 0's certified tiles leave,
+    # of 4 terms, are more than one classify chunk, so 4 workers share them
+    spec = GridSpec(-2, 2, Fraction(1, 100), 2)
     monkeypatch.setenv("AMOEBA_THREADS", "1")
     solo = approximate_amoeba(cubic, spec, kmax=1)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
@@ -245,6 +252,72 @@ def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
     pooled = approximate_amoeba(cubic, spec, kmax=1)
     assert pool_chunks and max(pool_chunks) > 1
     assert list(solo) == list(pooled)
+
+
+def _seeded_spec(seed, nvars):
+    """A seeded grid of 57 to 64 points per axis (1 variable: 401 to 408,
+    3 variables: 17 to 24), lo in [-3, -1], step 1/den, 2 to 5 wide."""
+    rng = np.random.default_rng(seed)
+    count = {1: 401, 2: 57, 3: 17}[nvars] + int(rng.integers(0, 8))
+    den = int(rng.integers((count - 1) // 5 + 1, (count - 1) // 2 + 1))
+    lo = Fraction(-int(rng.integers(den, 3 * den + 1)), den)
+    return GridSpec(lo, lo + Fraction(count - 1, den), Fraction(1, den), nvars)
+
+
+def _level_zero_tiles(f, spec):
+    den = math.lcm(spec.lo.denominator, spec.step.denominator)
+    return gridsolver._tile_peaks(TermTable(f, 0), spec, den)
+
+
+# (polynomial, variables, seed, kmax)
+TILE_GRIDS = [
+    *[("z1^2 - 3*z1 + 1", 1, seed, 3) for seed in (0, 1)],
+    *[(text, 2, seed, 2) for text in (CUBIC, CUBIC_B2, GAUSS_PAIR) for seed in (0, 1, 2)],
+    ("(2-1i)*z1*z2^-2 - 3/4 + z1^2 + (1+1i)*z2", 2, 3, 2),
+    *[(text, 3, seed, 1) for text in (THREE_VAR, "z1 + z2 + z3 + z1^-1*z2^-1*z3^-1 + 3") for seed in (0, 1)],
+]
+
+
+@pytest.mark.parametrize("text, nvars, seed, kmax", TILE_GRIDS)
+def test_certified_tiles_keep_the_pointwise_verdicts(text, nvars, seed, kmax):
+    # every point a certified tile holds is one level 0 certifies point by
+    # point with the same peak, and the whole escalation, inside proofs
+    # included, gives the pointwise one's level, peak and order everywhere
+    f = parse(text, nvars)
+    spec = _seeded_spec(seed, nvars)
+    tiled = _level_zero_tiles(f, spec)
+    records = approximate_amoeba(f, spec, kmax=kmax)
+    want = pointwise_escalation(f, spec, kmax)
+    hit = tiled >= 0
+    # tiles certify some points and leave others to the pointwise test
+    assert hit.any() and (want.level[~hit] == 0).any() and (want.level != 0).any()
+    assert (want.level[hit] == 0).all() and np.array_equal(want.peak[hit], tiled[hit])
+    assert np.array_equal(records.level, want.level)
+    assert np.array_equal(records.peak, want.peak)
+    assert records.orders == want.orders
+    assert list(records) == list(want)
+
+
+@pytest.mark.parametrize(
+    "text, spec, kmax",
+    [
+        # a denominator past 2^53 with small numerators, where every point
+        # is lopsided with the constant term
+        ("z1 + z2 + 5", GridSpec(Fraction(-8, 3**34), Fraction(8, 3**34), Fraction(1, 3**34), 2), 1),
+        # numerators past int64
+        ("z1 - 3*z2 + z1*z2^-1", GridSpec(10**19, 10**19 + 2, 1, 2), 1),
+        # a row bound of 2^52 times the numerator 2; its fold is over budget
+        (f"z1^{2**52} + z2 + 5", GridSpec(-2, 2, Fraction(1, 8), 2), 0),
+    ],
+    ids=["den-3^34", "1e19", "row-bound-2^52"],
+)
+def test_grids_past_the_exact_route_certify_no_tile(text, spec, kmax):
+    f = parse(text, 2)
+    assert (_level_zero_tiles(f, spec) == -1).all()
+    records = approximate_amoeba(f, spec, kmax=kmax)
+    assert list(records) == list(pointwise_escalation(f, spec, kmax))
+    if spec.lo.denominator > 2**53:
+        assert (records.level == 0).all()
 
 
 def test_kmax_and_eps_are_exclusive(cubic):
@@ -381,6 +454,21 @@ def test_writers_match_record_reference(text, spec, kmax):
     out = io.StringIO()
     records_to_jsonl(records, out)
     assert out.getvalue() == _jsonl_reference(records)
+
+
+@pytest.mark.parametrize("write_points", [1, 5, 11])
+def test_writers_split_long_lines_into_pieces(write_points, monkeypatch):
+    # a line of 49 or 11 points written in pieces of 1, 5 or 11, the last
+    # piece short or full, gives the same bytes
+    monkeypatch.setattr(gridsolver, "_WRITE_POINTS", write_points)
+    for text, spec in (("z1^3 - 2*z1 + 1", GridSpec(-3, 3, Fraction(1, 8), 1)), (CUBIC_B2, GridSpec(-2, 2, Fraction(2, 5), 2))):
+        records = approximate_amoeba(parse(text, spec.nvars), spec, kmax=2)
+        out = io.StringIO()
+        records_to_csv(records, out)
+        assert out.getvalue() == _csv_writer_reference(records)
+        out = io.StringIO()
+        records_to_jsonl(records, out)
+        assert out.getvalue() == _jsonl_reference(records)
 
 
 class _Discard:

@@ -254,9 +254,9 @@ def _band_batch(rng, n, t):
 
 
 def test_all_band_and_mixed_batches_match_full_margins(monkeypatch):
-    # a chunk whose every row lies in the band is tested where it lies,
-    # a mixed one gathers its band rows; both give the full margins'
-    # verdicts and peaks bit for bit
+    # a chunk whose every row lies in the band and a mixed one are both
+    # tested where they lie, and both give the full margins' verdicts and
+    # peaks bit for bit
     from amoebas import lopsided
 
     seen = []
@@ -286,10 +286,34 @@ def test_all_band_and_mixed_batches_match_full_margins(monkeypatch):
                 assert np.array_equal(lopsided_, margin > TAU)
                 assert np.array_equal(ok, margin > TAU)
                 (rest,) = seen
-                if values is band:
-                    assert np.shares_memory(rest, work) and rest.shape == work.shape
-                else:
-                    assert not np.shares_memory(rest, work) and len(rest) < len(values)
+                assert np.shares_memory(rest, work) and rest.shape == work.shape
+
+
+def test_mask_peaks_second_value_equals_row_max():
+    # m2 is read at the argmax of what is left; on rows with ties, -inf,
+    # NaN and infinities it equals the row max, NaN for NaN
+    from amoebas.lopsided import _mask_peaks
+
+    inf, nan = math.inf, math.nan
+    values = np.array([
+        [1.0, 3.0, 3.0, 2.0],
+        [3.0, 3.0, 3.0, 3.0],
+        [-inf, -inf, -inf, -inf],
+        [-inf, 5.0, -inf, -inf],
+        [2.0, nan, 1.0, 0.0],
+        [nan, 4.0, nan, 1.0],
+        [nan, nan, nan, nan],
+        [inf, inf, 0.0, -inf],
+        [-0.0, 0.0, -1.0, -2.0],
+        [7.0, -inf, nan, 7.0],
+    ])
+    rng = np.random.default_rng(3)
+    values = np.concatenate([values, rng.integers(-2, 3, (200, 4)).astype(float)])
+    idx, peak, rest, m2 = _mask_peaks(values.copy())
+    want = rest.max(axis=1)
+    assert np.array_equal(m2, want, equal_nan=True)
+    assert np.array_equal(np.signbit(m2), np.signbit(want))
+    assert np.array_equal(idx, values.argmax(axis=1))
 
 
 def test_float_values_add_logb_in_place_bit_for_bit(cubic):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amoebas import cli, semialg, zerocount
+from amoebas import cli, lopsided, semialg, zerocount
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.gaussian import GaussianRational
 from amoebas.lopsided import TAU, TermTable, order_from_certificate
@@ -282,6 +282,12 @@ def test_raster_thread_determinism(line_system, monkeypatch, pool_chunks):
     assert boundary_centers(solo) == boundary_centers(pooled)
 
 
+def certified_tiles(system, w):
+    """Mask of the raster samples the shared tile pass certifies, at log axis w."""
+    table = system._table
+    return lopsided._certified_tiles(table, table.float_values, w, 2, float(np.abs(w).max())) >= 0
+
+
 def per_row_mask(table, raster):
     # one float_classify call per raster row, as rasters were once built
     axis = raster_axis(raster.lo, raster.hi, len(raster.mask))
@@ -325,7 +331,7 @@ def test_raster_batch_matches_per_row_reference(
         # so a transposed mask fails
         assert not np.array_equal(raster.mask, raster.mask.T)
     if tiles == "all":
-        assert system._certified_tiles(np.log(_sample_axis(lo, hi, res))).all()
+        assert certified_tiles(system, np.log(_sample_axis(lo, hi, res))).all()
     if tiles == "straddle":
         axis = raster_axis(lo, hi, res)
         corners = [(axis[i], axis[j]) for i in (24, 32) for j in (0, 8)]
@@ -460,7 +466,7 @@ def test_raster_skips_only_samples_the_pointwise_test_rejects(text, lo, hi, res,
         rows.clear()
         raster = system.rasterize(lo, hi, res, inside)
         assert np.array_equal(raster.mask, ~certified)
-        todo = ~system._certified_tiles(w) & ~(inside if guard else False)
+        todo = ~certified_tiles(system, w) & ~(inside if guard else False)
         # a lone sample is classified as a batch of two
         assert rows == ([max(2, todo.sum())] if todo.any() else [])
         systems.append(system)
@@ -471,7 +477,7 @@ def test_raster_skips_only_samples_the_pointwise_test_rejects(text, lo, hi, res,
     assert all(np.array_equal(r.mask, m) for r, m in zip(together, masks))
     rows.clear()
     assert np.array_equal(system.rasterize(lo, hi, res).mask, raster.mask)
-    untiled = (~system._certified_tiles(w)).sum()
+    untiled = (~certified_tiles(system, w)).sum()
     assert rows == ([max(2, untiled)] if untiled else [])
 
 
@@ -487,7 +493,7 @@ def test_a_failing_guard_tests_the_proven_samples(monkeypatch):
     proved = system.rasterize(lo, hi, res, inside)
     monkeypatch.setattr(semialg, "_margin_error", lambda table, wmax: TAU)
     assert not _rejects_inside(system._table, w)
-    untiled = ~system._certified_tiles(w)
+    untiled = ~certified_tiles(system, w)
     assert (inside & untiled).any()
     rows = _count_float_classify_rows(monkeypatch)
     assert np.array_equal(system.rasterize(lo, hi, res, inside).mask, proved.mask)
@@ -523,7 +529,7 @@ def test_one_level_picture_is_drawn_without_the_proof(fmt, monkeypatch, tmp_path
     assert cli.main([*argv, "-o", str(tmp_path / f"raster.{fmt}")]) == 0
     assert proofs == []
     w = _log_axis(Fraction(1, 20), Fraction(3), 256)
-    untiled = ~semialg_description(parse(CUBIC, 2), 1)._certified_tiles(w)
+    untiled = ~certified_tiles(semialg_description(parse(CUBIC, 2), 1), w)
     assert sum(rows) == untiled.sum()
 
 
