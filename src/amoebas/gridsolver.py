@@ -303,7 +303,8 @@ def _write_lines(records, stream, head, fmt, sep, tail):
     hold len(tails) strings per point.
     """
     spec = records.spec
-    axis = [fmt(x) for x in spec.axis_values()]
+    # one Fraction at a time, so that only the strings are kept
+    axis = [fmt(spec.lo + m * spec.step) for m in range(spec.count)]
     verdicts, inverse = records.classes()
     tails = [tail(level, order) for level, order in verdicts]
     t = len(tails)

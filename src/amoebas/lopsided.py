@@ -62,7 +62,9 @@ takes the verdict m' gives; only rows within B of it, and rows with a
 non-finite p or m2 (where B is not finite), sort and sum sequentially.
 
 Grids and rasters certify most of their lattice points a tile at a
-time, in ``_certified_tiles``.  For a term j the margin
+time, in ``_certified_tiles``, and point queries answer from the tiles
+of the log lattice that ``semialg`` proves as they are visited; both
+test the corners by ``_corner_peaks``.  For a term j the margin
 
     margin_j(w) = v_j(w) - log sum_{i != j} exp v_i(w)
 
@@ -80,7 +82,13 @@ margin_j exceeds TAU + delta at the corners, and so on the whole tile.
 At each of its points every computed value v_i, within delta / 2 of
 exact, then lies below the computed v_j, so j is the computed peak, and
 the computed margin exceeds TAU: the pointwise test certifies the point
-with peak j, and so with the same order.
+with peak j, and so with the same order.  The points need not be
+lattice points.  A point query's values come from ``values`` at the
+point's own numerators and denominator, which is the same three
+roundings when the denominator and the row bound times the largest
+|numerator| are below 2^53, and its coordinates are at most the
+tile's largest |corner| coordinate in magnitude, the wmax its delta
+is taken at.
 """
 
 from __future__ import annotations
@@ -339,15 +347,14 @@ def _certified_tiles(table, values, axis, nvars, wmax):
     are exact floats, or ``float_values`` at log points of two
     variables.  wmax bounds every coordinate's magnitude.  Tiles are
     TILE steps per side, the last one per axis running to the last
-    point.  A tile is certified when its 2^nvars corners pass
-    ``_certify`` at TAU + 2*delta, delta being ``_margin_error``, all
-    with one peak that carries an order; the module docstring shows that
-    the pointwise test then certifies each of its points with that peak,
-    which holds them when axis is nondecreasing.  A point on a cut lies
-    in several tiles, whose certified peaks therefore agree, and takes
-    the largest.  Returns an array of shape (len(axis),) * nvars, of the
-    smallest signed dtype that holds every term index, -1 throughout when
-    axis decreases anywhere.
+    point.  A tile is certified when ``_corner_peaks`` gives its 2^nvars
+    corners one peak, which carries an order; the module docstring
+    shows that the pointwise test then certifies each of its points with
+    that peak, which holds them when axis is nondecreasing.  A point on
+    a cut lies in several tiles, whose certified peaks therefore agree,
+    and takes the largest.  Returns an array of shape (len(axis),) *
+    nvars, of the smallest signed dtype that holds every term index, -1
+    throughout when axis decreases anywhere.
     """
     count = len(axis)
     dtype = np.min_scalar_type(-len(table))
@@ -356,9 +363,7 @@ def _certified_tiles(table, values, axis, nvars, wmax):
     cuts = np.append(np.arange(0, count - 1, TILE), count - 1)
     grids = np.meshgrid(*[axis[cuts]] * nvars, indexing="ij")
     corners = np.stack([g.ravel() for g in grids], axis=1)
-    tau = TAU + 2 * _margin_error(table, wmax)
-    ok, idx, _ = table._batched(lambda part: table._certify(values(part), tau), corners)
-    peak = np.where(ok, idx, -1).astype(dtype).reshape((len(cuts),) * nvars)
+    peak = _corner_peaks(table, values, corners, wmax).astype(dtype).reshape((len(cuts),) * nvars)
     # a tile keeps its low corner's peak when every other corner agrees
     tiles = peak[(slice(-1),) * nvars].copy()
     for offsets in product((0, 1), repeat=nvars):
@@ -370,6 +375,20 @@ def _certified_tiles(table, values, axis, nvars, wmax):
     for ax in range(nvars):
         tiles = np.maximum(np.take(tiles, first, axis=ax), np.take(tiles, second, axis=ax))
     return tiles
+
+
+def _corner_peaks(table, values, corners, wmax):
+    """Each corner's peak when it passes ``_certify`` at TAU + 2*delta, else -1.
+
+    corners is an (N, nvars) array or sequence of tile corners, values
+    gives their log magnitudes as in ``_certified_tiles``, and delta is
+    ``_margin_error`` over coordinates at most wmax in magnitude.  A tile
+    whose corners all have one peak j >= 0 holds only points that the
+    pointwise test certifies with peak j (see the module docstring).
+    """
+    tau = TAU + 2 * _margin_error(table, wmax)
+    ok, idx, _ = table._batched(lambda part: table._certify(values(part), tau), corners)
+    return np.where(ok, idx, -1)
 
 
 def _margin_error(table, wmax):

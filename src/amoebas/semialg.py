@@ -24,6 +24,15 @@ Most of a raster is certified a tile at a time, by the tile pass that
 grids share, ``lopsided._certified_tiles``, over the float log sample
 axis; only the samples of the other tiles are tested one by one.
 
+Point queries reuse the same corner proof.  The log lattice
+(Z / 8)^nvars cuts log space into cubes of side 1/8, and a query whose
+inner products are exact floats looks its cube up among those its
+system has proven: the second query in a cube tests the cube's corners
+with ``lopsided._corner_peaks``, unless the first query there was not
+certified, and when they share one peak every later query in the cube
+returns that peak's order untested.  Other queries, and queries in
+cubes whose corners prove nothing, are classified one by one.
+
 Samples proven inside the amoeba need not be tested at all.  When a
 picture draws several levels, ``rasterize_levels`` proves them once,
 before the first level: ``zerocount.lattice_inside`` finds the samples
@@ -48,17 +57,37 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .cycres import quick_cyclic_resultant
 from .gaussian import half_ln_error
 from .gridsolver import MAX_GRID_POINTS
-from .lopsided import _EXACT_FLOAT, TAU, TermTable, _certified_tiles, _margin_error, point_numerators
+from .lopsided import (
+    _EXACT_FLOAT,
+    TAU,
+    TermTable,
+    _certified_tiles,
+    _corner_peaks,
+    _margin_error,
+    point_numerators,
+)
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
 from .newton import newton
 from .poly import ExponentVector, LaurentPoly, _format_monomial, _grade_key
 from .zerocount import lattice_inside
+
+# Query tiles are the cubes of side 1/_QUERY_TILE between the points of
+# the log lattice (Z / _QUERY_TILE)^nvars.
+_QUERY_TILE = 8
+
+# Cells a system's tile dict holds before it is cleared.
+_QUERY_TILES_CAP = 1 << 16
+
+# A cell's entry after a certified first visit; a proven cell holds its
+# peak, and -1 when its corners or its first visit prove nothing.
+_SEEN = -2
 
 @dataclass(frozen=True)
 class Candidate:
@@ -188,7 +217,7 @@ class SemiAlgSystem:
     of every certified peak is among them.
     """
 
-    __slots__ = ("f", "level", "nvars", "candidates", "_table")
+    __slots__ = ("f", "level", "nvars", "candidates", "_table", "_tiles")
 
     def __init__(self, f: LaurentPoly, level, g: LaurentPoly):
         self.f = f
@@ -199,14 +228,65 @@ class SemiAlgSystem:
         sq = dict(zip(self._table.exponents, self._table.sq))
         scaled = [(o, tuple(scale * v for v in o)) for o in sorted(newton(f), key=_grade_key)]
         self.candidates = tuple(Candidate(o, s, sq.get(s, Fraction(0))) for o, s in scaled)
+        self._tiles = {}
 
     # -- point queries ----------------------------------------------------
 
     def certify_log(self, w):
-        """Component order when some branch holds at log point w, else None."""
+        """Component order when some branch holds at log point w, else None.
+
+        The order is the one a ``TermTable.classify`` of w gives.  When
+        w's denominator and the row bound times its largest |numerator|
+        are below 2^53, its inner products are exact floats and w is
+        looked up in its query tile, the cell floor(w * _QUERY_TILE) of
+        the lattice: the first query in a cell is classified and only
+        recorded, the second proves the cell by ``_tile_peak`` unless the
+        first was not certified, and a query in a proven cell returns the
+        order of the cell's peak without a classify.  The cells are
+        cleared when _QUERY_TILES_CAP of them are held.  Queries in other
+        cells, and all other queries, are classified.
+        Threads that query one system at once may prove a cell twice, but
+        a cell only ever holds _SEEN, -1 or a proven peak.
+        """
         nums, den = point_numerators(w, self.nvars)
-        ok, idx, _ = self._table.classify([nums], den)
-        return self._table.orders[idx[0]] if ok[0] else None
+        table = self._table
+        tiles = self._tiles
+        cell = peak = None
+        if den < _EXACT_FLOAT and table._row_bound * max(map(abs, nums)) < _EXACT_FLOAT:
+            # Python ints floor negative coordinates down
+            cell = tuple([n * _QUERY_TILE // den for n in nums])
+            peak = tiles.get(cell)
+            if peak == _SEEN:
+                peak = tiles[cell] = self._tile_peak(cell)
+            if peak is not None and peak >= 0:
+                return table.orders[peak]
+        ok, idx, _ = table.classify([nums], den)
+        if cell is not None and peak is None:
+            if len(tiles) >= _QUERY_TILES_CAP:
+                tiles.clear()
+            # a tile that holds an uncertified point is never proven
+            tiles[cell] = _SEEN if ok[0] else -1
+        return table.orders[idx[0]] if ok[0] else None
+
+    def _tile_peak(self, cell):
+        """The peak every point of the query tile cell is certified with, else -1.
+
+        The tile's 2^nvars corners, (cell + offset) / _QUERY_TILE with
+        each offset 0 or 1, go through ``lopsided._corner_peaks`` at the
+        tile's largest |corner| coordinate; ``lopsided``'s module
+        docstring shows that when they share one peak, every point of the
+        tile whose inner products are exact floats is certified with it.
+        -1 when the corners' own inner products may not be exact.
+        """
+        table = self._table
+        top = max(max(abs(c), abs(c + 1)) for c in cell)
+        if top >= _EXACT_FLOAT or table._row_bound * top >= _EXACT_FLOAT:
+            return -1
+        corners = list(product(*[(c, c + 1) for c in cell]))
+        peaks = _corner_peaks(
+            table, lambda rows: table.values(rows, _QUERY_TILE), corners, top / _QUERY_TILE
+        ).tolist()
+        return peaks[0] if peaks.count(peaks[0]) == len(peaks) else -1
 
     # -- rasterization ------------------------------------------------------
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import math
+import random
+import threading
 
 import jsonschema
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from amoebas import cli, lopsided, semialg, zerocount
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.gaussian import GaussianRational
-from amoebas.lopsided import TAU, TermTable, order_from_certificate
+from amoebas.lopsided import TAU, TermTable, order_from_certificate, peak_margins, point_numerators
 from amoebas.poly import LaurentPoly, parse
 from amoebas.semialg import (
     Raster,
@@ -182,8 +184,9 @@ def test_certify_matches_raw_certificate(w):
 
 
 def test_single_queries_match_one_batched_classify(cubic):
-    # certify_log classifies a batch of one row, which takes the one-row
-    # forms of values and _certify; on 2,000 points of the level-5 cubic
+    # certify_log classifies the queries no proven tile answers as a batch
+    # of one row, which takes the one-row forms of values and _certify,
+    # and answers the rest from tiles; on 2,000 points of the level-5 cubic
     # (1,585 terms) with one prime denominator it must return, point by
     # point, the order one batched classify gives
     system = semialg_description(cubic, 5)
@@ -209,6 +212,214 @@ def test_denominator_beyond_float_range_is_a_value_error(line_system, num):
     # numerator 1 takes the float route, 10^400 + 1 the exact one
     with pytest.raises(ValueError, match="too large for a float"):
         line_system.certify_log((Fraction(num, 10**400), 0))
+
+
+# (polynomial, variables, level, denominator): each denominator is a
+# multiple of the query tile's, so that some points sit on tile cuts
+QUERY_TILE_CASES = [
+    pytest.param(CUBIC, 2, 5, 8 * 997, id="cubic-5"),
+    pytest.param("(2-1i)*z1*z2^-2 - 3/4 + z1^2 + (1+1i)*z2", 2, 3, 8 * 9, id="gauss-laurent-3"),
+    pytest.param("z1 + z2 + z3 + z1^-1*z2^-1*z3^-1 + 3", 3, 1, 8 * 5, id="three-var-1"),
+]
+
+
+def _query_numerators(nvars, den, count, seed):
+    """Seeded numerators over den in [-2, 2]^nvars: the first quarter of the
+    rows on tile cuts in every coordinate, the second in the first one."""
+    rng = np.random.default_rng(seed)
+    nums = rng.integers(-2 * den, 2 * den + 1, size=(count, nvars))
+    cut = den // semialg._QUERY_TILE
+    nums[: count // 4] -= nums[: count // 4] % cut
+    nums[count // 4 : count // 2, 0] -= nums[count // 4 : count // 2, 0] % cut
+    return nums
+
+
+def _spy(monkeypatch, owner, name):
+    """A list that gets the arguments of every call of owner.name."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("text, nvars, level, den", QUERY_TILE_CASES)
+def test_tile_answers_match_one_batched_classify(text, nvars, level, den, monkeypatch):
+    # each point is queried twice, so that its tile is proven by the second
+    # pass at the latest; both passes give, point by point, the order one
+    # batched classify gives, and the second answers some from tiles
+    system = semialg_description(parse(text, nvars), level)
+    table = system._table
+    nums = _query_numerators(nvars, den, 1200, level)
+    assert (nums < 0).any() and (nums % (den // semialg._QUERY_TILE) == 0).any()
+    ok, idx, _ = table.classify(nums, den)
+    want = [table.orders[int(i)] if hit else None for hit, i in zip(ok, idx)]
+    assert any(want) and not all(want)
+    points = [tuple(Fraction(n, den) for n in row) for row in nums.tolist()]
+    assert [system.certify_log(w) for w in points] == want
+    classified = _spy(monkeypatch, TermTable, "classify")
+    assert [system.certify_log(w) for w in points] == want
+    proven = [peak for peak in system._tiles.values() if peak >= 0]
+    assert proven and len(classified) < len(points) - len(proven)
+
+
+def test_query_tiles_floor_negative_coordinates():
+    # the cell is floor(8 w) per coordinate, also below 0 and on a cut
+    system = semialg_description(parse(CUBIC, 2), 1)
+    cells = {
+        (Fraction(-1, 16), Fraction(3, 8)): (-1, 3),
+        (Fraction(-3, 8), Fraction(-17, 16)): (-3, -9),
+        (Fraction(5), Fraction(-1, 1000)): (40, -1),
+        (Fraction(-2), Fraction(1, 9)): (-16, 0),
+    }
+    for w, cell in cells.items():
+        nums, den = point_numerators(w, 2)
+        ok, idx, _ = system._table.classify([nums], den)
+        want = system._table.orders[idx[0]] if ok[0] else None
+        for _ in range(3):
+            assert system.certify_log(w) == want
+        assert cell in system._tiles
+    assert len(system._tiles) == len(cells)
+
+
+def test_query_tiles_whose_corners_disagree_stay_unproven():
+    # near (5, 5) the line 15 w1 = 15 w2 + ln(23/9), where neither term
+    # outweighs the other, crosses the cube [5, 5 + 1/8]^2 between its
+    # corners: all four are certified, three with z2^15's order and one
+    # with z1^15's, and the points near the line are certified by neither
+    system = semialg_description(parse("z1^15 + 23/9*z2^15 + 1", 2), 1)
+    table = system._table
+    corners = [(a, b) for a in (40, 41) for b in (40, 41)]
+    peaks, margins = peak_margins(table.values(corners, semialg._QUERY_TILE))
+    assert (margins > TAU).all() and [table.orders[i] for i in peaks] == [(0, 15)] * 2 + [(15, 0), (0, 15)]
+    nums = [(a, b) for a in range(320, 329) for b in range(320, 329)]
+    ok, idx, _ = table.classify(nums, 64)
+    want = [table.orders[int(i)] if hit else None for hit, i in zip(ok, idx)]
+    assert None in want
+    for _ in range(2):
+        assert [system.certify_log((Fraction(a, 64), Fraction(b, 64))) for a, b in nums] == want
+    assert system._tiles[40, 40] == -1
+
+
+def test_query_tile_corners_pass_by_twice_the_error_bound(monkeypatch):
+    # with delta patched to 1/2 a cell is proven exactly when its corners
+    # all pass at TAU + 1 with one peak that carries an order, delta being
+    # taken at the tile's largest |corner| coordinate; some cells whose
+    # corners pass at TAU with one peak stay unproven, and every verdict
+    # is classify's
+    system = semialg_description(parse(CUBIC, 2), 2)
+    table = system._table
+    monkeypatch.setattr(lopsided, "_margin_error", lambda t, wmax: 0.5)
+    built = _spy(monkeypatch, semialg, "_corner_peaks")
+    den = 16
+    axis = range(-2 * den, 2 * den + 1)
+    nums = np.array([(a, b) for a in axis for b in axis])
+    ok, idx, _ = table.classify(nums, den)
+    want = [table.orders[int(i)] if hit else None for hit, i in zip(ok, idx)]
+    points = [(Fraction(a, den), Fraction(b, den)) for a, b in nums.tolist()]
+    for _ in range(2):
+        assert [system.certify_log(w) for w in points] == want
+    near = 0
+    for cell, peak in system._tiles.items():
+        corners = [(a, b) for a in (cell[0], cell[0] + 1) for b in (cell[1], cell[1] + 1)]
+        peaks, margins = peak_margins(table.values(corners, semialg._QUERY_TILE))
+        one = len(set(peaks.tolist())) == 1 and table.orders[int(peaks[0])] is not None
+        assert peak == (int(peaks[0]) if one and (margins > TAU + 1).all() else -1)
+        near += one and (margins > TAU).all() and not (margins > TAU + 1).all()
+    assert near and sum(peak >= 0 for peak in system._tiles.values())
+    assert built and all(wmax == np.abs(corners).max() / 8 for _, _, corners, wmax in built)
+
+
+def test_queries_past_the_exact_route_are_classified(monkeypatch):
+    # a denominator at 2^53 or more, or a row bound times a numerator at
+    # 2^53 or more, sends every query to classify and records no cell; at
+    # w1 = big - 1 the query is exact but its cell's corner numerators,
+    # 8 (big - 1) over 8, are not, so the cell is never proven
+    system = semialg_description(parse(CUBIC, 2), 1)
+    table = system._table
+    big = -(-(2**53) // table._row_bound)
+    assert table._row_bound * (big - 1) < 2**53
+    classified = _spy(monkeypatch, TermTable, "classify")
+    corners = _spy(monkeypatch, semialg, "_corner_peaks")
+    past = [(Fraction(1, 3**34), Fraction(0)), (Fraction(big), Fraction(1, 3)), (Fraction(-big, 7), Fraction(0))]
+    for w in past:
+        nums, den = point_numerators(w, 2)
+        ok, idx, _ = table.classify([nums], den)
+        want = table.orders[idx[0]] if ok[0] else None
+        del classified[:]
+        for _ in range(3):
+            assert system.certify_log(w) == want
+        assert len(classified) == 3
+    assert system._tiles == {} and corners == []
+    edge = (Fraction(big - 1), Fraction(0))
+    for _ in range(3):
+        system.certify_log(edge)
+    assert system._tiles == {(8 * (big - 1), 0): -1} and corners == []
+
+
+def test_first_visit_builds_no_tile(monkeypatch):
+    system = semialg_description(parse(CUBIC, 2), 1)
+    classified = _spy(monkeypatch, TermTable, "classify")
+    corners = _spy(monkeypatch, semialg, "_corner_peaks")
+    # z1^3 outweighs the rest on the whole tile [3, 3 + 1/8] x [1/4, 3/8]
+    first, second = (Fraction(3), Fraction(1, 4)), (Fraction(49, 16), Fraction(5, 16))
+    assert system.certify_log(first) == (3, 0)
+    assert (len(classified), len(corners), system._tiles) == (1, 0, {(24, 2): semialg._SEEN})
+    assert system.certify_log(second) == (3, 0)
+    assert (len(classified), len(corners)) == (1, 1)
+    assert system._tiles[24, 2] >= 0
+    assert system.certify_log(first) == (3, 0)
+    assert (len(classified), len(corners)) == (1, 1)
+    # a cell whose first query is not certified is never proven: w1 = w2
+    # near 3 is where z1^3 and z2^3 weigh alike
+    for w in [(Fraction(3), Fraction(3)), (Fraction(49, 16), Fraction(49, 16))] * 2:
+        assert system.certify_log(w) is None
+    assert (len(classified), len(corners), system._tiles[24, 24]) == (5, 1, -1)
+
+
+def test_query_tiles_stay_under_their_cap(monkeypatch):
+    monkeypatch.setattr(semialg, "_QUERY_TILES_CAP", 5)
+    system = semialg_description(parse(CUBIC, 2), 2)
+    table = system._table
+    nums = _query_numerators(2, 24, 300, 7)
+    ok, idx, _ = table.classify(nums, 24)
+    want = [table.orders[int(i)] if hit else None for hit, i in zip(ok, idx)]
+    sizes = []
+    for row, expect in zip(nums.tolist() * 2, want * 2):
+        assert system.certify_log((Fraction(row[0], 24), Fraction(row[1], 24))) == expect
+        sizes.append(len(system._tiles))
+    assert max(sizes) == 5 and min(sizes[10:]) < 5
+
+
+def test_threads_sharing_a_system_get_the_classify_verdicts(monkeypatch):
+    # eight threads query one system's points in their own orders while
+    # the cap clears the cells often; every verdict is still classify's
+    monkeypatch.setattr(semialg, "_QUERY_TILES_CAP", 16)
+    system = semialg_description(parse(CUBIC, 2), 2)
+    table = system._table
+    nums = _query_numerators(2, 40, 400, 11)
+    ok, idx, _ = table.classify(nums, 40)
+    want = {tuple(row): table.orders[int(i)] if hit else None for row, hit, i in zip(nums.tolist(), ok, idx)}
+    wrong = []
+
+    def run(seed):
+        rows = list(want) * 3
+        random.Random(seed).shuffle(rows)
+        for row in rows:
+            if system.certify_log((Fraction(row[0], 40), Fraction(row[1], 40))) != want[row]:
+                wrong.append(row)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(system._tiles) <= 16
 
 
 def test_raster_of_exponents_beyond_float_range_is_a_value_error():
