@@ -61,6 +61,22 @@ whose margin m' from S' lies more than B from the threshold therefore
 takes the verdict m' gives; only rows within B of it, and rows with a
 non-finite p or m2 (where B is not finite), sort and sum sequentially.
 
+A lone row, as a point query tests, also raises each v - m2 to
+_EXP_FLOOR = -700 before its exp: numpy's exp is many times slower on
+arguments whose result underflows.  exp(-700), within 4 ulps of
+e^-700 < 1e-304, is a normal float, so each summand, the peak's 0
+included, moves by at most 1.01 e^-700, and log X by at most
+1.01 t e^-700 as X >= 1; as the peak's summand is no longer 0, a path
+may make t - 1 inexact additions.  The lone row's margin then lies
+within
+
+    2.2 gamma_{t-1} + 1.01 t e^-700 + 16u log t + 2u (|p| + 2|m2| + 2 log t)
+
+of the sorted one, still below B: B keeps over 2^-53 t spare above
+2.2 gamma_{t-2}, which covers the 2.2u more of gamma_{t-1} and the
+clamp's term, far below 2^-53 for any table of at most
+``cycres.MAX_TERMS`` terms.  Batches of two or more rows take no clamp.
+
 Grids and rasters certify most of their lattice points a tile at a
 time, in ``_certified_tiles``, and point queries answer from the tiles
 of the log lattice that ``semialg`` proves as they are visited; both
@@ -119,6 +135,11 @@ _EXACT_FLOAT = 2 ** 53
 # Steps per side of a lattice tile whose corners may certify it whole.
 TILE = 8
 
+# A lone band row raises each exp argument to this floor: exp(-700) is
+# a normal float, where numpy's exp is fast, and adds under 1e-304 per
+# term to a sum of at least 1.
+_EXP_FLOOR = -700.0
+
 # Values per classify chunk, rows times terms, so each of a chunk's
 # float matrices stays near 512 KB however many terms the level has.
 CHUNK_CELLS = 1 << 16
@@ -145,11 +166,14 @@ class Certificate:
 
 def point_numerators(w, nvars):
     """Rational point -> (integer numerators, common denominator)."""
-    coords = [x if isinstance(x, Fraction) else Fraction(x) for x in w]
-    if len(coords) != nvars:
-        raise ValueError(f"point has {len(coords)} coordinates, expected {nvars}")
-    den = math.lcm(*(c.denominator for c in coords)) if coords else 1
-    nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+    ratios = [(x if isinstance(x, Fraction) else Fraction(x)).as_integer_ratio() for x in w]
+    if len(ratios) != nvars:
+        raise ValueError(f"point has {len(ratios)} coordinates, expected {nvars}")
+    nums, dens = zip(*ratios) if ratios else ((), (1,))
+    den = dens[0]
+    if dens.count(den) != len(dens):
+        den = math.lcm(*set(dens))
+        nums = tuple(n * (den // d) for n, d in ratios)
     return nums, den
 
 
@@ -301,9 +325,12 @@ class TermTable:
         sequentially.  The module docstring shows why every verdict
         equals the full margin's, for any tau.  A batch of one row
         decides both edges in Python floats, by the same IEEE double
-        operations as the array form.  Band rows are tested where they
-        lie: the band test runs on the whole chunk and only the band
-        rows' verdicts are kept.  values is overwritten.
+        operations as the array form, and its band from the sum of
+        exp(max(v - m2, _EXP_FLOOR)), a new array; only when that margin
+        lies within B of tau, or the gap is not finite, does the row go
+        to ``_band_verdicts`` as it was left.  In a batch, band rows are
+        tested where they lie: the band test runs on the whole chunk and
+        only the band rows' verdicts are kept.  values is overwritten.
         """
         n, t = values.shape
         if t == 1:
@@ -318,7 +345,16 @@ class TermTable:
             gap = peak - m2
             ok = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
             if not (math.isfinite(gap) and (ok or gap <= tau)):
-                ok = bool(_band_verdicts(np.array([peak]), values, np.array([m2]), tau)[0])
+                margin = math.nan
+                if math.isfinite(gap):
+                    z = v - m2
+                    np.maximum(z, _EXP_FLOOR, out=z)
+                    margin = peak - (m2 + math.log(float(np.exp(z, out=z).sum())))
+                bound = 2.0 ** -50 * (t + abs(peak) + 2 * abs(m2) + 10 * math.log(t))
+                if abs(margin - tau) > bound:
+                    ok = margin > tau
+                else:
+                    ok = bool(_band_verdicts(np.array([peak]), values, np.array([m2]), tau)[0])
             return np.array([ok and self._has_order[i]]), np.array([i]), np.array([ok])
         else:
             idx, peak, rest, m2 = _mask_peaks(values)

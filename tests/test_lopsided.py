@@ -25,7 +25,7 @@ from amoebas.lopsided import (
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
 from conftest import polys, rational_points
-from oracles import CUBIC_BM4, LINE
+from oracles import CUBIC, CUBIC_BM4, LINE
 
 
 def mp_margin(p, w, dominant):
@@ -289,6 +289,108 @@ def test_all_band_and_mixed_batches_match_full_margins(monkeypatch):
                 assert np.shares_memory(rest, work) and rest.shape == work.shape
 
 
+@functools.lru_cache(maxsize=None)
+def cubic_table(level):
+    return TermTable(quick_cyclic_resultant(parse(CUBIC, 2), level), level)
+
+
+def _lone_rows(rng, n, t):
+    """n rows of t values whose v - m2 spans [-spread, 0], spread up to
+    3,000, so that many of their exps underflow to 0 or to subnormals.
+
+    m2 lies in [-600, 600], so that 40 ulps of the peak reach past the
+    band's bound B on the larger rows.  The kinds cycle: the sorted margin
+    planted within 40 ulps of TAU, twice; a gap anywhere in the band;
+    a gap the bracket accepts; one it rejects; and a planted row with
+    inf, -inf or NaN entries, or with every value but one at -inf.
+    """
+    ln = math.log(t - 1)
+    rows = []
+    for i in range(n):
+        m2 = rng.uniform(-600.0, 600.0)
+        spread = rng.choice([5.0, 50.0, 710.0, 760.0, 3000.0])
+        others = m2 - rng.uniform(0.0, spread, t - 1)
+        others[0], others[1] = m2, m2 - spread
+        kind = i % 6
+        if kind in (0, 1, 5):
+            # the ascending sequential sum peak_margins takes
+            s = np.cumsum(np.sort(np.exp(others - m2)))[-1]
+            peak = (m2 + math.log(s)) + TAU
+            peak += int(rng.integers(-40, 41)) * np.spacing(peak)
+        elif kind == 2:
+            peak = m2 + rng.uniform(2 * TAU, ln)
+        elif kind == 3:
+            peak = m2 + ln + 1.0
+        else:
+            peak = m2 + rng.uniform(0.0, TAU)
+        row = np.append(peak, others)
+        if kind == 5:
+            if i % 4 == 1:
+                row[1:] = -math.inf
+            else:
+                row[rng.integers(0, t, 1 + i % 3)] = rng.choice([math.inf, -math.inf, math.nan])
+        rows.append(rng.permutation(row))
+    return np.array(rows)
+
+
+def test_lone_band_rows_match_full_margins_bit_for_bit(monkeypatch):
+    # a lone row decides its band from a clamped unsorted sum in Python
+    # floats, and falls back to _band_verdicts on its untouched row
+    # exactly when that margin lies within B of TAU or the gap is not
+    # finite; every verdict and peak equals the full margins', even
+    # where the exps underflow or fall to subnormals
+    from amoebas import lopsided
+
+    table = cubic_table(5)
+    t = len(table)
+    seen = []
+    band_verdicts = lopsided._band_verdicts
+
+    def spy(peak, rest, m2, tau):
+        seen.append(rest.copy())
+        return band_verdicts(peak, rest, m2, tau)
+
+    monkeypatch.setattr(lopsided, "_band_verdicts", spy)
+    rows = _lone_rows(np.random.default_rng(24), 1200, t)
+    with np.errstate(invalid="ignore"):  # inf - inf in the planted rows
+        peaks, margin = peak_margins(rows)
+    ln = math.log(t - 1)
+    counts = dict.fromkeys(["fallback", "nonfinite", "inner", "outer", "underflow", "subnormal"], 0)
+    for row, j, full in zip(rows, peaks, margin):
+        seen.clear()
+        with np.errstate(invalid="ignore"):
+            ok, idx, lopsided_ = table._certify(row[None, :].copy())
+        assert idx[0] == j and lopsided_[0] == (full > TAU)
+        assert ok[0] == (lopsided_[0] and table._has_order[j])
+        # the rows that must fall back, from the bracket and the bound
+        rest = row.copy()
+        peak = float(rest[j])
+        rest[j] = -math.inf
+        m2 = float(rest.max())
+        gap = peak - m2
+        if math.isfinite(gap) and (gap <= TAU or peak - (m2 + (ln + 1e-6)) > TAU):
+            want = False
+        elif not math.isfinite(gap):
+            want = True
+            counts["nonfinite"] += 1
+        else:
+            z = rest - m2
+            counts["underflow"] += int((z < -745.2).sum())
+            counts["subnormal"] += int(((z > -745.1) & (z < -708.4)).sum())
+            unsorted = peak - (m2 + math.log(float(np.exp(np.maximum(z, lopsided._EXP_FLOOR)).sum())))
+            bound = 2.0 ** -50 * (t + abs(peak) + 2 * abs(m2) + 10 * math.log(t))
+            want = not abs(unsorted - TAU) > bound
+            # rows that a bound of B / 2 or 2B would decide otherwise
+            counts["inner"] += bound / 2 < abs(unsorted - TAU) <= bound
+            counts["outer"] += bound < abs(unsorted - TAU) <= 2 * bound
+        assert len(seen) == want
+        if want:
+            assert np.array_equal(seen[0], rest[None, :], equal_nan=True)
+            counts["fallback"] += 1
+    # every case the clamp's proof covers is reached
+    assert all(counts.values()), counts
+
+
 def test_mask_peaks_second_value_equals_row_max():
     # m2 is read at the argmax of what is left; on rows with ties, -inf,
     # NaN and infinities it equals the row max, NaN for NaN
@@ -334,7 +436,16 @@ def test_float_values_add_logb_in_place_bit_for_bit(cubic):
 def test_bracket_numpy_primitives_hold_on_simd_lengths():
     # the bracket proof needs exp(0) == 1, exp(x <= 0) <= 1 and
     # log(x >= 1) >= 0 from the vectorised loops, in place as well, and
-    # the raster tiles a log that keeps the order of its inputs
+    # the raster tiles a log that keeps the order of its inputs.  A lone
+    # band row's clamp needs exp(_EXP_FLOOR) normal, exp no larger below
+    # the floor, and the clamp's shift over a table of cycres.MAX_TERMS
+    # terms far below the 2^-53 per term that B keeps spare
+    from amoebas.cycres import MAX_TERMS
+    from amoebas.lopsided import _EXP_FLOOR
+
+    floor = np.exp(_EXP_FLOOR)
+    assert np.finfo(float).tiny < floor < 1e-300
+    assert MAX_TERMS * floor < 2.0 ** -53 * 1e-280
     rng = np.random.default_rng(7)
     tiny = np.nextafter(0.0, -1.0)
     for n in (1, 7, 64, 1023, 4099):
@@ -352,6 +463,10 @@ def test_bracket_numpy_primitives_hold_on_simd_lengths():
         ones[::4] = 1.0
         ones[1::6] = np.nextafter(1.0, 2.0)
         assert (np.log(ones) >= 0.0).all()
+        low = _EXP_FLOOR - rng.exponential(rng.choice([1e-12, 1.0, 45.0, 800.0]), n)
+        low[::7] = _EXP_FLOOR
+        assert (np.exp(low) <= floor).all()
+        assert (np.exp(np.maximum(low, _EXP_FLOOR)) == floor).all()
         # rasters certify whole tiles only along a nondecreasing log axis
         spread = np.exp(rng.uniform(-700, 700, n))
         axis = np.sort(np.concatenate([spread, np.nextafter(spread, math.inf)]))[:n]
@@ -497,13 +612,34 @@ def test_float_route_matches_the_exact_route(p, rows, den):
     assert np.array_equal(bits(single), want)
 
 
+class Half(Fraction):
+    """A Fraction subclass, taken as it is."""
+
+
 def test_point_numerators():
     nums, den = point_numerators((Fraction(1, 2), Fraction(3, 4)), 2)
     assert (nums, den) == ((2, 3), 4)
     nums, den = point_numerators((5, -2), 2)
     assert (nums, den) == ((5, -2), 1)
-    with pytest.raises(ValueError):
-        point_numerators((1,), 2)
+    # one denominator keeps the numerators as they are
+    assert point_numerators((Fraction(-5, 997), Fraction(3, 997)), 2) == ((-5, 3), 997)
+    # mixed and negative inputs take the lcm of the distinct denominators
+    got = point_numerators((Fraction(-1, 6), 2, Fraction(3, 4), Fraction(-7, 6)), 4)
+    assert got == ((-2, 24, 9, -14), 12)
+    assert point_numerators((Half(1, 2), "-1/3", "5"), 3) == ((3, -2, 30), 6)
+    assert point_numerators((Fraction(2**70, 3**40), -(2**80)), 2) == (
+        (2**70, -(2**80) * 3**40),
+        3**40,
+    )
+    assert point_numerators((), 0) == ((), 1)
+    # every output is a plain int, and every numerator over den gives back its coordinate
+    point = (Half(7, 10), "1/4", -3, Fraction(-9, 25))
+    nums, den = point_numerators(point, 4)
+    assert all(type(x) is int for x in (*nums, den))
+    assert [Fraction(n, den) for n in nums] == [Fraction(x) for x in point]
+    for bad, nvars in (((1,), 2), ((1, 2, 3), 2), ((), 1)):
+        with pytest.raises(ValueError, match=f"point has {len(bad)} coordinates, expected {nvars}"):
+            point_numerators(bad, nvars)
 
 
 def test_zero_poly_has_no_table():
