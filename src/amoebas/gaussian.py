@@ -37,8 +37,9 @@ class GaussianRational:
     im: Fraction
 
     def __init__(self, re: _Rat = 0, im: _Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable, so one is kept as it is, not copied
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def coerce(cls, value: "GaussianRational | int | Fraction") -> "GaussianRational":
@@ -51,10 +52,6 @@ class GaussianRational:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
 
     def abs_squared(self) -> Fraction:
         """|a + b*i|^2 = a^2 + b^2, exact."""

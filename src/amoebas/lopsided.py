@@ -24,11 +24,11 @@ equal values resolve to the earliest term in graded-lex descending
 order.  The exact integers come from a float64 BLAS product while every
 product and partial sum stays below 2^53, where float64 is exact in any
 summation order, and from Python ints past that.  So any BLAS routine
-may compute them, the matrix-vector product of a lone row included,
-and only ``float_values``, whose float products round, needs batches
-of two or more rows.  A point is therefore classified identically no
-matter which route tested it, how the batch was chunked or how many
-worker threads ran the chunks.
+may compute them, the matrix-vector product of a lone row in
+``TermTable._lone_values`` included, and only ``float_values``, whose
+float products round, needs batches of two or more rows.  A point is
+therefore classified identically no matter which route tested it, how
+the batch was chunked or how many worker threads ran the chunks.
 
 Most verdicts need only the peak p and the second-largest value m2
 (the gap bracket).  The computed margin is p - (m2 + log S), where S
@@ -61,9 +61,14 @@ whose margin m' from S' lies more than B from the threshold therefore
 takes the verdict m' gives; only rows within B of it, and rows with a
 non-finite p or m2 (where B is not finite), sort and sum sequentially.
 
-A lone row, as a point query tests, also raises each v - m2 to
-_EXP_FLOOR = -700 before its exp: numpy's exp is many times slower on
-arguments whose result underflows.  exp(-700), within 4 ulps of
+A lone row, as a point query tests, is decided by one method,
+``TermTable._lone_verdict``: ``_certify`` calls it on a batch of one
+row, and ``semialg``'s point queries enter it directly with the row
+``_lone_values`` builds, past ``classify`` and ``values``.  It takes
+the bracket edges in Python floats, by the same IEEE double operations
+as a batch, and raises each v - m2 of its band to _EXP_FLOOR = -700
+before its exp: numpy's exp is many times slower on arguments whose
+result underflows.  exp(-700), within 4 ulps of
 e^-700 < 1e-304, is a normal float, so each summand, the peak's 0
 included, moves by at most 1.01 e^-700, and log X by at most
 1.01 t e^-700 as X >= 1; as the peak's summand is no longer 0, a path
@@ -99,9 +104,9 @@ At each of its points every computed value v_i, within delta / 2 of
 exact, then lies below the computed v_j, so j is the computed peak, and
 the computed margin exceeds TAU: the pointwise test certifies the point
 with peak j, and so with the same order.  The points need not be
-lattice points.  A point query's values come from ``values`` at the
-point's own numerators and denominator, which is the same three
-roundings when the denominator and the row bound times the largest
+lattice points.  A point query's values come from ``_lone_values`` at
+the point's own numerators and denominator, the same three roundings
+as ``values`` when the denominator and the row bound times the largest
 |numerator| are below 2^53, and its coordinates are at most the
 tile's largest |corner| coordinate in magnitude, the wmax its delta
 is taken at.
@@ -195,7 +200,7 @@ class TermTable:
 
     __slots__ = (
         "nvars", "level", "exponents", "sq", "logb", "orders",
-        "_has_order", "_row_bound", "_fmat",
+        "_has_order", "_row_bound", "_fmat", "_lone_limit",
     )
 
     def __init__(self, p: LaurentPoly, level=0):
@@ -215,6 +220,11 @@ class TermTable:
             self._fmat = np.array(self.exponents, dtype=np.float64)
         except OverflowError:
             self._fmat = None
+        # a row whose largest |entry| is below this has its entries and
+        # inner products below 2^53 (a constant table has row bound 0),
+        # so ``_lone_values`` may compute them; no row when an exponent
+        # does not fit a float
+        self._lone_limit = 0 if self._fmat is None else -(-_EXACT_FLOAT // max(self._row_bound, 1))
 
     def __len__(self):
         return len(self.exponents)
@@ -227,19 +237,16 @@ class TermTable:
         float64 BLAS product computes the integers only when the row
         bound times the largest row entry is below 2^53, which makes every
         product and partial sum exact; Python ints compute them
-        otherwise.  A lone row takes that bound in Python ints and the
-        matrix-vector product.  ValueError when an exact inner product or
-        den does not fit a float.
+        otherwise.  A lone row whose largest |entry| is below
+        ``_lone_limit`` takes ``_lone_values``.  ValueError when an exact
+        inner product or den does not fit a float.
         """
-        exact = None
-        if len(rows) == 1 and self._fmat is not None:
-            # an np.int64 product of the row bound can wrap, a Python int
-            # cannot; a constant table has row bound 0, so bound the row too
-            row = [int(x) for x in rows[0]]
-            big = max(map(abs, row), default=0)
-            if big < _EXACT_FLOAT and self._row_bound * big < _EXACT_FLOAT:
-                exact = (self._fmat @ np.array(row, dtype=np.float64))[None, :]
-        if exact is None:
+        try:
+            if len(rows) == 1:
+                # in Python ints: the abs of the np.int64 minimum wraps
+                row = [int(x) for x in rows[0]]
+                if max(map(abs, row), default=0) < self._lone_limit:
+                    return self._lone_values(row, den)[None, :]
             try:
                 m = np.asarray(rows, dtype=np.int64)
             except OverflowError:
@@ -253,7 +260,6 @@ class TermTable:
                 exact = m @ self._fmat.T
             else:
                 exact = np.asarray(rows, dtype=object) @ np.array(self.exponents, dtype=object).T
-        try:
             exact = np.asarray(exact, dtype=np.float64)
             exact /= float(den)
         except OverflowError:
@@ -263,6 +269,19 @@ class TermTable:
             ) from None
         exact += self.logb
         return exact
+
+    def _lone_values(self, row, den):
+        """``values`` of one row whose inner products are exact floats, shape (T,).
+
+        row holds ints whose largest |entry| is below ``_lone_limit``, and
+        den is an int.  The matrix-vector product, the division by
+        float(den) and the sum with logb are the same three IEEE
+        operations ``values`` makes on a batch.
+        """
+        v = self._fmat @ np.array(row, dtype=np.float64)
+        v /= float(den)
+        v += self.logb
+        return v
 
     def float_values(self, wmat):
         """Log magnitudes at float log points, shape (N, T).
@@ -323,38 +342,17 @@ class TermTable:
         p or m2), take the exp and an unsorted sum, and only those whose
         margin then lies within the bound B of tau also sort and sum
         sequentially.  The module docstring shows why every verdict
-        equals the full margin's, for any tau.  A batch of one row
-        decides both edges in Python floats, by the same IEEE double
-        operations as the array form, and its band from the sum of
-        exp(max(v - m2, _EXP_FLOOR)), a new array; only when that margin
-        lies within B of tau, or the gap is not finite, does the row go
-        to ``_band_verdicts`` as it was left.  In a batch, band rows are
-        tested where they lie: the band test runs on the whole chunk and
-        only the band rows' verdicts are kept.  values is overwritten.
+        equals the full margin's, for any tau.  A batch of one row is
+        decided by ``_lone_verdict``.  In a batch, band rows are tested
+        where they lie: the band test runs on the whole chunk and only
+        the band rows' verdicts are kept.  values is overwritten.
         """
         n, t = values.shape
         if t == 1:
             idx = np.zeros(n, dtype=np.intp)
             lopsided = np.ones(n, dtype=bool)
         elif n == 1:
-            v = values[0]
-            i = int(v.argmax())
-            peak = float(v[i])
-            v[i] = -math.inf
-            m2 = float(v.max())
-            gap = peak - m2
-            ok = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
-            if not (math.isfinite(gap) and (ok or gap <= tau)):
-                margin = math.nan
-                if math.isfinite(gap):
-                    z = v - m2
-                    np.maximum(z, _EXP_FLOOR, out=z)
-                    margin = peak - (m2 + math.log(float(np.exp(z, out=z).sum())))
-                bound = 2.0 ** -50 * (t + abs(peak) + 2 * abs(m2) + 10 * math.log(t))
-                if abs(margin - tau) > bound:
-                    ok = margin > tau
-                else:
-                    ok = bool(_band_verdicts(np.array([peak]), values, np.array([m2]), tau)[0])
+            ok, i = self._lone_verdict(values[0], tau)
             return np.array([ok and self._has_order[i]]), np.array([i]), np.array([ok])
         else:
             idx, peak, rest, m2 = _mask_peaks(values)
@@ -364,6 +362,39 @@ class TermTable:
             if band.any():
                 lopsided[band] = _band_verdicts(peak, rest, m2, tau)[band]
         return lopsided & self._has_order[idx], idx, lopsided
+
+    def _lone_verdict(self, v, tau):
+        """(lopsided, peak index) of one row of values, as a bool and an int.
+
+        The row is ``_certify``'s for a batch of one, decided by the same
+        IEEE double operations as a batch but in Python floats: its peak,
+        m2 read at its argmax as ``_mask_peaks`` does, and both bracket
+        edges.  A band row's margin comes from the sum of
+        exp(max(v - m2, _EXP_FLOOR)), a new array; only when that margin
+        lies within B of tau, or the gap is not finite, does the row go
+        to ``_band_verdicts`` as it was left.  A one-term table's row is
+        lopsided at its only term.  v is overwritten.
+        """
+        t = len(v)
+        if t == 1:
+            return True, 0
+        i = int(v.argmax())
+        peak = float(v[i])
+        v[i] = -math.inf
+        m2 = float(v[v.argmax()])
+        gap = peak - m2
+        ok = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
+        if math.isfinite(gap) and (ok or gap <= tau):
+            return ok, i
+        margin = math.nan
+        if math.isfinite(gap):
+            z = v - m2
+            np.maximum(z, _EXP_FLOOR, out=z)
+            margin = peak - (m2 + math.log(float(np.exp(z, out=z).sum())))
+        bound = 2.0 ** -50 * (t + abs(peak) + 2 * abs(m2) + 10 * math.log(t))
+        if abs(margin - tau) > bound:
+            return margin > tau, i
+        return bool(_band_verdicts(np.array([peak]), v[None, :], np.array([m2]), tau)[0]), i
 
     def certificate(self, w):
         """Test one rational point at the table's level; w coerces via Fraction."""

@@ -478,29 +478,26 @@ def _format_monomial(exponent: ExponentVector, var: str = "z") -> str:
 
 
 def format_poly(p: LaurentPoly) -> str:
-    """Canonical text form: graded-lex descending, parse round-trips exactly."""
-    if p.is_zero:
-        return "0"
+    """Canonical text form: graded-lex descending, parse round-trips exactly.
+
+    Each coefficient part prints as ``Fraction`` prints it, "n" or
+    "n/d", from its numerator and denominator.
+    """
     pieces = []
     for exponent, coeff in p.sorted_terms():
         mono = _format_monomial(exponent)
-        lead = not pieces
-        if coeff.is_real:
-            r = coeff.re
-            negative = r < 0
-            mag = -r if negative else r
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            sign = "-" if negative else ("" if lead else "+")
-            pieces.append(sign + body)
+        re, im = coeff.re, coeff.im
+        if im:
+            text = f"({re}{'+' if im > 0 else ''}{im}i)"
+            pieces.append(f"+{text}*{mono}" if mono else "+" + text)
+            continue
+        num, den = re.numerator, re.denominator
+        sign = "-" if num < 0 else "+"
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if not mono:
+            pieces.append(sign + mag)
+        elif mag == "1":
+            pieces.append(sign + mono)
         else:
-            im = coeff.im
-            middle = f"+{im}" if im > 0 else f"-{-im}"
-            coeff_text = f"({coeff.re}{middle}i)"
-            body = coeff_text + (f"*{mono}" if mono else "")
-            pieces.append(body if lead else "+" + body)
-    return "".join(pieces)
+            pieces.append(f"{sign}{mag}*{mono}")
+    return "".join(pieces).removeprefix("+") or "0"

@@ -30,8 +30,11 @@ inner products are exact floats looks its cube up among those its
 system has proven: the second query in a cube tests the cube's corners
 with ``lopsided._corner_peaks``, unless the first query there was not
 certified, and when they share one peak every later query in the cube
-returns that peak's order untested.  Other queries, and queries in
-cubes whose corners prove nothing, are classified one by one.
+returns that peak's order untested.  Such a query in a cube whose
+corners prove nothing builds its one row of values and decides it by
+``TermTable._lone_verdict``, the lone-row test a classify of that row
+makes, without the batch machinery around it; other queries are
+classified.
 
 Samples proven inside the amoeba need not be tested at all.  When a
 picture draws several levels, ``rasterize_levels`` proves them once,
@@ -236,37 +239,42 @@ class SemiAlgSystem:
         """Component order when some branch holds at log point w, else None.
 
         The order is the one a ``TermTable.classify`` of w gives.  When
-        w's denominator and the row bound times its largest |numerator|
-        are below 2^53, its inner products are exact floats and w is
-        looked up in its query tile, the cell floor(w * _QUERY_TILE) of
-        the lattice: the first query in a cell is classified and only
-        recorded, the second proves the cell by ``_tile_peak`` unless the
-        first was not certified, and a query in a proven cell returns the
-        order of the cell's peak without a classify.  The cells are
-        cleared when _QUERY_TILES_CAP of them are held.  Queries in other
-        cells, and all other queries, are classified.
-        Threads that query one system at once may prove a cell twice, but
-        a cell only ever holds _SEEN, -1 or a proven peak.
+        w's denominator is below 2^53 and its largest |numerator| below
+        the table's ``_lone_limit``, its inner products are exact floats,
+        and w is looked up in its query tile, the cell
+        floor(w * _QUERY_TILE) of the lattice.  A query in a proven cell
+        returns the order of the cell's peak untested; the others build
+        their row by ``TermTable._lone_values`` and decide it by
+        ``_lone_verdict``, the operations a classify of that one row
+        makes.  The first query in a cell is only recorded, the second
+        proves the cell by ``_tile_peak`` unless the first was not
+        certified, and the cells are cleared when _QUERY_TILES_CAP of
+        them are held.  All other queries are classified.  Threads that
+        query one system at once may prove a cell twice, but a cell only
+        ever holds _SEEN, -1 or a proven peak.
         """
         nums, den = point_numerators(w, self.nvars)
         table = self._table
+        if den >= _EXACT_FLOAT or max(map(abs, nums)) >= table._lone_limit:
+            ok, idx, _ = table.classify([nums], den)
+            return table.orders[idx[0]] if ok[0] else None
         tiles = self._tiles
-        cell = peak = None
-        if den < _EXACT_FLOAT and table._row_bound * max(map(abs, nums)) < _EXACT_FLOAT:
-            # Python ints floor negative coordinates down
-            cell = tuple([n * _QUERY_TILE // den for n in nums])
-            peak = tiles.get(cell)
-            if peak == _SEEN:
-                peak = tiles[cell] = self._tile_peak(cell)
-            if peak is not None and peak >= 0:
-                return table.orders[peak]
-        ok, idx, _ = table.classify([nums], den)
-        if cell is not None and peak is None:
+        # Python ints floor negative coordinates down
+        cell = tuple([n * _QUERY_TILE // den for n in nums])
+        peak = tiles.get(cell)
+        if peak == _SEEN:
+            peak = tiles[cell] = self._tile_peak(cell)
+        if peak is not None and peak >= 0:
+            return table.orders[peak]
+        lopsided, i = table._lone_verdict(table._lone_values(nums, den), TAU)
+        # a peak without an order is never certified
+        order = table.orders[i] if lopsided else None
+        if peak is None:
             if len(tiles) >= _QUERY_TILES_CAP:
                 tiles.clear()
             # a tile that holds an uncertified point is never proven
-            tiles[cell] = _SEEN if ok[0] else -1
-        return table.orders[idx[0]] if ok[0] else None
+            tiles[cell] = -1 if order is None else _SEEN
+        return order
 
     def _tile_peak(self, cell):
         """The peak every point of the query tile cell is certified with, else -1.
@@ -280,7 +288,7 @@ class SemiAlgSystem:
         """
         table = self._table
         top = max(max(abs(c), abs(c + 1)) for c in cell)
-        if top >= _EXACT_FLOAT or table._row_bound * top >= _EXACT_FLOAT:
+        if top >= table._lone_limit:
             return -1
         corners = list(product(*[(c, c + 1) for c in cell]))
         peaks = _corner_peaks(

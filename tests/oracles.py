@@ -21,7 +21,7 @@ from amoebas import gridsolver
 from amoebas.cycres import _is_one
 from amoebas.gaussian import LN2, _ln_positive_ratio
 from amoebas.gridsolver import MAX_GRID_POINTS
-from amoebas.poly import LaurentPoly, exact_div, mul
+from amoebas.poly import LaurentPoly, _format_monomial, exact_div, mul
 from amoebas.render import _CASES, _EDGES, crossed_cells
 
 CUBIC = "z1^3 + z1*z2 + z2^3 + 1"
@@ -206,6 +206,37 @@ def _bareiss_det(matrix, nvars):
 def sylvester_resultant_direct(a, b, nvars):
     """det of the explicit Sylvester matrix; cross-check for tiny inputs."""
     return _bareiss_det(_sylvester_matrix(a, b, nvars), nvars)
+
+
+def format_poly_fractions(p):
+    """``format_poly`` by ``Fraction`` arithmetic on each coefficient: the
+    sign and magnitude of a real part by comparison and negation, each
+    part by ``str``."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for exponent, coeff in p.sorted_terms():
+        mono = _format_monomial(exponent)
+        lead = not pieces
+        if not coeff.im:
+            r = coeff.re
+            negative = r < 0
+            mag = -r if negative else r
+            if mono and mag == 1:
+                body = mono
+            elif mono:
+                body = f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            sign = "-" if negative else ("" if lead else "+")
+            pieces.append(sign + body)
+        else:
+            im = coeff.im
+            middle = f"+{im}" if im > 0 else f"-{-im}"
+            coeff_text = f"({coeff.re}{middle}i)"
+            body = coeff_text + (f"*{mono}" if mono else "")
+            pieces.append(body if lead else "+" + body)
+    return "".join(pieces)
 
 
 def complement_consistency_violations(records, spec):

@@ -38,7 +38,7 @@ from oracles import (
 def as_int_dict(p):
     out = {}
     for e, c in p.terms.items():
-        assert c.is_real and c.re.denominator == 1
+        assert not c.im and c.re.denominator == 1
         out[e] = int(c.re)
     return out
 

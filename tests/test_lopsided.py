@@ -473,6 +473,23 @@ def test_bracket_numpy_primitives_hold_on_simd_lengths():
         assert (np.diff(np.log(axis)) >= 0).all()
 
 
+def test_lone_row_second_value_reads_at_argmax_on_simd_lengths():
+    # a lone row reads m2 as v[v.argmax()], which must equal v.max() on
+    # rows of every vectorised length, NaN, +-inf and all -inf rows
+    # included, as _mask_peaks' test checks for batches
+    inf, nan = math.inf, math.nan
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 1023, 1585, 4099):
+        rows = [np.full(n, -inf), np.full(n, nan), np.full(n, inf)]
+        for planted in ([nan], [inf], [-inf], [inf, nan], [-inf, nan], [inf, -inf]):
+            for _ in range(4):
+                v = rng.integers(-3, 4, n).astype(float)
+                v[rng.integers(0, n, 1 + n // 8)] = rng.choice(planted, 1 + n // 8)
+                rows.append(v)
+        for v in rows:
+            assert np.array_equal(v[v.argmax()], v.max(), equal_nan=True), (n, v)
+
+
 def by_hand(table, rows, entry):
     """logb[j] + entry(exact <exponents[j], row>) for every row and term j."""
     terms = list(zip(table.exponents, table.logb))

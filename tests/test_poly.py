@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebas.gaussian import GaussianRational
@@ -16,7 +16,7 @@ from amoebas.poly import (
     parse,
 )
 from conftest import exponent_vectors, nonzero_coefficients, polys
-from oracles import evaluate_complex, flip_signs
+from oracles import evaluate_complex, flip_signs, format_poly_fractions
 
 
 class TestConstruction:
@@ -93,6 +93,24 @@ def test_format_golden():
     assert format_poly(LaurentPoly(2)) == "0"
     # grade of z1*z2^-2 is -1, below the constant, so the constant leads
     assert format_poly(parse("(2-1i)*z1*z2^-2 - 3/4", 2)) == "-3/4+(2-1i)*z1*z2^-2"
+
+
+# rational parts: zero, +-1, small, and large numerators and denominators
+_format_parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+)
+_format_coefficients = st.builds(GaussianRational, _format_parts, _format_parts)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: polys(n, max_terms=8, lo=-2, hi=2, coeffs=_format_coefficients)))
+@settings(max_examples=400)
+def test_format_matches_the_fraction_formatter(p):
+    # format_poly prints each coefficient from its parts' numerators and
+    # denominators; the text is the one Fraction arithmetic and printing
+    # give, constants and unit magnitudes included
+    assert format_poly(p) == format_poly_fractions(p)
 
 
 @given(polys(2, max_terms=6))

@@ -256,7 +256,7 @@ def test_tile_answers_match_one_batched_classify(text, nvars, level, den, monkey
     assert any(want) and not all(want)
     points = [tuple(Fraction(n, den) for n in row) for row in nums.tolist()]
     assert [system.certify_log(w) for w in points] == want
-    classified = _spy(monkeypatch, TermTable, "classify")
+    classified = _spy(monkeypatch, TermTable, "_lone_verdict")
     assert [system.certify_log(w) for w in points] == want
     proven = [peak for peak in system._tiles.values() if peak >= 0]
     assert proven and len(classified) < len(points) - len(proven)
@@ -356,9 +356,176 @@ def test_queries_past_the_exact_route_are_classified(monkeypatch):
     assert system._tiles == {(8 * (big - 1), 0): -1} and corners == []
 
 
+def test_exact_queries_are_decided_without_classify(monkeypatch):
+    # a query whose inner products are exact floats builds its row and
+    # decides it directly, calling neither classify nor values; queries
+    # off that route still go through classify, once each
+    system = semialg_description(parse(CUBIC, 2), 2)
+    table = system._table
+    classified = _spy(monkeypatch, TermTable, "classify")
+    valued = _spy(monkeypatch, TermTable, "values")
+    decided = _spy(monkeypatch, TermTable, "_lone_verdict")
+    # one query per cell, so that no cell's corners are tested
+    exact = [
+        (Fraction(a, 8) + Fraction(1, 97), Fraction(b, 8) - Fraction(1, 89))
+        for a in range(-9, 9, 3)
+        for b in (-5, 2, 7)
+    ]
+    got = [system.certify_log(w) for w in exact]
+    assert (len(classified), len(valued), len(decided)) == (0, 0, len(exact))
+    assert len(system._tiles) == len(exact)
+    big = -(-(2**53) // table._row_bound)
+    past = [(Fraction(1, 3**34), Fraction(0)), (Fraction(big), Fraction(1, 3)), (Fraction(-big, 7), Fraction(0))]
+    got += [system.certify_log(w) for w in past]
+    assert len(classified) == len(past) and len(decided) == len(exact) + len(past)
+    for w, order in zip(exact + past, got):
+        nums, den = point_numerators(w, 2)
+        ok, idx, _ = table.classify(np.array([nums, nums], dtype=object), den)
+        assert order == (table.orders[idx[0]] if ok[0] else None)
+    assert any(got) and None in got
+
+
+@pytest.mark.parametrize(
+    "text, nvars, w, cells",
+    [
+        ("3*z1^2*z2", 2, (Fraction(1, 3), Fraction(-2)), {(2, -16): 0}),
+        # row bound 0: a numerator past 2^53 is off the exact route
+        ("5", 2, (Fraction(10**400), Fraction(1, 2)), {}),
+        ("5", 2, (Fraction(-7, 3), Fraction(1, 2)), {(-19, 4): 0}),
+        # exponents past the float range: only w = 0 meets the row bound
+        ("z1^" + str(10**400), 1, (Fraction(0),), {}),
+    ],
+    ids=["monomial", "constant-past-2^53", "constant", "exponent-past-floats"],
+)
+def test_one_term_tables_certify_every_query(text, nvars, w, cells, monkeypatch):
+    # a one-term table is lopsided everywhere at its only term, on the
+    # direct route and off it alike
+    f = parse(text, nvars)
+    system = semialg_description(f, 1)
+    assert len(system._table) == 1
+    classified = _spy(monkeypatch, TermTable, "classify")
+    (exponent,) = f.terms
+    for _ in range(3):
+        assert system.certify_log(w) == exponent
+    assert system._tiles == cells
+    assert len(classified) == (0 if cells else 3)
+
+
+def test_direct_route_falls_back_to_band_verdicts_on_the_untouched_row(monkeypatch):
+    # a row planted with its sorted margin a few ulps from TAU lies within
+    # B of it, so the direct route hands _band_verdicts the row as it was
+    # left, its peak at -inf and nothing else changed; the order is the
+    # one the full margins give
+    system = semialg_description(parse(CUBIC, 2), 5)
+    table = system._table
+    t = len(table)
+    seen = []
+    band_verdicts = lopsided._band_verdicts
+
+    def spy(peak, rest, m2, tau):
+        seen.append(rest.copy())
+        return band_verdicts(peak, rest, m2, tau)
+
+    monkeypatch.setattr(lopsided, "_band_verdicts", spy)
+    rng = np.random.default_rng(25)
+    j = int(np.flatnonzero(table._has_order)[3])
+    rows = []
+    for ulps in range(-3, 4):
+        m2 = rng.uniform(-50.0, 50.0)
+        row = m2 - rng.uniform(0.0, 5.0, t)
+        row[(j + 1) % t] = m2
+        row[j] = -math.inf
+        peak = m2 + math.log(float(np.cumsum(np.sort(np.exp(row - m2)))[-1])) + TAU
+        row[j] = peak + ulps * np.spacing(peak)
+        rows.append(row)
+    planted = iter(rows)
+    monkeypatch.setattr(TermTable, "_lone_values", lambda self, nums, den: next(planted).copy())
+    for i, row in enumerate(rows):
+        seen.clear()
+        peaks, margins = peak_margins(row[None, :])
+        want = table.orders[j] if margins[0] > TAU else None
+        assert peaks[0] == j
+        assert system.certify_log((Fraction(i), Fraction(1, 3))) == want
+        rest = row.copy()
+        rest[j] = -math.inf
+        assert len(seen) == 1 and np.array_equal(seen[0], rest[None, :])
+
+
+def _edge_pairs(table, edge, count=4):
+    """Pairs of exact points 2^-34 apart on either side of gap = edge.
+
+    The points lie on rows of [-2, 2]^2, their first coordinates on the
+    lattice Z / 2^34.  The gap p - m2 is 0 where the peak changes.  Each
+    change between neighbours of the lattice (Z / 4)^2 is bisected to a
+    point r whose gap is below the edge, and the nearest point x of that
+    lattice on either side whose gap is above it gives the pair that
+    bisecting [r, x] leaves.  At most count pairs.
+    """
+    den = 2**34
+
+    def values(a, y):
+        nums, d = point_numerators((Fraction(a, den), y), 2)
+        return table.values([nums], d)[0]
+
+    def above(a, y):
+        v = np.sort(values(a, y))
+        return v[-1] - v[-2] > edge
+
+    def peak(a, y):
+        return int(values(a, y).argmax())
+
+    def bisect(test, lo, hi, y):
+        side = test(lo, y)
+        while abs(hi - lo) > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if test(mid, y) == side else (lo, mid)
+        return lo, hi
+
+    pairs = []
+    axis = [a * den // 4 for a in range(-8, 9)]
+    for y in [Fraction(b, 2) for b in range(-4, 5)]:
+        for i in range(len(axis) - 1):
+            if peak(axis[i], y) == peak(axis[i + 1], y):
+                continue
+            r = bisect(peak, axis[i], axis[i + 1], y)[0]
+            for side in (axis[i::-1], axis[i + 1 :]):
+                a = next((a for a in side if above(a, y)), None)
+                if a is not None and not above(r, y):
+                    pair = [(Fraction(x, den), y) for x in bisect(above, r, a, y)]
+                    pairs += [pair] if pair not in pairs else []
+                if len(pairs) == count:
+                    return pairs
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "text, level",
+    [(CUBIC, 1), (CUBIC, 5), ("(2-1i)*z1*z2^-2 - 3/4 + z1^2 + (1+1i)*z2", 3)],
+    ids=["cubic-1", "cubic-5", "gauss-laurent-3"],
+)
+def test_direct_route_matches_classify_at_both_bracket_edges(text, level):
+    # points 2^-34 apart on either side of the gap's reject edge, TAU, and
+    # of its accept edge, log(t - 1) + 1e-6 + TAU, are decided directly on
+    # their first visit to a cell, with the verdict of a lone-row classify
+    # and of a batched one
+    system = semialg_description(parse(text, 2), level)
+    table = system._table
+    accept = math.log(len(table) - 1) + 1e-6 + TAU
+    points = [w for edge in (TAU, accept) for pair in _edge_pairs(table, edge) for w in pair]
+    assert len(points) == 16
+    rows = [point_numerators(w, 2) for w in points]
+    for w, (nums, den) in zip(points, rows):
+        system._tiles.clear()
+        ok, idx, _ = table.classify([nums], den)
+        both = table.classify(np.array([nums, nums], dtype=object), den)
+        assert [c.tolist() for c in both] == [[ok[0]] * 2, [idx[0]] * 2, [both[2][0]] * 2]
+        assert system.certify_log(w) == (table.orders[idx[0]] if ok[0] else None)
+        assert system._tiles
+
+
 def test_first_visit_builds_no_tile(monkeypatch):
     system = semialg_description(parse(CUBIC, 2), 1)
-    classified = _spy(monkeypatch, TermTable, "classify")
+    classified = _spy(monkeypatch, TermTable, "_lone_verdict")
     corners = _spy(monkeypatch, semialg, "_corner_peaks")
     # z1^3 outweighs the rest on the whole tile [3, 3 + 1/8] x [1/4, 3/8]
     first, second = (Fraction(3), Fraction(1, 4)), (Fraction(49, 16), Fraction(5, 16))
