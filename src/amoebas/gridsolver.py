@@ -17,11 +17,11 @@ are too large for that, and every later level, whose pending points
 are few, test each point one by one.
 
 Lopsidedness only ever certifies points outside the amoeba.  So right
-after level 0, ``zerocount.proven_inside`` takes the pending points and
-proves some of them inside it (their counts of zeros differ between two
-angles).  No level could certify those, so they stop escalating and
-keep the verdict "not certified", exactly as if every level had tested
-them.
+after level 0, ``zerocount.lattice_inside`` proves some of the pending
+points inside it (their counts of zeros differ between two angles), on
+the lattice of the grid's axis values, each rounded to a float once.
+No level could certify those, so they stop escalating and keep the
+verdict "not certified", exactly as if every level had tested them.
 
 A grid is lo + m*step on every axis, the box ``amoeba --box LO HI
 --step S`` names, and has at most ``MAX_GRID_POINTS`` points; each
@@ -54,7 +54,7 @@ import numpy as np
 from .cycres import quick_cyclic_resultant
 from .lopsided import _EXACT_FLOAT, TermTable, _certified_tiles, choose_level
 from .poly import LaurentPoly
-from .zerocount import proven_inside
+from .zerocount import lattice_inside
 
 MAX_GRID_POINTS = 10**7  # points of a grid, and samples of a raster
 
@@ -223,7 +223,7 @@ def approximate_amoeba(
     Level 0 certifies the points of certified tiles (``_tile_peaks``)
     with the level and peak the pointwise test gives them, and tests
     only the others.  Points that level 0 leaves pending and that
-    ``proven_inside`` proves to lie in the amoeba are not tested at
+    ``lattice_inside`` proves to lie in the amoeba are not tested at
     levels 1..kmax.  No level can certify them, so their verdict (level
     -1, CSV bit 1: no level certified it) is the one the full escalation
     gives.
@@ -246,6 +246,9 @@ def approximate_amoeba(
         raise ValueError(f"grid has {spec.npoints} points, limit is {MAX_GRID_POINTS}")
     den = math.lcm(spec.lo.denominator, spec.step.denominator)
     rows = _grid_rows(spec, den)
+    # zero counts need a second variable, and axis floats whose bounds
+    # hold: no value past 2^1000 in size, none rounded below the normals
+    provable = f.nvars > 1 and den.bit_length() <= 1000 and max(-spec.lo, spec.hi) < 2**1000
 
     level = np.full(len(rows), -1, dtype=np.int64)
     peak = np.zeros(len(rows), dtype=np.int64)
@@ -273,9 +276,12 @@ def approximate_amoeba(
         peak[hit] = idx[ok]
         orders.append(table.orders)
         pending = pending[~ok]
-        if k == 0 and kmax and pending.size:
-            # proven amoeba points: no level could ever certify them
-            pending = pending[~proven_inside(f, rows[pending], den)]
+        if k == 0 and kmax and pending.size and provable:
+            # proven amoeba points: no level could ever certify them.  The
+            # lattice axis is each num/den rounded once, by Python's
+            # correctly rounded int / int
+            w = np.array([num / den for num in _grid_axis(spec, den).tolist()])
+            pending = pending[~lattice_inside(f, w).ravel()[pending]]
         if not pending.size:
             break
     return GridVerdicts(spec, level, peak, tuple(orders))

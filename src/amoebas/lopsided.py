@@ -278,7 +278,8 @@ class TermTable:
         float(den) and the sum with logb are the same three IEEE
         operations ``values`` makes on a batch.
         """
-        v = self._fmat @ np.array(row, dtype=np.float64)
+        # ndarray.dot skips the matmul ufunc's dispatch; both are one gemv
+        v = self._fmat.dot(np.array(row, dtype=np.float64))
         v /= float(den)
         v += self.logb
         return v

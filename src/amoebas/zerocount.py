@@ -3,9 +3,11 @@
 Lopsidedness certifies points outside the amoeba only, so a point inside
 it would be tested at every level of an escalation and never certified.
 This module proves such points inside, by the order map of
-Forsberg-Passare-Tsikh (cf. Theobald, "Computing amoebas", 2002):
-``proven_inside`` at the rational points of a grid, ``lattice_inside``
-at the float samples of a raster.
+Forsberg-Passare-Tsikh (cf. Theobald, "Computing amoebas", 2002), with
+one kernel: ``lattice_inside`` on the lattice w^n of one float log
+axis w.  A square grid is such a lattice, its axis the rational values
+lo + m*step each rounded once; so is a raster, its axis the logs of
+its samples.
 
 Fix a log point w, one counted variable z_v and an angle theta.  Let
 N(theta) count the zeros of
@@ -158,21 +160,6 @@ def _discs(coef, err, d):
     return size - radius - reach, size + radius + reach, ok
 
 
-def _prefixes(cols):
-    """(distinct rows of cols, each row's index into them).
-
-    Each column is ranked on its own and the ranks are combined into one
-    integer code, which sorts far faster than whole rows do.
-    """
-    # grid rows: each column has <= count values, so codes < count^(n-1) <= MAX_GRID_POINTS
-    code = np.zeros(len(cols), dtype=np.int64)
-    for col in cols.T:
-        values, rank = np.unique(col, return_inverse=True)
-        code = code * len(values) + rank.reshape(-1)
-    _, first, where = np.unique(code, return_index=True, return_inverse=True)
-    return cols[first], where.reshape(-1)
-
-
 def _prefix_discs(turned, magnitude, prefix, w, d):
     """Inclusion discs at the prefix points w: (lo, hi, known).
 
@@ -217,68 +204,42 @@ def _circles(wv):
     return fits, radius * (1 - slack), radius * (1 + slack)
 
 
-def zero_counts(f, rows, den):
-    """Proven zero counts of each row at the four angles, -1 where unknown.
-
-    rows are integer numerators over den, one log point per row.  Returns
-    a (4, N) int64 array: entry (a, i) is the number of zeros of row i's
-    p at theta = a*pi/2 inside its circle.  Every entry is -1 when n = 1,
-    when no variable has a positive span at most MAX_COUNT_DEGREE, or
-    when rows are not int64.
-    """
-    counts = np.full((4, len(rows)), -1, dtype=np.int64)
-    picked = _counted_variable(f)
-    if picked is None or rows.dtype != np.int64 or not len(rows) or den.bit_length() > 1000:
-        return counts
-    v, d = picked
-    tables = _term_matrices(f, v, d)
-    if tables is None:
-        return counts
-
-    keys, where = _prefixes(rows[:, [j for j in range(f.nvars) if j != v]])
-    lo, hi, known = _prefix_discs(*tables, keys.astype(np.float64) / float(den), d)
-    fits, r_lo, r_hi = _circles(rows[:, v].astype(np.float64) / float(den))
-    # a count is proven when every disc lies wholly inside or wholly
-    # outside the circle; arrays run angle by row
-    clear = np.take(known.T, where, axis=1) & fits
-    inside = np.zeros((4, len(rows)), dtype=np.int64)
-    for lo_k, hi_k in zip(lo.T, hi.T):
-        below = np.take(hi_k, where, axis=1) < r_lo
-        inside += below
-        clear &= below | (np.take(lo_k, where, axis=1) > r_hi)
-    return np.where(clear, inside, -1)
-
-
 def lattice_zero_counts(f, w):
-    """Proven zero counts at the samples of a 2-variable raster, one angle at a time.
+    """Proven zero counts on the lattice w^n, one angle at a time.
 
-    w is the raster's log sample axis; its floats are taken as exact
-    reals.  Yields four (R, R) int8 arrays, -1 where unknown: entry
-    (i, j) of the a-th is the count at theta = a*pi/2 of the log point
-    (w_i, w_j), as ``zero_counts`` defines it.  Every entry is -1 when f
-    has no counted variable.
+    w is one log axis, ascending or not, shared by all n variables; its
+    floats are taken as exact reals, or as roundings of rationals once.
+    Yields four (R,)*n int8 arrays, R = len(w), row major, -1 where
+    unknown: entry (i_1, ..., i_n) of the a-th is the number of zeros
+    of p at theta = a*pi/2 inside its circle, at the log point (w_i_1,
+    ..., w_i_n).  Every entry is -1 when f has no counted variable.
 
-    Discs are taken once per value of the other variable, so R x 4
-    polynomials are solved, not R^2 x 4; each disc is then compared with
-    every circle, in blocks of rows, and each angle's counts are yielded
-    before the next angle's are built.
+    Discs are taken once at each point of the prefix lattice w^(n-1)
+    over the other variables, so R^(n-1) x 4 companion matrices are
+    solved, not R^n x 4; each disc is then compared with every circle
+    of the counted variable, R^n x 4 x d comparisons in blocks of
+    prefix points.  Each angle's counts are yielded before the next
+    angle's are built, so one int8 array of R^n entries is held per
+    angle (10 MB at ``gridsolver.MAX_GRID_POINTS``).
     """
-    res = len(w)
-    picked = _counted_variable(f) if f.nvars == 2 else None
+    n, res = f.nvars, len(w)
+    picked = _counted_variable(f)
     tables = None if picked is None else _term_matrices(f, *picked)
     if tables is None:
         for _ in range(4):
-            yield np.full((res, res), -1, dtype=np.int8)
+            yield np.full((res,) * n, -1, dtype=np.int8)
         return
     v, d = picked
-    lo, hi, known = _prefix_discs(*tables, w[:, None], d)
+    others = np.stack([g.ravel() for g in np.meshgrid(*[w] * (n - 1), indexing="ij")], axis=1)
+    lo, hi, known = _prefix_discs(*tables, others, d)
     fits, r_lo, r_hi = _circles(w)
-    # as in zero_counts; rows run over the other variable, columns over
-    # the counted one's circles, a block of rows at a time
+    # a count is proven when every disc lies wholly inside or wholly
+    # outside the circle; rows run over the prefix points, columns over
+    # the counted variable's circles, a block of rows at a time
     step = max(1, _BATCH_VALUES // res)
     for a in range(4):
-        counts = np.full((res, res), -1, dtype=np.int8)
-        for s in range(0, res, step):
+        counts = np.full((len(others), res), -1, dtype=np.int8)
+        for s in range(0, len(others), step):
             part = slice(s, s + step)
             clear = known[part, a, None] & fits
             inside = np.zeros(clear.shape, dtype=np.int8)
@@ -287,8 +248,8 @@ def lattice_zero_counts(f, w):
                 inside += below
                 clear &= below | (lo[part, a, k, None] > r_hi)
             np.copyto(counts[part], inside, where=clear)
-        # rows run over z1 when z2 is counted
-        yield counts if v == 1 else counts.T
+        # the counted variable's axis is last; put it in its place
+        yield np.moveaxis(counts.reshape((res,) * n), -1, v)
 
 
 def _differ(counts):
@@ -309,19 +270,11 @@ def _differ(counts):
     return least < most.view(least.dtype)
 
 
-def proven_inside(f, rows, den):
-    """Mask of the rows whose zero counts provably differ between angles.
-
-    Each such row is a point of the amoeba of f: no level of the
-    lopsided escalation can certify it.
-    """
-    return _differ(zero_counts(f, rows, den))
-
-
 def lattice_inside(f, w):
-    """(R, R) mask of the raster samples whose zero counts provably differ.
+    """(R,)*n mask of the lattice points whose zero counts provably differ.
 
-    Samples as in ``lattice_zero_counts``: each masked sample (w_i, w_j),
-    its floats as exact reals, is a point of the amoeba of f.
+    Points as in ``lattice_zero_counts``: each masked point is a point
+    of the amoeba of f, and no level of the lopsided escalation can
+    certify it.
     """
     return _differ(lattice_zero_counts(f, w))

@@ -366,6 +366,32 @@ def zero_counts_at_angles(f, w):
     return counts
 
 
+def order_map_violations(records):
+    """Mask, row major, of the certified grid points the order map orders wrongly.
+
+    The order of the complement component at w is the gradient of the
+    Ronkin function, which is convex, so along each axis v the v-th
+    order coordinate never decreases as w_v grows (Forsberg-Passare-
+    Tsikh).  Along every grid line in direction v, a certified point
+    whose ord_v lies below the running maximum of the certified ord_v
+    before it is a violation; points no level certified are skipped.
+    records is an ``approximate_amoeba`` result.
+    """
+    spec = records.spec
+    shape = (spec.count,) * spec.nvars
+    certified = records.level >= 0
+    # uncertified points hold the least int64, which raises no maximum
+    ords = np.full((spec.npoints, spec.nvars), np.iinfo(np.int64).min)
+    for k, orders in enumerate(records.orders):
+        at = np.flatnonzero(records.level == k)
+        ords[at] = np.array([orders[p] for p in records.peak[at].tolist()]).reshape(-1, spec.nvars)
+    bad = np.zeros(shape, dtype=bool)
+    for v in range(spec.nvars):
+        ord_v = ords[:, v].reshape(shape)
+        bad |= ord_v < np.maximum.accumulate(ord_v, axis=v)
+    return bad.ravel() & certified
+
+
 def ln_fraction(value):
     """Natural log of a positive rational of any size."""
     mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)
@@ -453,10 +479,10 @@ def contains(system, x):
 def plain_escalation(f, spec, kmax):
     """``approximate_amoeba`` with every inside proof switched off: each
     point the levels leave pending is tested at every level up to kmax."""
-    def no_proofs(f, rows, den):
-        return np.zeros(len(rows), dtype=bool)
+    def no_proofs(f, w):
+        return np.zeros((len(w),) * f.nvars, dtype=bool)
 
-    with mock.patch.object(gridsolver, "proven_inside", no_proofs):
+    with mock.patch.object(gridsolver, "lattice_inside", no_proofs):
         return gridsolver.approximate_amoeba(f, spec, kmax=kmax)
 
 

@@ -48,6 +48,7 @@ from oracles import (
     complement_consistency_violations,
     epsilon_for_grid,
     make_grid,
+    order_map_violations,
     plain_escalation,
     pointwise_escalation,
 )
@@ -182,17 +183,40 @@ PROOF_GRIDS = [
 def test_inside_proofs_keep_the_plain_verdicts(text, spec, kmax, monkeypatch):
     f = parse(text, spec.nvars)
     retired = []
-    prove = gridsolver.proven_inside
+    prove = gridsolver.lattice_inside
 
-    def spy(f, rows, den):
-        mask = prove(f, rows, den)
+    def spy(f, w):
+        mask = prove(f, w)
         retired.append(int(np.count_nonzero(mask)))
         return mask
 
-    monkeypatch.setattr(gridsolver, "proven_inside", spy)
+    monkeypatch.setattr(gridsolver, "lattice_inside", spy)
     records = approximate_amoeba(f, spec, kmax=kmax)
     assert len(retired) == 1 and retired[0] > 0
     assert list(records) == list(plain_escalation(f, spec, kmax))
+
+
+@pytest.mark.parametrize("text, spec, kmax", PROOF_GRIDS)
+def test_certified_orders_never_decrease_along_an_axis(text, spec, kmax):
+    records = approximate_amoeba(parse(text, spec.nvars), spec, kmax=kmax)
+    assert (records.level >= 0).any()
+    assert not order_map_violations(records).any()
+
+
+def test_order_map_audit_catches_swapped_orders():
+    # swapping the level-0 orders of z1^3 and z2^3 labels the z1^3
+    # component (0, 3) and the z2^3 one (3, 0), so ord_2 falls from 3 to 0
+    # along w2 where the two meet
+    f = parse(CUBIC_B2, 2)
+    spec = GridSpec(-2, 2, Fraction(1, 10), 2)
+    records = approximate_amoeba(f, spec, kmax=3)
+    orders = list(records.orders[0])
+    i, j = orders.index((3, 0)), orders.index((0, 3))
+    orders[i], orders[j] = orders[j], orders[i]
+    levels = (tuple(orders), *records.orders[1:])
+    swapped = gridsolver.GridVerdicts(spec, records.level, records.peak, levels)
+    assert not order_map_violations(records).any()
+    assert order_map_violations(swapped).any()
 
 
 @given(polys(2, max_terms=5, lo=0, hi=4, coeffs=st.integers(-3, 3).filter(bool)))
@@ -207,13 +231,15 @@ def test_scalar_route_catches_a_wrong_inside_proof(monkeypatch):
     spec = GridSpec(-2, 2, Fraction(1, 5), 2)
     _assert_scalar_route(f, spec, 2)
     plain = plain_escalation(f, spec, 2)
-    target = _grid_rows(spec, 5)[int(np.flatnonzero(plain.level == 2)[0])]
-    prove = gridsolver.proven_inside
+    target = int(np.flatnonzero(plain.level == 2)[0])
+    prove = gridsolver.lattice_inside
 
-    def wrong(f, rows, den):
-        return prove(f, rows, den) | np.all(rows == target, axis=1)
+    def wrong(f, w):
+        mask = prove(f, w).copy()
+        mask.flat[target] = True
+        return mask
 
-    monkeypatch.setattr(gridsolver, "proven_inside", wrong)
+    monkeypatch.setattr(gridsolver, "lattice_inside", wrong)
     assert list(approximate_amoeba(f, spec, kmax=2)) != list(plain)
     with pytest.raises(AssertionError):
         _assert_scalar_route(f, spec, 2)

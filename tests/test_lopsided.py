@@ -564,6 +564,21 @@ def test_huge_exponent_sums_take_the_exact_route():
     assert np.array_equal(constant.values([(10**400,)], 1), [[math.log(4)]])
 
 
+def test_lone_values_equal_the_batched_rows_bit_for_bit():
+    # the level-5 cubic (1,585 terms) at the query workload's kind of
+    # row: numerators in [-2*997, 2*997) over the prime 997.  A lone row
+    # takes _lone_values' gemv, a batch the matmul; both are exact sums
+    # of integers below 2**53, so each row's bits are the batch's
+    table, den = cubic_table(5), 997
+    rng = np.random.default_rng(20)
+    nums = rng.integers(-2 * den, 2 * den, size=(2000, 2))
+    nums[nums % den == 0] += 1
+    batch = bits(table.values(nums, den))
+    assert int(np.abs(nums).max()) < table._lone_limit
+    for row, want in zip(nums.tolist(), batch):
+        assert np.array_equal(bits(table._lone_values(row, den)), want)
+
+
 # row bound 6,361 and largest entry 1,416,003,655,831: the row bound
 # times the entry is 2**53 - 1 = 6,361 * 69,431 * 20,394,401, and so is
 # the first term's inner product with (entry, -entry)

@@ -4,6 +4,8 @@ Every retired row must be one that no level certifies, so each test
 compares against the plain escalation, run with the proofs switched off
 (``oracles.plain_escalation``).  Known counts are
 compared with ``numpy.roots`` through ``oracles.zero_counts_at_angles``.
+A grid is proven on the lattice of its axis values, each rounded to a
+float once (``float`` of the ``Fraction``).
 """
 
 import io
@@ -19,7 +21,7 @@ import pytest
 from amoebas import cli, gridsolver, zerocount
 from amoebas.gridsolver import GridSpec, _grid_rows, approximate_amoeba
 from amoebas.lopsided import TermTable
-from amoebas.poly import parse
+from amoebas.poly import LaurentPoly, parse
 from amoebas.semialg import _log_axis
 from amoebas.zerocount import (
     _EXP_ERR,
@@ -27,25 +29,38 @@ from amoebas.zerocount import (
     _counted_variable,
     lattice_inside,
     lattice_zero_counts,
-    proven_inside,
-    zero_counts,
 )
-from oracles import CUBIC_B2, CUBIC_BM4, GAUSS_PAIR, LINE, plain_escalation, zero_counts_at_angles
+from oracles import (
+    CUBIC_B2,
+    CUBIC_BM4,
+    GAUSS_PAIR,
+    LINE,
+    THREE_VAR,
+    order_map_violations,
+    plain_escalation,
+    zero_counts_at_angles,
+)
 
 
 def _grid(spec):
+    """(rows, den, w): the grid's numerator rows over den, and its axis floats."""
     den = math.lcm(spec.lo.denominator, spec.step.denominator)
-    return _grid_rows(spec, den), den
+    return _grid_rows(spec, den), den, np.array([float(x) for x in spec.axis_values()])
+
+
+def _lattice_counts(f, w):
+    """The four angles' lattice counts, shape (4, points), row major."""
+    return np.stack([c.ravel() for c in lattice_zero_counts(f, w)])
 
 
 def _proofs(f, spec, kmax=2):
     """Counts and retirements on every grid row, checked against the plain
     escalation: no retired row is certified at any level up to kmax."""
-    rows, den = _grid(spec)
+    rows, den, w = _grid(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = zero_counts(f, rows, den)
-        retired = proven_inside(f, rows, den)
+        counts = _lattice_counts(f, w)
+        retired = lattice_inside(f, w).ravel()
     assert counts.shape == (4, len(rows))
     plain = plain_escalation(f, spec, kmax)
     assert not np.any(plain.level[retired] >= 0)
@@ -78,7 +93,7 @@ def test_absent_variable_is_not_counted():
 def test_line_command_in_three_variables_is_unchanged(monkeypatch, tmp_path):
     argv = ["amoeba", "-f", LINE, "-n", "3", "--box", "-1", "1", "--step", "1/4", "--kmax", "2"]
     assert cli.main([*argv, "-o", str(tmp_path / "proofs.csv")]) == 0
-    monkeypatch.setattr(gridsolver, "proven_inside", lambda f, rows, den: np.zeros(len(rows), bool))
+    monkeypatch.setattr(gridsolver, "lattice_inside", lambda f, w: np.zeros((len(w),) * f.nvars, bool))
     assert cli.main([*argv, "-o", str(tmp_path / "plain.csv")]) == 0
     assert (tmp_path / "proofs.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
@@ -147,8 +162,7 @@ def test_zero_counts_equal_the_last_order_coordinate(text):
     spec = GridSpec(-2, 2, Fraction(1, 20), 2)
     records = approximate_amoeba(f, spec, kmax=4)
     listed = list(records)
-    rows, den = _grid(spec)
-    counts = zero_counts(f, rows, den)
+    counts = _lattice_counts(f, _grid(spec)[2])
     certified = np.flatnonzero(records.level >= 0)
     assert certified.size > 4000
     for i in certified.tolist():
@@ -159,17 +173,40 @@ def test_zero_counts_equal_the_last_order_coordinate(text):
 
 def test_grid_workload_retires_only_never_certified_rows():
     # the benchmark's grid at seed 0: level 0 leaves 31,100 rows pending,
-    # and 23,475 of them are proven inside
+    # and 23,475 of them are proven inside; the certified orders pass
+    # the monotone order-map audit
     f = parse(CUBIC_B2, 2)
     spec = GridSpec(-2, 2, Fraction(1, 100), 2)
-    rows, den = _grid(spec)
+    rows, den, w = _grid(spec)
     ok, _, _ = TermTable(f, 0).classify(rows, den)
     pending = np.flatnonzero(~ok)
-    retired = pending[proven_inside(f, rows[pending], den)]
+    retired = pending[lattice_inside(f, w).ravel()[pending]]
     assert (pending.size, retired.size) == (31_100, 23_475)
     plain = plain_escalation(f, spec, 4)
     assert np.all(plain.level[retired] == -1)
-    assert list(approximate_amoeba(f, spec, kmax=4)) == list(plain)
+    records = approximate_amoeba(f, spec, kmax=4)
+    assert list(records) == list(plain)
+    assert not order_map_violations(records).any()
+
+
+def test_rows_past_int64_are_proven_inside(monkeypatch):
+    # den = 10^19, so the numerators pass int64 and the rows are Python
+    # ints, while every |w| <= 2 + 10^-19 lets e^w be taken; the grid
+    # proves on the axis values rounded once, float(Fraction)'s bits
+    f = parse(CUBIC_B2, 2)
+    spec = GridSpec(-2 + Fraction(1, 10**19), 2 + Fraction(1, 10**19), Fraction(1, 4), 2)
+    rows, den, w = _grid(spec)
+    assert rows.dtype == object and den == 10**19
+    ok, _, _ = TermTable(f, 0).classify(rows, den)
+    pending = np.flatnonzero(~ok)
+    retired = pending[lattice_inside(f, w).ravel()[pending]]
+    assert retired.size == 33
+    plain = plain_escalation(f, spec, 3)
+    assert np.all(plain.level[retired] == -1)
+    axes = []
+    monkeypatch.setattr(gridsolver, "lattice_inside", lambda f, w: axes.append(w) or lattice_inside(f, w))
+    assert list(approximate_amoeba(f, spec, kmax=3)) == list(plain)
+    assert len(axes) == 1 and axes[0].tobytes() == w.tobytes()
 
 
 def test_csv_bytes_equal_the_plain_escalation():
@@ -212,6 +249,46 @@ def test_lattice_counts_match_numpy_roots(text, counted_last):
     if swap:
         inside = lattice_inside(f, w)
         assert inside.any() and np.array_equal(inside, lattice_inside(last, w).T)
+
+
+def _counted_last(f):
+    """(g, order): f with its variables reordered so that the counted one
+    is last, g's variable k being f's variable order[k]."""
+    v = _counted_variable(f)[0]
+    order = [j for j in range(f.nvars) if j != v] + [v]
+    return LaurentPoly(f.nvars, {tuple(e[j] for j in order): c for e, c in f.terms.items()}), order
+
+
+@pytest.mark.parametrize(
+    "text, counted",
+    [
+        ("z1 + z1*z2^2*z3 + z2^2 + z3^3 + 1", 0),
+        ("z1^2 + z2^2*z3^3 + z3 + z2 + 1", 1),
+    ],
+)
+def test_three_variable_counts_put_the_counted_axis_in_place(text, counted):
+    # the counts of a first or middle counted variable are those of the
+    # same polynomial with its variables reordered so that the counted
+    # one is last, with the lattice axes reordered alike, and every
+    # known count is the one numpy.roots finds there
+    f = parse(text, 3)
+    assert _counted_variable(f)[0] == counted
+    g, order = _counted_last(f)
+    assert _counted_variable(g)[0] == 2
+    spec = GridSpec(-2, 2, Fraction(1, 4), 3)
+    w = _grid(spec)[2]
+    counts = np.stack(list(lattice_zero_counts(f, w)))
+    assert counts.shape == (4, 17, 17, 17)
+    back = np.argsort(order).tolist()  # f's axis j is g's axis back[j]
+    reordered = np.stack(list(lattice_zero_counts(g, w))).transpose(0, *(k + 1 for k in back))
+    assert np.array_equal(counts, reordered)
+    for index in np.argwhere(np.any(counts >= 0, axis=0)).tolist():
+        want = zero_counts_at_angles(g, [w[index[j]] for j in order])
+        got = counts[(slice(None), *index)].tolist()
+        assert all(c == x for c, x in zip(got, want) if c >= 0), (index, got, want)
+    inside = lattice_inside(f, w)
+    assert inside.any() and np.array_equal(inside, lattice_inside(g, w).transpose(back))
+    _proofs(f, spec, kmax=1)
 
 
 def test_lattice_double_root_on_the_circle():
@@ -266,6 +343,20 @@ def test_lattice_proof_holds_no_four_angle_array(monkeypatch):
     monkeypatch.setattr(zerocount, "_BATCH_VALUES", 7 * len(w))
     assert np.array_equal(np.stack(list(lattice_zero_counts(f, w))), whole)
     assert np.array_equal(lattice_inside(f, w), np.where(whole < 0, most, whole).min(axis=0) < most)
+
+
+def test_three_variable_lattice_blocks_give_the_whole_counts(monkeypatch):
+    # in three variables the blocks run over the 9^2 prefix points: blocks
+    # of 7 of them (the last one short) for the comparisons, and of 15
+    # for the discs, give the counts of one block
+    f = parse(THREE_VAR, 3)
+    w = _grid(GridSpec(-1, 1, Fraction(1, 4), 3))[2]
+    whole = np.stack(list(lattice_zero_counts(f, w)))
+    inside = lattice_inside(f, w)
+    assert whole.shape == (4, 9, 9, 9) and inside.any()
+    monkeypatch.setattr(zerocount, "_BATCH_VALUES", 7 * len(w))
+    assert np.array_equal(np.stack(list(lattice_zero_counts(f, w))), whole)
+    assert np.array_equal(lattice_inside(f, w), inside)
 
 
 def test_exp_stays_within_its_error_bound():
