@@ -32,55 +32,32 @@ the batch was chunked or how many worker threads ran the chunks.
 
 Most verdicts need only the peak p and the second-largest value m2
 (the gap bracket).  The computed margin is p - (m2 + log S), where S
-is the sequential sum of the t - 1 values exp(v - m2) <= 1, one of
-them exp(0) = 1.  Round-to-nearest is monotone, so S >= 1, and every
-partial sum stays at most its index, so S <= t - 1; the log is
-accurate to a few ulps and keeps log(x >= 1) >= 0, so 0 <= log S <
-L = log(t - 1) + 1e-6.  By monotone rounding again, p - m2 <= TAU
-rejects and p - (m2 + L) > TAU accepts, each with the verdict the full
-sum would give, bit for bit.  Only the rows in between, and rows whose
-p or m2 is not finite, take the exp.
+is ``_log_sum``'s row sum of exp(max(v - m2, _EXP_FLOOR)) over the row
+with the peak's value at -inf: t - 1 values of at most 1, one of them
+exp(0) = 1, and the peak's exp(-700).  Round-to-nearest is monotone,
+so S >= 1.  A partial sum that holds k >= 1 of the other values stays
+at most k, with or without the peak's exp(-700): floats near k are
+spaced far wider than exp(-700), so a sum below k stays at most k and
+k itself absorbs it.  So S <= t - 1.  The log is accurate to a few
+ulps and keeps log(x >= 1) >= 0, so 0 <= log S < L = log(t - 1) +
+1e-6.  By monotone rounding again, p - m2 <= TAU rejects and
+p - (m2 + L) > TAU accepts, each with the verdict the full sum would
+give, bit for bit.  Only the rows in between, and rows whose p or m2
+is not finite, take the exp.
 
-Those band rows have a third edge.  With u = 2^-53 and the same exp
-values x_i, both the sorted sequential sum S and the plain row sum S'
-lie within gamma_{t-2} X of their exact sum X, where gamma_k =
-ku / (1 - ku) (Higham, Accuracy and Stability of Numerical Algorithms,
-4.2): any summation tree of the t values, one of them the peak's
-exp(-inf) = 0, makes at most t - 2 inexact additions on a path.  Both
-sums lie in [1, t - 1], so |log S - log S'| <= 2 gamma / (1 - gamma)
-<= 2.2 gamma_{t-2} for any table that fits in memory; each log is
-within 4 ulps, 8u log(t - 1) absolutely; and each of the two final
-subtractions in p - (m2 + log S) is within u times its operands.  So
-the two margins differ by at most
-
-    2.2 gamma_{t-2} + 16u log t + 2u (|p| + 2|m2| + 2 log t)
-        < B = 2^-50 (t + |p| + 2|m2| + 10 log t),
-
-whose factor of about two also covers the rounding of B itself.  A row
-whose margin m' from S' lies more than B from the threshold therefore
-takes the verdict m' gives; only rows within B of it, and rows with a
-non-finite p or m2 (where B is not finite), sort and sum sequentially.
-
-A lone row, as a point query tests, is decided by one method,
-``TermTable._lone_verdict``: ``_certify`` calls it on a batch of one
-row, and ``semialg``'s point queries enter it directly with the row
-``_lone_values`` builds, past ``classify`` and ``values``.  It takes
-the bracket edges in Python floats, by the same IEEE double operations
-as a batch, and raises each v - m2 of its band to _EXP_FLOOR = -700
-before its exp: numpy's exp is many times slower on arguments whose
-result underflows.  exp(-700), within 4 ulps of
-e^-700 < 1e-304, is a normal float, so each summand, the peak's 0
-included, moves by at most 1.01 e^-700, and log X by at most
-1.01 t e^-700 as X >= 1; as the peak's summand is no longer 0, a path
-may make t - 1 inexact additions.  The lone row's margin then lies
-within
-
-    2.2 gamma_{t-1} + 1.01 t e^-700 + 16u log t + 2u (|p| + 2|m2| + 2 log t)
-
-of the sorted one, still below B: B keeps over 2^-53 t spare above
-2.2 gamma_{t-2}, which covers the 2.2u more of gamma_{t-1} and the
-clamp's term, far below 2^-53 for any table of at most
-``cycres.MAX_TERMS`` terms.  Batches of two or more rows take no clamp.
+Every route takes those margins from ``_log_sum``: a batch's band rows
+in ``_certify``, a lone row in ``TermTable._lone_verdict`` and the
+margins ``peak_margins`` reports.  numpy sums each row of a
+C-contiguous chunk on its own, as it sums that row alone, and its log
+of a float64 scalar equals its vectorised log, so a verdict depends
+neither on the route nor on the chunking or the thread count.  A lone
+row, as a point query tests, is decided by ``_lone_verdict``:
+``_certify`` calls it on a batch of one row, and ``semialg``'s point
+queries enter it directly with the row ``_lone_values`` builds, past
+``classify`` and ``values``.  It takes the bracket edges and the final
+subtractions in Python floats, the same IEEE double operations as a
+batch.  The exp arguments are raised to _EXP_FLOOR = -700 because
+numpy's exp is many times slower on arguments whose result underflows.
 
 Grids and rasters certify most of their lattice points a tile at a
 time, in ``_certified_tiles``, and point queries answer from the tiles
@@ -140,7 +117,7 @@ _EXACT_FLOAT = 2 ** 53
 # Steps per side of a lattice tile whose corners may certify it whole.
 TILE = 8
 
-# A lone band row raises each exp argument to this floor: exp(-700) is
+# Every band row raises each exp argument to this floor: exp(-700) is
 # a normal float, where numpy's exp is fast, and adds under 1e-304 per
 # term to a sum of at least 1.
 _EXP_FLOOR = -700.0
@@ -340,13 +317,12 @@ class TermTable:
         Rows whose gap p - m2 is at most tau are rejected, and rows where
         p - (m2 + log(t - 1) + 1e-6) exceeds tau are accepted, without
         an exp.  The rest, and rows whose gap is not finite (a non-finite
-        p or m2), take the exp and an unsorted sum, and only those whose
-        margin then lies within the bound B of tau also sort and sum
-        sequentially.  The module docstring shows why every verdict
-        equals the full margin's, for any tau.  A batch of one row is
-        decided by ``_lone_verdict``.  In a batch, band rows are tested
-        where they lie: the band test runs on the whole chunk and only
-        the band rows' verdicts are kept.  values is overwritten.
+        p or m2), take their margin from ``_log_sum``, as ``peak_margins``
+        does; the module docstring shows why every verdict equals the
+        full margin's, for any tau.  A batch of one row is decided by
+        ``_lone_verdict``.  In a batch, band rows are tested where they
+        lie: ``_log_sum`` runs on the whole chunk and only the band rows'
+        verdicts are kept.  values is overwritten.
         """
         n, t = values.shape
         if t == 1:
@@ -361,7 +337,8 @@ class TermTable:
             lopsided = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
             band = ~(np.isfinite(gap) & (lopsided | (gap <= tau)))
             if band.any():
-                lopsided[band] = _band_verdicts(peak, rest, m2, tau)[band]
+                rest -= m2[:, None]
+                lopsided[band] = (peak - (m2 + _log_sum(rest)) > tau)[band]
         return lopsided & self._has_order[idx], idx, lopsided
 
     def _lone_verdict(self, v, tau):
@@ -369,12 +346,10 @@ class TermTable:
 
         The row is ``_certify``'s for a batch of one, decided by the same
         IEEE double operations as a batch but in Python floats: its peak,
-        m2 read at its argmax as ``_mask_peaks`` does, and both bracket
-        edges.  A band row's margin comes from the sum of
-        exp(max(v - m2, _EXP_FLOOR)), a new array; only when that margin
-        lies within B of tau, or the gap is not finite, does the row go
-        to ``_band_verdicts`` as it was left.  A one-term table's row is
-        lopsided at its only term.  v is overwritten.
+        m2 read at its argmax as ``_mask_peaks`` does, both bracket edges
+        and, for a band row, the margin from ``_log_sum`` of the 1-D row.
+        A one-term table's row is lopsided at its only term.  v is
+        overwritten.
         """
         t = len(v)
         if t == 1:
@@ -387,15 +362,8 @@ class TermTable:
         ok = peak - (m2 + (math.log(t - 1) + 1e-6)) > tau
         if math.isfinite(gap) and (ok or gap <= tau):
             return ok, i
-        margin = math.nan
-        if math.isfinite(gap):
-            z = v - m2
-            np.maximum(z, _EXP_FLOOR, out=z)
-            margin = peak - (m2 + math.log(float(np.exp(z, out=z).sum())))
-        bound = 2.0 ** -50 * (t + abs(peak) + 2 * abs(m2) + 10 * math.log(t))
-        if abs(margin - tau) > bound:
-            return margin > tau, i
-        return bool(_band_verdicts(np.array([peak]), v[None, :], np.array([m2]), tau)[0]), i
+        v -= m2
+        return peak - (m2 + float(_log_sum(v))) > tau, i
 
     def certificate(self, w):
         """Test one rational point at the table's level; w coerces via Fraction."""
@@ -474,10 +442,16 @@ def _margin_error(table, wmax):
       margin;
     - each exp(v_i - m2) is within u|v_i - m2| + 8u of exact, relative,
       from the subtraction and 4 ulps of exp; as exp(-x) x <= 1/e, their
-      sum X is off by at most u(0.37t + 8) X, X >= 1, and the summation
-      adds gamma_{t-2} X (underflow to a subnormal adds under 2^-1000);
-    - so log S is within 1.01u(1.4t + 8) of log X, and the log itself
-      within 4 ulps, 8u log t;
+      sum X is off by at most u(0.37t + 8) X, X >= 1.  The summation
+      adds gamma_{t-1} X, gamma_k = ku / (1 - ku) (Higham, Accuracy and
+      Stability of Numerical Algorithms, 4.2), whatever its order: a
+      path of any summation tree of the t summands, the peak's
+      exp(-700) among them, makes at most t - 1 inexact additions.
+      Raising each argument to _EXP_FLOOR moves each summand by at most
+      1.01 e^-700, so log X by at most 1.01 t e^-700, far below u for
+      any table of at most ``cycres.MAX_TERMS`` terms;
+    - so log S is within 1.01u(1.4t + 8) + 1.01 t e^-700 of log X, and
+      the log itself within 4 ulps, 8u log t;
     - the two final subtractions in p - (m2 + log S) add at most
       u(|p| + 2|m2| + 2 log t) <= u(3.01V + 2 log t).
 
@@ -498,15 +472,15 @@ def peak_margins(values):
     """First-max index per row and its log gap against the rest.
 
     values has shape (N, T).  The gap is the peak minus the log-sum-exp
-    of the other terms, taken over exp-scaled values sorted ascending
-    and accumulated sequentially, so the result does not depend on how
-    callers chunk their batches.
+    of the other terms, taken by ``_log_sum`` as every verdict takes it,
+    so the result does not depend on how callers chunk their batches.
     """
     n, t = values.shape
     if t == 1:
         return np.zeros(n, dtype=np.intp), np.full(n, math.inf)
     idx, peak, rest, m2 = _mask_peaks(values.copy())
-    return idx, peak - (m2 + _log_sorted_sum(_rest_exp(rest, m2)))
+    rest -= m2[:, None]
+    return idx, peak - (m2 + _log_sum(rest))
 
 
 def _mask_peaks(values):
@@ -523,36 +497,14 @@ def _mask_peaks(values):
     return idx, peak, values, values[rows, np.argmax(values, axis=1)]
 
 
-def _band_verdicts(peak, rest, m2, tau):
-    """peak - (m2 + log S) > tau per row, S the ascending sequential sum.
+def _log_sum(z):
+    """log of the sum of exp(max(z, _EXP_FLOOR)) along the last axis.
 
-    The margin from an unsorted sum decides every row where it lies
-    more than B from tau (see the module docstring); the rest sort and
-    sum sequentially.  rest is a caller's whole chunk, tested where it
-    lies; each row's verdict depends on that row alone.  rest is
-    overwritten; peak and m2 are only read.
+    Every margin's log-sum: z is a row, or a C-contiguous chunk of rows,
+    of v - m2 with the peak at -inf.  z is overwritten.
     """
-    t = rest.shape[1]
-    z = _rest_exp(rest, m2)
-    margin = peak - (m2 + np.log(z.sum(axis=1)))
-    bound = 2.0 ** -50 * (t + np.abs(peak) + 2 * np.abs(m2) + 10 * math.log(t))
-    near = ~(np.abs(margin - tau) > bound)
-    if near.any():
-        margin[near] = peak[near] - (m2[near] + _log_sorted_sum(z[near]))
-    return margin > tau
-
-
-def _rest_exp(z, m2):
-    """exp(z - m2) per row, in place in z."""
-    z -= m2[:, None]
-    return np.exp(z, out=z)
-
-
-def _log_sorted_sum(z):
-    """log of each row's sum, taken ascending and sequentially; z is overwritten."""
-    z.sort(axis=1)
-    np.cumsum(z, axis=1, out=z)
-    return np.log(z[:, -1])
+    np.maximum(z, _EXP_FLOOR, out=z)
+    return np.log(np.exp(z, out=z).sum(axis=-1))
 
 
 def thread_count():

@@ -392,6 +392,43 @@ def order_map_violations(records):
     return bad.ravel() & certified
 
 
+def sorted_margins(values):
+    """(peak index, reference margin, bound B) per row of values, shape (N, T).
+
+    The reference takes the peak p at the first argmax and m2 as the row
+    max of the rest, and sums exp(v - m2) over the rest, unclamped,
+    sorted ascending and accumulated one by one: margin
+    p - (m2 + log S).  Any other summation of the same rows, such as
+    ``lopsided._log_sum``'s, lies within B = 2^-50 (t + |p| + 2|m2| +
+    10 log t) of it.  With u = 2^-53, both sums lie within gamma_{t-1} X
+    of the exact sum X of their summands, gamma_k = ku / (1 - ku)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), as a
+    path of any summation tree of t values makes at most t - 1 inexact
+    additions.  Both lie in [1, t - 1], so their logs differ by at most
+    2.2 gamma_{t-1} for any table that fits in memory, plus 4 ulps each,
+    8u log(t - 1).  Raising the exp arguments to -700 moves each summand
+    by at most 1.01 e^-700, and log X by at most 1.01 t e^-700.  The two
+    final subtractions add u times their operands each, so the margins
+    differ by at most
+
+        2.2 gamma_{t-1} + 1.01 t e^-700 + 16u log t + 2u (|p| + 2|m2| + 2 log t),
+
+    which is below B, whose factor of about two also covers the rounding
+    of B itself.  B is not finite where p or m2 is not.
+    """
+    t = values.shape[1]
+    rest = values.copy()
+    rows = np.arange(len(values))
+    idx = np.argmax(values, axis=1)
+    peak = values[rows, idx]
+    rest[rows, idx] = -math.inf
+    m2 = rest.max(axis=1)
+    z = np.sort(np.exp(rest - m2[:, None]), axis=1)
+    margin = peak - (m2 + np.log(np.cumsum(z, axis=1)[:, -1]))
+    bound = 2.0 ** -50 * (t + np.abs(peak) + 2 * np.abs(m2) + 10 * math.log(t))
+    return idx, margin, bound
+
+
 def ln_fraction(value):
     """Natural log of a positive rational of any size."""
     mant, exp2 = _ln_positive_ratio(value.numerator, value.denominator)

@@ -25,7 +25,7 @@ from amoebas.lopsided import (
 from amoebas.cycres import quick_cyclic_resultant
 from amoebas.poly import parse
 from conftest import polys, rational_points
-from oracles import CUBIC, CUBIC_BM4, LINE
+from oracles import CUBIC, CUBIC_BM4, LINE, sorted_margins
 
 
 def mp_margin(p, w, dominant):
@@ -253,20 +253,28 @@ def _band_batch(rng, n, t):
     return rng.permuted(np.column_stack([peak, others]), axis=1)
 
 
+def _spy_log_sum(monkeypatch):
+    """Record each z that ``lopsided._log_sum`` is handed, as the kernel
+    leaves it."""
+    from amoebas import lopsided
+
+    seen = []
+    log_sum = lopsided._log_sum
+
+    def spy(z):
+        out = log_sum(z)
+        seen.append(z)
+        return out
+
+    monkeypatch.setattr(lopsided, "_log_sum", spy)
+    return seen
+
+
 def test_all_band_and_mixed_batches_match_full_margins(monkeypatch):
     # a chunk whose every row lies in the band and a mixed one are both
     # tested where they lie, and both give the full margins' verdicts and
     # peaks bit for bit
-    from amoebas import lopsided
-
-    seen = []
-    band_verdicts = lopsided._band_verdicts
-
-    def spy(peak, rest, m2, tau):
-        seen.append(rest)
-        return band_verdicts(peak, rest, m2, tau)
-
-    monkeypatch.setattr(lopsided, "_band_verdicts", spy)
+    seen = _spy_log_sum(monkeypatch)
     rng = np.random.default_rng(21)
     for t in (3, 30, 257):
         table = unit_table(t)
@@ -278,15 +286,15 @@ def test_all_band_and_mixed_batches_match_full_margins(monkeypatch):
             mixed = rng.permutation(np.concatenate([band, decided]))
             for values in (band, mixed):
                 work = values.copy()
-                seen.clear()
                 with np.errstate(invalid="ignore"):  # the NaN rows
                     peaks, margin = peak_margins(values)
+                    seen.clear()
                     ok, idx, lopsided_ = table._certify(work)
                 assert np.array_equal(idx, peaks)
                 assert np.array_equal(lopsided_, margin > TAU)
                 assert np.array_equal(ok, margin > TAU)
-                (rest,) = seen
-                assert np.shares_memory(rest, work) and rest.shape == work.shape
+                (z,) = seen
+                assert np.shares_memory(z, work) and z.shape == work.shape
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,10 +307,11 @@ def _lone_rows(rng, n, t):
     3,000, so that many of their exps underflow to 0 or to subnormals.
 
     m2 lies in [-600, 600], so that 40 ulps of the peak reach past the
-    band's bound B on the larger rows.  The kinds cycle: the sorted margin
-    planted within 40 ulps of TAU, twice; a gap anywhere in the band;
-    a gap the bracket accepts; one it rejects; and a planted row with
-    inf, -inf or NaN entries, or with every value but one at -inf.
+    bound B of ``oracles.sorted_margins`` on the larger rows.  The kinds
+    cycle: the sorted margin planted within 40 ulps of TAU, twice; a gap
+    anywhere in the band; a gap the bracket accepts; one it rejects; and
+    a planted row with inf, -inf or NaN entries, or with every value but
+    one at -inf.
     """
     ln = math.log(t - 1)
     rows = []
@@ -313,7 +322,7 @@ def _lone_rows(rng, n, t):
         others[0], others[1] = m2, m2 - spread
         kind = i % 6
         if kind in (0, 1, 5):
-            # the ascending sequential sum peak_margins takes
+            # the ascending sequential sum sorted_margins takes
             s = np.cumsum(np.sort(np.exp(others - m2)))[-1]
             peak = (m2 + math.log(s)) + TAU
             peak += int(rng.integers(-40, 41)) * np.spacing(peak)
@@ -334,61 +343,153 @@ def _lone_rows(rng, n, t):
 
 
 def test_lone_band_rows_match_full_margins_bit_for_bit(monkeypatch):
-    # a lone row decides its band from a clamped unsorted sum in Python
-    # floats, and falls back to _band_verdicts on its untouched row
-    # exactly when that margin lies within B of TAU or the gap is not
-    # finite; every verdict and peak equals the full margins', even
-    # where the exps underflow or fall to subnormals
+    # a lone row decides its band from _log_sum of its 1-D row in Python
+    # floats; every verdict and peak equals the full margins' and a
+    # batch's, on _certify's batch of one and on a fresh 1-D row as
+    # _lone_values builds it, even where the exps underflow or fall to
+    # subnormals and where the margin lies within B of TAU
     from amoebas import lopsided
 
     table = cubic_table(5)
     t = len(table)
-    seen = []
-    band_verdicts = lopsided._band_verdicts
-
-    def spy(peak, rest, m2, tau):
-        seen.append(rest.copy())
-        return band_verdicts(peak, rest, m2, tau)
-
-    monkeypatch.setattr(lopsided, "_band_verdicts", spy)
+    floor = np.exp(lopsided._EXP_FLOOR)
+    seen = _spy_log_sum(monkeypatch)
     rows = _lone_rows(np.random.default_rng(24), 1200, t)
     with np.errstate(invalid="ignore"):  # inf - inf in the planted rows
         peaks, margin = peak_margins(rows)
+        _, _, bound = sorted_margins(rows)
+        batch = table._certify(rows.copy())
     ln = math.log(t - 1)
-    counts = dict.fromkeys(["fallback", "nonfinite", "inner", "outer", "underflow", "subnormal"], 0)
-    for row, j, full in zip(rows, peaks, margin):
+    counts = dict.fromkeys(["band", "nonfinite", "near", "underflow", "subnormal"], 0)
+    for k, (row, j, full) in enumerate(zip(rows, peaks, margin)):
         seen.clear()
         with np.errstate(invalid="ignore"):
             ok, idx, lopsided_ = table._certify(row[None, :].copy())
+            direct = table._lone_verdict(np.array(row.tolist()), TAU)
         assert idx[0] == j and lopsided_[0] == (full > TAU)
         assert ok[0] == (lopsided_[0] and table._has_order[j])
-        # the rows that must fall back, from the bracket and the bound
-        rest = row.copy()
-        peak = float(rest[j])
-        rest[j] = -math.inf
-        m2 = float(rest.max())
+        assert direct == (lopsided_[0], j)
+        assert [c[k] for c in batch] == [ok[0], j, lopsided_[0]]
+        # the rows that take the exp, from the bracket
+        peak = float(row[j])
+        m2 = float(np.delete(row, j).max())
         gap = peak - m2
-        if math.isfinite(gap) and (gap <= TAU or peak - (m2 + (ln + 1e-6)) > TAU):
-            want = False
-        elif not math.isfinite(gap):
-            want = True
-            counts["nonfinite"] += 1
-        else:
-            z = rest - m2
+        band = not (math.isfinite(gap) and (gap <= TAU or peak - (m2 + (ln + 1e-6)) > TAU))
+        assert len(seen) == 2 * band
+        if band and math.isfinite(gap):
+            # both calls take the 1-D row, and leave no exp below the floor
+            assert all(z.ndim == 1 and (z >= floor).all() for z in seen)
+            z = np.delete(row, j) - m2
+            counts["band"] += 1
             counts["underflow"] += int((z < -745.2).sum())
             counts["subnormal"] += int(((z > -745.1) & (z < -708.4)).sum())
-            unsorted = peak - (m2 + math.log(float(np.exp(np.maximum(z, lopsided._EXP_FLOOR)).sum())))
-            bound = 2.0 ** -50 * (t + abs(peak) + 2 * abs(m2) + 10 * math.log(t))
-            want = not abs(unsorted - TAU) > bound
-            # rows that a bound of B / 2 or 2B would decide otherwise
-            counts["inner"] += bound / 2 < abs(unsorted - TAU) <= bound
-            counts["outer"] += bound < abs(unsorted - TAU) <= 2 * bound
-        assert len(seen) == want
-        if want:
-            assert np.array_equal(seen[0], rest[None, :], equal_nan=True)
-            counts["fallback"] += 1
+            counts["near"] += abs(full - TAU) <= bound[k]
+        counts["nonfinite"] += band and not math.isfinite(gap)
     # every case the clamp's proof covers is reached
     assert all(counts.values()), counts
+
+
+def test_margins_lie_within_the_bound_of_the_sorted_sum():
+    # the reference sums unclamped, sorted ascending and one by one;
+    # every route's margin lies within B of it, and every route's verdict
+    # is the reference's wherever that lies more than B from TAU
+    rng = np.random.default_rng(27)
+    batches = [(cubic_table(5), _lone_rows(rng, 600, len(cubic_table(5))))]
+    batches += [(unit_table(t), _band_batch(rng, 300, t)) for t in (3, 30, 257)]
+    near = 0
+    for table, rows in batches:
+        with np.errstate(invalid="ignore"):  # inf - inf in the planted rows
+            want_idx, want, bound = sorted_margins(rows)
+            idx, margin = peak_margins(rows)
+            alone = np.concatenate([peak_margins(row[None, :])[1] for row in rows])
+            verdicts = [table._certify(rows.copy())[2]]
+            verdicts.append([table._certify(row[None, :].copy())[2][0] for row in rows])
+            verdicts.append([table._lone_verdict(np.array(row.tolist()), TAU)[0] for row in rows])
+        assert np.array_equal(idx, want_idx)
+        finite = np.isfinite(bound)
+        for got in (margin, alone):
+            assert (np.abs(got - want)[finite] <= bound[finite]).all()
+            assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+        far = ~(np.abs(want - TAU) <= bound)
+        for got in verdicts:
+            assert np.array_equal(np.asarray(got)[far], (want > TAU)[far])
+        near += int((~far & finite).sum())
+    assert near  # rows within B of TAU are reached
+
+
+def test_row_sums_and_scalar_logs_are_route_independent_on_simd_lengths():
+    # a verdict is the same on every route because numpy sums each row of
+    # a C-contiguous (N, T) chunk, and of every sub-chunk, as it sums that
+    # row alone, and takes the log of a float64 scalar as its vector loop
+    # does; both on rows of every vectorised length
+    rng = np.random.default_rng(11)
+    for t in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 1023, 1585, 4099):
+        chunk = np.exp(np.maximum(-rng.exponential(rng.choice([1.0, 50.0, 800.0]), (37, t)), -700.0))
+        chunk[:, rng.integers(0, t)] = 1.0
+        alone = [row.copy().sum() for row in chunk]
+        cuts = np.unique(np.concatenate([[0, 1, 2, 36, 37], rng.integers(0, 38, 6)]))
+        for a, b in zip(cuts, cuts[1:]):
+            assert np.array_equal(chunk[a:b].copy().sum(axis=-1), alone[a:b])
+        assert np.array_equal(chunk.sum(axis=-1), alone)
+        sums = chunk.sum(axis=-1)
+        logs = np.log(sums)
+        assert [np.log(s) for s in sums] == logs.tolist()
+        ones = 1.0 + rng.exponential(rng.choice([1e-15, 1e-6, 1.0, 1e6]), t)
+        logs = np.log(ones)
+        assert [np.log(x) for x in ones] == logs.tolist()
+
+
+def test_lone_route_takes_numpys_log():
+    # rows [peak, m2 = 0, z] whose sum S = 1 + e^z has math.log(S) !=
+    # np.log(S), with the peak on the first float whose margin exceeds
+    # TAU and on the float below it: the lone route must decide each as
+    # a batch does, which a lone route taking math.log would not
+    table = unit_table(3)
+    z = np.random.default_rng(13).uniform(-36.0, 0.0, 20000)
+    rows = np.column_stack([np.full_like(z, -math.inf), np.zeros_like(z), z])
+    sums = np.exp(np.maximum(rows, -700.0)).sum(axis=-1)
+    split = [k for k, s in enumerate(sums.tolist()) if math.log(s) != np.log(s)]
+    assert len(split) > 20
+    planted = []
+    for s in sums[split]:
+        log_s = float(np.log(s))
+        peak = log_s + TAU
+        while not peak - (0.0 + log_s) > TAU:
+            peak = math.nextafter(peak, math.inf)
+        while math.nextafter(peak, -math.inf) - (0.0 + log_s) > TAU:
+            peak = math.nextafter(peak, -math.inf)
+        planted += [peak, math.nextafter(peak, -math.inf)]
+    rows = np.repeat(rows[split], 2, axis=0)
+    rows[:, 0] = planted
+    _, margin = peak_margins(rows)
+    _, _, batch = table._certify(rows.copy())
+    assert np.array_equal(batch, margin > TAU)
+    assert batch[::2].all() and not batch[1::2].any()
+    for row, want in zip(rows, batch.tolist()):
+        assert table._lone_verdict(row.copy(), TAU) == (want, 0)
+        assert table._certify(row[None, :].copy())[2][0] == want
+
+
+def test_log_sum_leaves_no_exp_below_the_floor():
+    # each exp argument is raised to _EXP_FLOOR before the exp, so no
+    # summand underflows, on a lone row and on a chunk, on rows reaching
+    # -3,000 and -inf
+    from amoebas.lopsided import _EXP_FLOOR, _log_sum
+
+    floor = np.exp(_EXP_FLOOR)
+    rng = np.random.default_rng(17)
+    for t in (2, 9, 1585):
+        chunk = -rng.uniform(0.0, 3000.0, (20, t))
+        chunk[:, 0] = -math.inf
+        chunk[:, 1] = -3000.0
+        chunk[::2, 2 % t] = 0.0
+        alone = [row.copy() for row in chunk]
+        want = np.log(np.exp(np.maximum(chunk, _EXP_FLOOR)).sum(axis=-1))
+        assert np.array_equal(_log_sum(chunk), want)
+        assert (chunk >= floor).all()
+        for row, log_s in zip(alone, want.tolist()):
+            assert _log_sum(row) == log_s
+            assert (row >= floor).all()
 
 
 def test_mask_peaks_second_value_equals_row_max():
@@ -436,10 +537,11 @@ def test_float_values_add_logb_in_place_bit_for_bit(cubic):
 def test_bracket_numpy_primitives_hold_on_simd_lengths():
     # the bracket proof needs exp(0) == 1, exp(x <= 0) <= 1 and
     # log(x >= 1) >= 0 from the vectorised loops, in place as well, and
-    # the raster tiles a log that keeps the order of its inputs.  A lone
-    # band row's clamp needs exp(_EXP_FLOOR) normal, exp no larger below
-    # the floor, and the clamp's shift over a table of cycres.MAX_TERMS
-    # terms far below the 2^-53 per term that B keeps spare
+    # the raster tiles a log that keeps the order of its inputs.  The
+    # band's clamp needs exp(_EXP_FLOOR) normal, exp no larger below the
+    # floor, and the clamp's shift over a table of cycres.MAX_TERMS terms
+    # far below the 2^-53 that _margin_error and the sorted reference's
+    # bound keep spare
     from amoebas.cycres import MAX_TERMS
     from amoebas.lopsided import _EXP_FLOOR
 

@@ -411,46 +411,6 @@ def test_one_term_tables_certify_every_query(text, nvars, w, cells, monkeypatch)
     assert len(classified) == (0 if cells else 3)
 
 
-def test_direct_route_falls_back_to_band_verdicts_on_the_untouched_row(monkeypatch):
-    # a row planted with its sorted margin a few ulps from TAU lies within
-    # B of it, so the direct route hands _band_verdicts the row as it was
-    # left, its peak at -inf and nothing else changed; the order is the
-    # one the full margins give
-    system = semialg_description(parse(CUBIC, 2), 5)
-    table = system._table
-    t = len(table)
-    seen = []
-    band_verdicts = lopsided._band_verdicts
-
-    def spy(peak, rest, m2, tau):
-        seen.append(rest.copy())
-        return band_verdicts(peak, rest, m2, tau)
-
-    monkeypatch.setattr(lopsided, "_band_verdicts", spy)
-    rng = np.random.default_rng(25)
-    j = int(np.flatnonzero(table._has_order)[3])
-    rows = []
-    for ulps in range(-3, 4):
-        m2 = rng.uniform(-50.0, 50.0)
-        row = m2 - rng.uniform(0.0, 5.0, t)
-        row[(j + 1) % t] = m2
-        row[j] = -math.inf
-        peak = m2 + math.log(float(np.cumsum(np.sort(np.exp(row - m2)))[-1])) + TAU
-        row[j] = peak + ulps * np.spacing(peak)
-        rows.append(row)
-    planted = iter(rows)
-    monkeypatch.setattr(TermTable, "_lone_values", lambda self, nums, den: next(planted).copy())
-    for i, row in enumerate(rows):
-        seen.clear()
-        peaks, margins = peak_margins(row[None, :])
-        want = table.orders[j] if margins[0] > TAU else None
-        assert peaks[0] == j
-        assert system.certify_log((Fraction(i), Fraction(1, 3))) == want
-        rest = row.copy()
-        rest[j] = -math.inf
-        assert len(seen) == 1 and np.array_equal(seen[0], rest[None, :])
-
-
 def _edge_pairs(table, edge, count=4):
     """Pairs of exact points 2^-34 apart on either side of gap = edge.
 
