@@ -54,8 +54,18 @@ class GaussianRational:
         return not self.re and not self.im
 
     def abs_squared(self) -> Fraction:
-        """|a + b*i|^2 = a^2 + b^2, exact."""
-        return self.re * self.re + self.im * self.im
+        """|a + b*i|^2 = a^2 + b^2, exact.
+
+        The parts' numerators and denominators are squared as ints and the
+        sum is normalised once, by the one ``Fraction`` built.
+        """
+        a, p = self.re.numerator, self.re.denominator
+        if not self.im:
+            return Fraction(a * a, p * p)
+        b, q = self.im.numerator, self.im.denominator
+        if p == q:
+            return Fraction(a * a + b * b, q * q)
+        return Fraction(a * a * q * q + b * b * p * p, p * p * q * q)
 
     def __add__(self, other):
         if not isinstance(other, GaussianRational):

@@ -21,8 +21,9 @@ therefore prove a zero on the torus Log^-1(w): w lies in the amoeba, and
 no level can ever certify it.
 
 Counts are taken at the four angles theta = a*pi/2, where e^(i*theta) is
-the exact unit i^a.  numpy proposes the roots, with one stacked eigvals
-call on companion matrices.  A count is accepted only when the
+the exact unit i^a.  The roots are proposed by an Aberth-Ehrlich
+iteration run on every polynomial of a batch at once, as numpy arrays;
+the proposals are never trusted.  A count is accepted only when the
 Weierstrass inclusion proves it: with distinct approximations r_1..r_d
 of the d roots, the discs
 
@@ -63,8 +64,14 @@ _TINY = 2.0 ** -1000
 # Accepted range of each |r_k - r_j|, so that every partial product of
 # the up to MAX_COUNT_DEGREE - 1 factors stays a normal float.
 _GAP_RANGE = 2.0 ** (900 // MAX_COUNT_DEGREE)
-# Values per batch of companion matrices.
+# Values per batch: of the (d, d, P) differences of an Aberth step, and
+# of each block of disc and circle comparisons.
 _BATCH_VALUES = 1 << 18
+# Aberth steps after which a root proposal stops moving.
+_ABERTH_STEPS = 64
+# A polynomial's proposals stop once every step is at most this many
+# times its largest |root|.
+_ABERTH_STOP = 2.0 ** -50
 
 _UNITS = np.array([1, 1j, -1, -1j])
 
@@ -113,6 +120,50 @@ def _powers(x, d):
     return np.cumprod(np.stack([np.ones_like(x)] + [x] * d, axis=-1), axis=-1)
 
 
+def _aberth(monic):
+    """(d, P) root proposals for the P monic polynomials of monic (P, d).
+
+    Row p holds the coefficients of t^d + sum_m monic[p, m] t^m, lowest
+    power first, all finite.  Aberth-Ehrlich iteration on every
+    polynomial at once, roots along axis 0 and polynomials along axis 1,
+    from d starts on the circle of radius |a_0|^(1/d) (1 when a_0 is 0),
+    turned by 0.4 rad.  A polynomial leaves the iteration once every
+    step is at most 2^-50 times its largest |root|; one still moving
+    after ``_ABERTH_STEPS`` steps keeps its last proposals.
+    """
+    count, d = monic.shape
+    coef = np.ascontiguousarray(monic.T)
+    radius = np.abs(coef[0]) ** (1 / d)
+    radius[radius == 0] = 1
+    roots = np.exp(1j * (2 * np.pi / d * np.arange(d) + 0.4))[:, None] * radius
+    z, c, live = roots, coef, np.arange(count)
+    diagonal = np.arange(d)
+    for _ in range(_ABERTH_STEPS):
+        # p and p' by Horner's rule
+        p = z + c[d - 1]
+        dp = np.ones_like(z)
+        for m in range(d - 2, -1, -1):
+            dp *= z
+            dp += p
+            p *= z
+            p += c[m]
+        newton = np.divide(p, dp, out=p)
+        # sum over j != k of 1 / (z_k - z_j), the diagonal's 1/inf being 0
+        pull = z[:, None, :] - z[None, :, :]
+        pull[diagonal, diagonal] = np.inf
+        pull = np.sum(np.reciprocal(pull, out=pull), axis=1)
+        step = newton / (1 - np.multiply(newton, pull, out=pull))
+        # a NaN step or root compares false, so its polynomial stops too
+        moving = np.any(np.abs(step) > _ABERTH_STOP * np.max(np.abs(z), axis=0), axis=0)
+        z = z - step
+        roots[:, live] = z
+        if not moving.any():
+            break
+        if not moving.all():
+            z, c, live = z[:, moving], c[:, moving], live[moving]
+    return roots
+
+
 def _discs(coef, err, d):
     """Inclusion discs of the roots of a stack of degree-d polynomials.
 
@@ -125,15 +176,10 @@ def _discs(coef, err, d):
     monic = coef[..., :d] / coef[..., d, None]
     ok = np.all(np.isfinite(coef), axis=-1) & np.all(np.isfinite(monic), axis=-1)
     ok &= lead > 2 * err[..., d]
-    monic = np.where(ok[..., None], monic, 0)
-    companion = np.zeros((*coef.shape[:-1], d, d), dtype=complex)
-    companion[..., 0, :] = -monic[..., ::-1]
-    companion[..., np.arange(1, d), np.arange(d - 1)] = 1
-    try:
-        roots = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:  # the QR iteration did not converge
-        nothing = np.zeros(companion.shape[:-1])
-        return nothing, nothing, np.zeros_like(ok)
+    # a rejected polynomial is not iterated: its d roots stay at 0, and
+    # the gap check keeps it unproven
+    roots = np.zeros(monic.shape, dtype=complex)
+    roots[ok] = _aberth(monic[ok]).T
 
     # |p(r_k)| <= bound: the computed value, its rounding (powers by
     # repeated products, then a sum), the coefficients' own error, and
@@ -215,10 +261,10 @@ def lattice_zero_counts(f, w):
     ..., w_i_n).  Every entry is -1 when f has no counted variable.
 
     Discs are taken once at each point of the prefix lattice w^(n-1)
-    over the other variables, so R^(n-1) x 4 companion matrices are
-    solved, not R^n x 4; each disc is then compared with every circle
-    of the counted variable, R^n x 4 x d comparisons in blocks of
-    prefix points.  Each angle's counts are yielded before the next
+    over the other variables, so the roots of R^(n-1) x 4 polynomials
+    are proposed and enclosed, not of R^n x 4; each disc is then
+    compared with every circle of the counted variable, R^n x 4 x d
+    comparisons in blocks of prefix points.  Each angle's counts are yielded before the next
     angle's are built, so one int8 array of R^n entries is held per
     angle (10 MB at ``gridsolver.MAX_GRID_POINTS``).
     """

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amoebas.gaussian import GaussianRational, half_ln_error, half_ln_fraction
@@ -60,6 +60,16 @@ def test_conjugate_multiplication_gives_abs_squared(a, b):
     assert (a * conjugate).re == a.abs_squared()
     assert (a * conjugate).im == 0
     assert (a * b).abs_squared() == a.abs_squared() * b.abs_squared()
+
+
+@given(small_fractions, st.builds(Fraction, st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30)))
+def test_abs_squared_with_different_denominators(a, b):
+    # parts over different denominators take the cross form; the result
+    # is the same normalised Fraction as the Fraction arithmetic's
+    c = GaussianRational(a, b)
+    assume(c.re.denominator != c.im.denominator)
+    got = c.abs_squared()
+    assert type(got) is Fraction and got == a * a + b * b
 
 
 @given(nonzero_coefficients)

@@ -359,6 +359,62 @@ def test_three_variable_lattice_blocks_give_the_whole_counts(monkeypatch):
     assert np.array_equal(lattice_inside(f, w), inside)
 
 
+def test_rejected_polynomials_are_not_iterated(monkeypatch):
+    # the z2^2 coefficient z1^3 - 1 vanishes at w1 = 0 for the angle 0
+    # only: that polynomial is rejected and never handed to the
+    # proposer, so its counts stay unknown, and every known count is
+    # the one numpy.roots finds
+    f = parse("z1^3*z2^2 - z2^2 + z1^3 + z2 + 1", 2)
+    assert _counted_variable(f) == (1, 2)
+    proposed = []
+    aberth = zerocount._aberth
+    monkeypatch.setattr(zerocount, "_aberth", lambda monic: proposed.append(monic.shape) or aberth(monic))
+    rows, den, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 8), 2))
+    assert proposed == [(4 * 33 - 1, 2)] * 2
+    assert np.all(counts[0, rows[:, 0] == 0] == -1)
+    assert np.count_nonzero(counts >= 0) == 4_323 and np.count_nonzero(retired) == 134
+    _assert_counts_match_oracle(f, rows, den, counts)
+
+
+def test_aberth_proposes_the_numpy_roots():
+    # the proposals of seeded polynomials of every degree up to the cap
+    # lie within 1e-8 (relative) of numpy.roots' roots
+    rng = np.random.default_rng(0)
+    for d in range(1, MAX_COUNT_DEGREE + 1):
+        monic = rng.normal(size=(50, d)) + 1j * rng.normal(size=(50, d))
+        roots = zerocount._aberth(monic)
+        assert roots.shape == (d, 50)
+        for p in range(50):
+            want = np.roots(np.r_[1, monic[p, ::-1]])
+            near = np.min(np.abs(roots[:, p, None] - want[None, :]), axis=0)
+            assert np.all(near <= 1e-8 * np.max(np.abs(want))), (d, p)
+
+
+@pytest.mark.parametrize("text", [CUBIC_B2, GAUSS_PAIR])
+def test_perturbed_proposals_prove_only_true_counts(monkeypatch, text):
+    # the inclusion discs, not the proposer, decide: with every proposal
+    # moved by a relative 1e-3 the discs grow and fewer counts are known,
+    # but each known count is still numpy.roots', and no retired row is
+    # one that a level certifies
+    f = parse(text, 2)
+    spec = GridSpec(-2, 2, Fraction(1, 8), 2)
+    exact = _proofs(f, spec, kmax=4)[2]
+    aberth = zerocount._aberth
+    monkeypatch.setattr(zerocount, "_aberth", lambda monic: aberth(monic) * (1 + 1e-3))
+    rows, den, counts, _ = _proofs(f, spec, kmax=4)
+    assert 0 < np.count_nonzero(counts >= 0) < np.count_nonzero(exact >= 0)
+    _assert_counts_match_oracle(f, rows, den, counts)
+
+
+def test_coincident_proposals_prove_nothing(monkeypatch):
+    # d equal proposals fail the gap check (and leave no separation to
+    # divide by): every count is unknown
+    monkeypatch.setattr(zerocount, "_aberth", lambda monic: np.ones(monic.shape[::-1], dtype=complex))
+    f = parse(CUBIC_B2, 2)
+    _, _, counts, retired = _proofs(f, GridSpec(-2, 2, Fraction(1, 8), 2))
+    assert np.all(counts == -1) and not retired.any()
+
+
 def test_exp_stays_within_its_error_bound():
     # the proofs take numpy's exp to be within _EXP_ERR of e^x, relatively
     rng = np.random.default_rng(0)
