@@ -12,7 +12,11 @@ coefficients are exact Gaussian rationals. Two independent routes:
   P = E + O, with O the flipped terms, turns the step into
   P * flip(P) = E^2 - O^2, the Dandelin-Graeffe root-squaring step. Exponent
   vectors are packed into integer keys once per fold, and one real squaring
-  is the only kernel: a Gaussian half A + iB costs three of them.
+  is the only kernel: a Gaussian half A + iB costs three of them. Each step
+  maps its keys onto a dense box of slots, where a pair's slot is the sum of
+  its terms' slots, and the squaring adds into a list over that box, or into
+  a dict of keys when the box would hold over ``_DENSE_SLOTS_PER_PAIR``
+  slots per pair product.
 * :func:`iterated_resultant_baseline`, the defining nested resultants
   Res(f(u * z), u^r - 1), any r >= 1, evaluated by fraction-free
   subresultant elimination of the Sylvester system. Dramatically slower;
@@ -35,6 +39,7 @@ import itertools
 import math
 import operator
 import time
+from collections import defaultdict
 
 from .gaussian import GaussianRational
 from .poly import (
@@ -143,9 +148,9 @@ def quick_cyclic_resultant(f: LaurentPoly, k: int) -> LaurentPoly:
     packed = {sum(map(operator.mul, e, weights)) - shift: ab for e, ab in table.items()}
 
     done = 0
-    for weight, radix, low in zip(weights, radices, lows):
+    for var, low in enumerate(lows):
         for level in range(1, k + 1):
-            packed = _graeffe_step(packed, weight, radix, low << done, (1 << level) - 1)
+            packed = _graeffe_step(packed, weights, radices, var, low << done, (1 << level) - 1)
             done += 1
             den *= den
             den, packed = _content_reduce(den, packed)
@@ -155,55 +160,117 @@ def quick_cyclic_resultant(f: LaurentPoly, k: int) -> LaurentPoly:
     return _from_int_form(f.nvars, den, out)
 
 
-def _graeffe_step(
-    table: dict[int, tuple[int, int]], weight: int, radix: int, offset: int, mask: int
-) -> dict[int, tuple[int, int]]:
-    """E^2 - O^2 over packed keys, O the terms whose exponent has bits in ``mask``.
+# a step squares into a list over its slot box while the box holds at most
+# this many slots per pair product (plus a few); past that, into a dict
+_DENSE_SLOTS_PER_PAIR = 4
 
-    The folded variable's exponent is its digit ``key // weight % radix``
-    plus ``offset``. The split reads the parity of the exponent, not of the
-    digit: the offset lo * 2^s is in general no multiple of 2^level (odd
-    negative exponents), so the digit's residue need not be the exponent's.
+
+def _graeffe_step(
+    table: dict[int, tuple[int, int]],
+    weights: list[int],
+    radices: list[int],
+    var: int,
+    offset: int,
+    mask: int,
+) -> dict[int, tuple[int, int]]:
+    """E^2 - O^2 over packed keys, O the terms whose exponent in ``var`` has bits in ``mask``.
+
+    Digit i of a key is ``key // weights[i] % radices[i]``; the folded
+    variable's exponent is its digit plus ``offset``. The split reads the
+    parity of the exponent, not of the digit: the offset lo * 2^s is in
+    general no multiple of 2^level (odd negative exponents), so the
+    digit's residue need not be the exponent's.
+
+    The squares accumulate in a list indexed by slot. Per variable i, with
+    m_i the table's least digit and g_i the gcd of the differences from
+    it, a term's coordinate is c_i = (digit - m_i) / g_i, in [0, t_i], and
+    its slot is sum c_i * S_i with S_i the product of 2 * t_j + 1 over
+    j < i. The slot is linear in the key and each coordinate of a sum of
+    two terms lies in [0, 2 * t_i], so slot(k1) + slot(k2) is the slot of
+    k1 + k2 in the box of side 2 * t_i + 1, and slot q decodes to the key
+    sum (2 * m_i + g_i * q_i) * w_i. The list is taken while the box holds
+    at most ``_DENSE_SLOTS_PER_PAIR`` slots per pair product, plus a few.
+    Past that the same loop adds into a ``defaultdict`` by packed key,
+    which needs no decoding since the sum of two keys is the key of the
+    sum, so a sparse support costs memory in its pair count, not in its
+    box.
 
     Both halves square with the one real primitive :func:`_square`: a half
     A + iB squares to A^2 - B^2 + ((A + B)^2 - A^2 - B^2) i. When no
     coefficient of the table has an imaginary part, only A is squared.
     """
+    keys = list(table)
+    columns = [[key // weight % radix for key in keys] for weight, radix in zip(weights, radices)]
+    lows = [min(column) for column in columns]
+    gaps = [math.gcd(*(d - low for d in column)) or 1 for column, low in zip(columns, lows)]
+    sides = [2 * (max(column) - low) // gap + 1 for column, low, gap in zip(columns, lows, gaps)]
+    size = math.prod(sides)
+    parity = [(d + offset) & mask for d in columns[var]]
+    n_odd = len(keys) - parity.count(0)
+    n_even = len(keys) - n_odd
+    pairs = (n_odd * (n_odd + 1) + n_even * (n_even + 1)) // 2
+    dense = size <= _DENSE_SLOTS_PER_PAIR * (pairs + 16)
+    labels = keys
+    if dense:
+        labels = [0] * len(keys)
+        stride = 1
+        for column, low, gap, side in zip(columns, lows, gaps, sides):
+            labels = [s + (d - low) // gap * stride for s, d in zip(labels, column)]
+            stride *= side
+
     evens: list[tuple[int, int, int]] = []
     odds: list[tuple[int, int, int]] = []
-    for key, (a, b) in table.items():
-        (odds if (key // weight % radix + offset) & mask else evens).append((key, a, b))
+    for label, flip, (a, b) in zip(labels, parity, table.values()):
+        (odds if flip else evens).append((label, a, b))
     halves = ((evens, 1), (odds, -1))
 
-    sq_a: dict[int, int] = {}
+    def box():
+        return [0] * size if dense else defaultdict(int)
+
+    sq_a = box()
     for half, sign in halves:
-        _square(sq_a, [(key, a) for key, a, _ in half], sign)
+        _square(sq_a, [(label, a) for label, a, _ in half], sign)
+    filled = enumerate(sq_a) if dense else sq_a.items()
     if not any(b for _, b in table.values()):
-        return {key: (a, 0) for key, a in sq_a.items() if a}
+        squared = {label: (a, 0) for label, a in filled if a}
+    else:
+        sq_b = box()
+        sq_ab = box()
+        for half, sign in halves:
+            _square(sq_b, [(label, b) for label, _, b in half], sign)
+            _square(sq_ab, [(label, a + b) for label, a, b in half], sign)
+        re_im = ((label, a2 - sq_b[label], sq_ab[label] - a2 - sq_b[label]) for label, a2 in filled)
+        squared = {label: (re, im) for label, re, im in re_im if re or im}
+    if not dense:
+        return squared
 
-    sq_b: dict[int, int] = {}
-    sq_ab: dict[int, int] = {}
-    for half, sign in halves:
-        _square(sq_b, [(key, b) for key, _, b in half], sign)
-        _square(sq_ab, [(key, a + b) for key, a, b in half], sign)
-    re_im = ((key, a2 - sq_b[key], sq_ab[key] - a2 - sq_b[key]) for key, a2 in sq_a.items())
-    return {key: (re, im) for key, re, im in re_im if re or im}
+    base = 2 * sum(map(operator.mul, lows, weights))
+    units = [(side, gap * weight) for side, gap, weight in zip(sides, gaps, weights)]
+
+    def decode(slot):
+        packed = base
+        for side, unit in units:
+            slot, q = divmod(slot, side)
+            packed += q * unit
+        return packed
+
+    return {decode(slot): ab for slot, ab in squared.items()}
 
 
-def _square(acc: dict[int, int], terms: list[tuple[int, int]], sign: int) -> None:
-    """Add sign * (sum of v * z^key)^2 into ``acc``; each pair i < j once, doubled.
+def _square(acc: list[int] | defaultdict[int, int], terms: list[tuple[int, int]], sign: int) -> None:
+    """Add sign * (sum of v * z^label)^2 into ``acc``; each pair i < j once, doubled.
 
-    Zero values are squared too, so the squares of one step's A, B and
-    A + B share their keys, in the same order.
+    ``acc`` is a list indexed by slot over the step's box, or a
+    ``defaultdict(int)`` indexed by packed key; in both the label of a
+    pair is the sum of its terms' labels, and the one loop indexes
+    either. Zero values are squared too, so the dict squares of one
+    step's A, B and A + B share their keys.
     """
-    get = acc.get
-    for i, (k1, v1) in enumerate(terms):
-        k = k1 + k1
-        acc[k] = get(k, 0) + sign * v1 * v1
+    for i, (s1, v1) in enumerate(terms):
+        acc[s1 + s1] += sign * v1 * v1
         twice = 2 * sign * v1
-        for k2, v2 in itertools.islice(terms, i + 1, None):
-            k = k1 + k2
-            acc[k] = get(k, 0) + twice * v2
+        for s2, v2 in itertools.islice(terms, i + 1, None):
+            acc[s1 + s2] += twice * v2
 
 
 # -- baseline: nested resultants against u^r - 1 ------------------------------

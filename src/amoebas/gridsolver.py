@@ -309,16 +309,17 @@ def _write_lines(records, stream, head, fmt, sep, tail):
     hold len(tails) strings per point.
     """
     spec = records.spec
+    count = spec.count
     # one Fraction at a time, so that only the strings are kept
-    axis = [fmt(spec.lo + m * spec.step) for m in range(spec.count)]
+    axis = [fmt(spec.lo + m * spec.step) for m in range(count)]
     verdicts, inverse = records.classes()
     tails = [tail(level, order) for level, order in verdicts]
     t = len(tails)
     # each point's pair, value index * t + verdict index, then the pair's
     # index among those that occur, by a presence table as in classes()
-    lines = inverse.reshape(-1, spec.count)
-    lines += np.arange(spec.count) * t
-    seen = np.zeros(spec.count * t, dtype=bool)
+    lines = inverse.reshape(-1, count)
+    lines += np.arange(count) * t
+    seen = np.zeros(count * t, dtype=bool)
     seen[inverse] = True
     pairs = np.flatnonzero(seen)
     # the index table is freed before any string is built
@@ -326,7 +327,7 @@ def _write_lines(records, stream, head, fmt, sep, tail):
     ends = np.array([axis[pair // t] + tails[pair % t] for pair in pairs.tolist()], dtype=object)
     for prefix, line in zip(product(axis, repeat=spec.nvars - 1), lines):
         start = head + "".join(v + sep for v in prefix)
-        for first in range(0, spec.count, _WRITE_POINTS):
+        for first in range(0, count, _WRITE_POINTS):
             # the leading "" puts start before the first end too
             piece = ends[line[first : first + _WRITE_POINTS]].tolist()
             piece.insert(0, "")

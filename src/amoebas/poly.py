@@ -23,8 +23,9 @@ coefficients print bare ("-4*z1^2", "3/2*z2"), complex ones parenthesized
 
 Multiplication clears denominators first and convolves plain integers, so
 the hot loop never touches Fraction normalization; coefficients are rebuilt
-once per distinct output exponent. The cyclic-resultant fold starts from the
-same integer form but squares with its own kernel on packed exponent keys
+once per distinct output exponent, without a gcd when the denominator is 1.
+The cyclic-resultant fold starts from the same integer form but squares with
+its own kernel, on each step's dense slot box or on packed exponent keys
 (``cycres``); ``mul`` stays the independent arithmetic the fold is checked
 against.
 """
@@ -234,6 +235,10 @@ def _from_int_form(
 ) -> LaurentPoly:
     result = LaurentPoly(nvars)
     out = result.terms
+    if den == 1:
+        for e, (a, b) in table.items():
+            out[e] = GaussianRational(a, b)
+        return result
     for e, (a, b) in table.items():
         out[e] = GaussianRational(Fraction(a, den), Fraction(b, den))
     return result

@@ -3,12 +3,15 @@
 import hashlib
 import math
 import time
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amoebas import cycres
 from amoebas.cycres import (
     MAX_TERMS,
     BaselineTimeout,
@@ -88,6 +91,94 @@ _FOLD_SIZES = st.sampled_from([(1, 5, 3), (2, 4, 3), (3, 3, 2)])
 def test_graeffe_step_equals_flip_multiply(case):
     f, k = case
     assert quick_cyclic_resultant(f, k) == flip_multiply_fold(f, k)
+
+
+def spy_boxes(mp):
+    """Record (container type, list length or None, pair products) of every step's box."""
+    boxes, calls = [], []
+    step, square = cycres._graeffe_step, cycres._square
+
+    def graeffe_step(*args):
+        out = step(*args)
+        first = calls[0][0]
+        pairs = sum(n * (n + 1) // 2 for acc, n in calls if acc is first)
+        boxes.append((type(first), len(first) if type(first) is list else None, pairs))
+        calls.clear()
+        return out
+
+    def spy_square(acc, terms, sign):
+        calls.append((acc, len(terms)))
+        square(acc, terms, sign)
+
+    mp.setattr(cycres, "_graeffe_step", graeffe_step)
+    mp.setattr(cycres, "_square", spy_square)
+    return boxes
+
+
+def within_bound(boxes):
+    return all(
+        size is None or size <= cycres._DENSE_SLOTS_PER_PAIR * (pairs + 16)
+        for _, size, pairs in boxes
+    )
+
+
+# sizes whose boxes stay small when every step is forced onto a list
+_LIST_SIZES = st.sampled_from([(1, 5, 3), (2, 4, 3), (3, 3, 1)])
+
+
+@given(
+    _LIST_SIZES.flatmap(
+        lambda size: st.tuples(polys(size[0], max_terms=size[1], lo=-3, hi=3), st.integers(1, size[2]))
+    )
+)
+@settings(max_examples=60)
+def test_list_and_dict_boxes_equal_flip_multiply(case):
+    # the same squaring loop, once on a list over every step's slot box
+    # and once on a dict of packed keys, against the independent product
+    f, k = case
+    want = flip_multiply_fold(f, k)
+    for density, kind in ((10**9, list), (0, defaultdict)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycres, "_DENSE_SLOTS_PER_PAIR", density)
+            boxes = spy_boxes(mp)
+            assert quick_cyclic_resultant(f, k) == want
+        assert boxes and all(type_ is kind for type_, _, _ in boxes)
+
+
+@pytest.mark.parametrize(
+    "text, nvars, level",
+    [
+        # a list over the box would take 4.2M slots for 46 terms
+        ("z1^40 + z2^40 + z3^40 + z1*z2*z3 + 1", 3, 1),
+        ("z1^100*z2 + z2^100 + z1 + 1", 2, 2),
+    ],
+)
+def test_sparse_supports_square_into_a_dict(text, nvars, level, monkeypatch):
+    f = parse(text, nvars)
+    want = flip_multiply_fold(f, level)
+    tracemalloc.start()
+    try:
+        got = quick_cyclic_resultant(f, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # list-only boxes peak at 33 MB and 2.6 MB here; the dicts under 0.2 MB
+    assert peak < 1 << 20
+    boxes = spy_boxes(monkeypatch)
+    assert quick_cyclic_resultant(f, level) == want
+    assert any(type_ is defaultdict for type_, _, _ in boxes)
+    assert within_bound(boxes)
+
+
+def test_fold_inputs_square_into_bounded_lists(monkeypatch):
+    boxes = spy_boxes(monkeypatch)
+    for text, nvars, level in ((CUBIC, 2, 4), (GAUSS_PAIR, 2, 3), (THREE_VAR, 3, 2)):
+        assert quick_cyclic_resultant(parse(text, nvars), level) == flip_multiply_fold(
+            parse(text, nvars), level
+        )
+    assert any(type_ is list for type_, _, _ in boxes)
+    assert within_bound(boxes)
 
 
 @pytest.mark.parametrize(
