@@ -14,6 +14,7 @@ variable count is inferred from the highest index unless -n is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from contextlib import contextmanager
@@ -242,8 +243,14 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, TermBudgetError, ValueError, OSError) as exc:

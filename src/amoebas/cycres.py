@@ -111,7 +111,7 @@ def _check_budget(f: LaurentPoly, r: int) -> None:
         )
 
 
-def quick_cyclic_resultant(f: LaurentPoly, k: int) -> LaurentPoly:
+def quick_cyclic_resultant(f: LaurentPoly, k: int, *, start=None) -> LaurentPoly:
     """cres(f; 2^k) by k Graeffe doubling steps per variable.
 
     After level l in variable j the running product P equals the cyclic
@@ -127,6 +127,12 @@ def quick_cyclic_resultant(f: LaurentPoly, k: int) -> LaurentPoly:
     digit i is e_i - lo_i * 2^s, radix (hi_i - lo_i) * 2^(k*n) + 1: the
     sum of two keys is the packed sum of their exponents one step on, and
     never carries. Exponent tuples come back once, after the last step.
+
+    start = (j, cres(f; 2^j)), 0 <= j < k, resumes from that fold: every
+    exponent of it is a multiple of 2^j, so levels j+1..k of each
+    variable, n * (k - j) steps, fold in the rest. It is packed as after
+    its j * n steps, with f's radices, and gives the same polynomial as
+    the fold from scratch.
     """
     if f.is_zero:
         raise ValueError("cyclic resultant of the zero polynomial")
@@ -134,22 +140,25 @@ def quick_cyclic_resultant(f: LaurentPoly, k: int) -> LaurentPoly:
         raise ValueError("level must be nonnegative")
     if k == 0:
         return f
+    first, g = (0, f) if start is None else start
+    if not 0 <= first < k:
+        raise ValueError(f"a level-{k} fold resumes from a level in 0..{k - 1}, not {first}")
     _check_budget(f, 2**k)
 
-    den, table = _int_form(f)
     steps = k * f.nvars
-    columns = list(zip(*table))
+    columns = list(zip(*f.terms))
     lows = [min(column) for column in columns]
     radices = [((max(column) - low) << steps) + 1 for column, low in zip(columns, lows)]
     weights = [1]
     for radix in radices[:-1]:
         weights.append(weights[-1] * radix)
-    shift = sum(map(operator.mul, lows, weights))
+    done = first * f.nvars
+    shift = sum(map(operator.mul, lows, weights)) << done
+    den, table = _int_form(g)
     packed = {sum(map(operator.mul, e, weights)) - shift: ab for e, ab in table.items()}
 
-    done = 0
     for var, low in enumerate(lows):
-        for level in range(1, k + 1):
+        for level in range(first + 1, k + 1):
             packed = _graeffe_step(packed, weights, radices, var, low << done, (1 << level) - 1)
             done += 1
             den *= den

@@ -5,7 +5,8 @@ itself; each further level tests the cyclic product that folds in twice
 as many root-of-unity substitutions per variable, whose certified
 region shrinks toward the true log image.  Points certified at some
 level are removed with their component order; points that survive every
-level are presumed to lie on or near the amoeba.
+level are presumed to lie on or near the amoeba.  Each level's fold
+resumes from the level below it, n more doubling steps per level.
 
 Level 0 tests every point, so most of them are certified a tile at a
 time: ``lopsided._certified_tiles`` tests the corners of tiles of 8
@@ -17,11 +18,18 @@ are too large for that, and every later level, whose pending points
 are few, test each point one by one.
 
 Lopsidedness only ever certifies points outside the amoeba.  So right
-after level 0, ``zerocount.lattice_inside`` proves some of the pending
-points inside it (their counts of zeros differ between two angles), on
-the lattice of the grid's axis values, each rounded to a float once.
-No level could certify those, so they stop escalating and keep the
-verdict "not certified", exactly as if every level had tested them.
+after the tiles, before level 0 tests any point one by one,
+``zerocount.lattice_inside`` proves some of the points left inside it
+(their counts of zeros differ between two angles), on the lattice of
+the grid's axis values, each rounded to a float once.  A level whose
+table passes ``lopsided._rejects_inside`` rejects every such point: its
+computed margin there is below TAU, the rounding of the point included.
+So the proven points skip each level while that holds, with the verdict
+"not certified", exactly as if the level had tested them; from the
+first level where it fails they are tested as any other.  Escalation
+stops at the first level that leaves no other point pending: the
+proven points then stay "not certified", their true verdict, and the
+deeper levels are neither folded nor checked.
 
 A grid is lo + m*step on every axis, the box ``amoeba --box LO HI
 --step S`` names, and has at most ``MAX_GRID_POINTS`` points; each
@@ -52,7 +60,7 @@ from itertools import product
 import numpy as np
 
 from .cycres import quick_cyclic_resultant
-from .lopsided import _EXACT_FLOAT, TermTable, _certified_tiles, choose_level
+from .lopsided import _EXACT_FLOAT, TermTable, _certified_tiles, _rejects_inside, choose_level
 from .poly import LaurentPoly
 from .zerocount import lattice_inside
 
@@ -125,21 +133,33 @@ def _grid_rows(spec, den):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _exact_wmax(table, axis, den):
+    """A float bound on every |coordinate| num / den, or inf when the grid's
+    inner products with the table's exponents may not be exact floats.
+
+    axis holds the grid's numerators, ascending.  A value is
+    float(I) / float(den) + logb, and I and den are exact floats when
+    den and the row bound times the largest |numerator| are below 2^53.
+    """
+    big = max(abs(int(axis[0])), abs(int(axis[-1])))
+    if den >= _EXACT_FLOAT or table._row_bound * big >= _EXACT_FLOAT:
+        return math.inf
+    # big / den rounds to nearest; one step up bounds every |coordinate|
+    return math.nextafter(big / den, math.inf)
+
+
 def _tile_peaks(table, spec, den):
     """Per point, row major, its peak when a certified tile holds it, else -1.
 
     The tiles are ``lopsided._certified_tiles``'s over the axis
-    numerators.  Its proof needs each value float(I)/float(den) + logb
-    with I an exact float, so no tile is certified unless den and the
-    row bound times the largest |numerator| are below 2^53; grids of
+    numerators.  Its proof needs inner products that are exact floats,
+    so no tile is certified where ``_exact_wmax`` is infinite; grids of
     huge points or denominators are tested point by point.
     """
     axis = _grid_axis(spec, den)
-    big = max(abs(int(axis[0])), abs(int(axis[-1])))
-    if den >= _EXACT_FLOAT or table._row_bound * big >= _EXACT_FLOAT:
+    wmax = _exact_wmax(table, axis, den)
+    if wmax == math.inf:
         return np.full(spec.npoints, -1, dtype=np.int8)
-    # big / den rounds to nearest; one step up bounds every |coordinate|
-    wmax = math.nextafter(big / den, math.inf)
     return _certified_tiles(table, lambda rows: table.values(rows, den), axis, spec.nvars, wmax).ravel()
 
 
@@ -221,12 +241,13 @@ def approximate_amoeba(
     ``GridVerdicts``, one verdict per point in grid row-major order.
 
     Level 0 certifies the points of certified tiles (``_tile_peaks``)
-    with the level and peak the pointwise test gives them, and tests
-    only the others.  Points that level 0 leaves pending and that
-    ``lattice_inside`` proves to lie in the amoeba are not tested at
-    levels 1..kmax.  No level can certify them, so their verdict (level
-    -1, CSV bit 1: no level certified it) is the one the full escalation
-    gives.
+    with the level and peak the pointwise test gives them.  When kmax
+    >= 1, ``lattice_inside`` then proves some of the other points to lie
+    in the amoeba, and they skip every level whose table passes
+    ``_rejects_inside`` at the grid's largest |coordinate|, up to the
+    first that does not: their verdict (level -1, CSV bit 1: no level
+    certified it) is the one those levels give.  The levels stop when
+    no other point is pending.  Level k folds from level k - 1's fold.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial fills all of log space")
@@ -245,6 +266,7 @@ def approximate_amoeba(
     if spec.npoints > MAX_GRID_POINTS:
         raise ValueError(f"grid has {spec.npoints} points, limit is {MAX_GRID_POINTS}")
     den = math.lcm(spec.lo.denominator, spec.step.denominator)
+    axis = _grid_axis(spec, den)
     rows = _grid_rows(spec, den)
     # zero counts need a second variable, and axis floats whose bounds
     # hold: no value past 2^1000 in size, none rounded below the normals
@@ -253,8 +275,10 @@ def approximate_amoeba(
     level = np.full(len(rows), -1, dtype=np.int64)
     peak = np.zeros(len(rows), dtype=np.int64)
     orders = []
+    g = f
     for k in range(kmax + 1):
-        g = f if k == 0 else quick_cyclic_resultant(f, k)
+        if k:
+            g = quick_cyclic_resultant(f, k, start=(k - 1, g))
         table = TermTable(g, k)
         if k == 0:
             # certified tiles hold only points level 0 certifies one by
@@ -264,6 +288,21 @@ def approximate_amoeba(
             level[in_tile] = 0
             peak[in_tile] = tiled[in_tile]
             pending = np.flatnonzero(~in_tile)
+            proven = pending[:0]
+            if kmax and pending.size and provable:
+                # the lattice axis is each num/den rounded once, by
+                # Python's correctly rounded int / int
+                w = np.array([num / den for num in axis.tolist()])
+                inside = lattice_inside(f, w).ravel()[pending]
+                proven, pending = pending[inside], pending[~inside]
+        if proven.size:
+            # a proven point is its row with each coordinate rounded
+            # once, so within 2^-53 * wmax of it in every coordinate
+            wmax = _exact_wmax(table, axis, den)
+            if not _rejects_inside(table, wmax, wmax * 2.0**-53):
+                # from here on the proven rows are tested as any other
+                pending = np.union1d(pending, proven)
+                proven = proven[:0]
         ok, idx, lopsided = table.classify(rows[pending], den)
         dropped = int(np.count_nonzero(lopsided)) - int(np.count_nonzero(ok))
         if dropped:
@@ -276,12 +315,6 @@ def approximate_amoeba(
         peak[hit] = idx[ok]
         orders.append(table.orders)
         pending = pending[~ok]
-        if k == 0 and kmax and pending.size and provable:
-            # proven amoeba points: no level could ever certify them.  The
-            # lattice axis is each num/den rounded once, by Python's
-            # correctly rounded int / int
-            w = np.array([num / den for num in _grid_axis(spec, den).tolist()])
-            pending = pending[~lattice_inside(f, w).ravel()[pending]]
         if not pending.size:
             break
     return GridVerdicts(spec, level, peak, tuple(orders))
@@ -295,10 +328,21 @@ def _shifted_degree(f):
     return max(sum(e[i] - mins[i] for i in range(f.nvars)) for e in f.terms)
 
 
-def _write_lines(records, stream, head, fmt, sep, tail):
-    """Write head, the sep-joined fmt of the coordinates and the verdict's
-    tail for every point, row major, at most _WRITE_POINTS points of one
-    last-axis line per write.
+def _axis_text(spec):
+    """str(Fraction) of each axis value, from its numerator over the grid's
+    denominator as ``_grid_axis`` gives it, reduced by one gcd."""
+    den = math.lcm(spec.lo.denominator, spec.step.denominator)
+    text = []
+    for num in _grid_axis(spec, den).tolist():
+        g = math.gcd(num, den)
+        text.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+    return text
+
+
+def _write_lines(records, stream, head, quote, sep, tail):
+    """Write head, the sep-joined coordinates, each between two quotes, and
+    the verdict's tail for every point, row major, at most _WRITE_POINTS
+    points of one last-axis line per write.
 
     Each pair of a last-axis value and a verdict that some point has is
     formatted once, as the value followed by the verdict's tail, so a
@@ -310,8 +354,7 @@ def _write_lines(records, stream, head, fmt, sep, tail):
     """
     spec = records.spec
     count = spec.count
-    # one Fraction at a time, so that only the strings are kept
-    axis = [fmt(spec.lo + m * spec.step) for m in range(count)]
+    axis = [quote + text + quote for text in _axis_text(spec)]
     verdicts, inverse = records.classes()
     tails = [tail(level, order) for level, order in verdicts]
     t = len(tails)
@@ -350,7 +393,7 @@ def records_to_csv(records, stream):
             return ",1," + "," * n + "\r\n"
         return ",0," + ",".join(map(str, (level, *order))) + "\r\n"
 
-    _write_lines(records, stream, "", str, ",", tail)
+    _write_lines(records, stream, "", "", ",", tail)
 
 
 def records_to_jsonl(records, stream):
@@ -364,4 +407,6 @@ def records_to_jsonl(records, stream):
         )
         return "], " + rest[1:] + "\n"
 
-    _write_lines(records, stream, '{"point": [', lambda x: json.dumps(str(x)), ", ", tail)
+    # json.dumps quotes the text of a rational, all digits, "-" and "/",
+    # and escapes nothing in it
+    _write_lines(records, stream, '{"point": [', '"', ", ", tail)

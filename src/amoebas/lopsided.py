@@ -100,7 +100,7 @@ from itertools import product
 
 import numpy as np
 
-from .gaussian import half_ln_fraction
+from .gaussian import half_ln_error, half_ln_fraction
 from .poly import ExponentVector, LaurentPoly
 
 # Certification threshold for the log gap.  Strictly positive so float
@@ -466,6 +466,33 @@ def _margin_error(table, wmax):
         return math.inf
     v = float(np.abs(table.logb).max()) + reach
     return 2.0 ** -52 * (5 * v + t + 6 * math.log(t) + 5)
+
+
+def _rejects_inside(table, w, shift=0.0):
+    """Whether the pointwise test rejects every point proven inside the amoeba.
+
+    A proof from ``zerocount`` holds for the amoeba of the input f, and
+    the amoeba of every fold g of f is that of f, so at a proven point
+    no term of g outweighs the others: g's exact margin, with its exact
+    log magnitudes, is at most 0.  The table's logb are each within
+    epsilon = ``gaussian.half_ln_error`` of those, which moves the margin
+    by at most 2*epsilon, and the margin ``_certify`` computes is within
+    delta = ``_margin_error`` of the one at the table's logb when the
+    exponents are exact floats.  A tested point within shift of a proven
+    one, in every coordinate, moves each value by at most shift times
+    the row bound, and so the margin by at most twice that.
+
+    True when the exponents are exact floats and delta + 2*epsilon +
+    2*shift*(row bound) < TAU, delta taken over coordinates at most the
+    largest |w|: w holds the tested coordinates, or a bound on them.  The
+    computed margin at each tested point is then below TAU.  An infinite
+    w never passes.
+    """
+    if table._row_bound >= _EXACT_FLOAT:
+        return False
+    wmax = float(np.abs(w).max())
+    moved = 2 * shift * float(table._row_bound)
+    return _margin_error(table, wmax) + 2 * half_ln_error(float(np.abs(table.logb).max())) + moved < TAU
 
 
 def peak_margins(values):

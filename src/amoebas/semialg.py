@@ -40,18 +40,12 @@ Samples proven inside the amoeba need not be tested at all.  When a
 picture draws several levels, ``rasterize_levels`` proves them once,
 before the first level: ``zerocount.lattice_inside`` finds the samples
 w, their floats as exact reals, that lie in the amoeba of the input f.
-The amoeba of every fold g of f is that of f, so at such a w no term of
-g outweighs the others: g's exact margin, with its exact log
-magnitudes, is at most 0.  The table's logb are each within epsilon =
-``gaussian.half_ln_error`` of those, which moves the margin by at most
-2*epsilon, and the margin ``_certify`` computes is within delta =
-``lopsided._margin_error`` of the one at the table's logb, when the
-exponents are exact floats.  So the computed margin is at most delta +
-2*epsilon; when that is below TAU the sample is one the pointwise test
-rejects, and a level leaves it uncertified untested.  At a level where
-the bound does not hold, proven samples are tested as any other.  A
-picture of one level is drawn without the proof: at 256 x 256 samples
-the proof costs more than level 1 saves by it.
+A level whose table passes ``lopsided._rejects_inside`` over the
+sample axis is one whose pointwise test rejects every such sample, so
+it leaves them uncertified untested.  At a level where the bound does
+not hold, proven samples are tested as any other.  A picture of one
+level is drawn without the proof: at 256 x 256 samples the proof costs
+more than level 1 saves by it.
 """
 
 from __future__ import annotations
@@ -65,7 +59,6 @@ from itertools import product
 import numpy as np
 
 from .cycres import quick_cyclic_resultant
-from .gaussian import half_ln_error
 from .gridsolver import MAX_GRID_POINTS
 from .lopsided import (
     _EXACT_FLOAT,
@@ -73,7 +66,7 @@ from .lopsided import (
     TermTable,
     _certified_tiles,
     _corner_peaks,
-    _margin_error,
+    _rejects_inside,
     point_numerators,
 )
 from .lopsided import peak_margins  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -179,21 +172,6 @@ def _sample_axis(lo: Fraction, hi: Fraction, res):
     num0 = lo.numerator * hi.denominator * (res - 1)
     step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
     return np.array([(num0 + i * step) / den for i in range(res)])
-
-
-def _rejects_inside(table, w):
-    """Whether the pointwise test rejects every sample proven inside.
-
-    True when the table's exponents are exact floats and delta +
-    2*epsilon < TAU over the log sample axis w, delta being
-    ``_margin_error`` and epsilon ``half_ln_error`` of the largest
-    |logb|: the module docstring shows that the computed margin at a
-    sample in the amoeba is then below TAU.
-    """
-    if table._row_bound >= _EXACT_FLOAT:
-        return False
-    wmax = float(np.abs(w).max())
-    return _margin_error(table, wmax) + 2 * half_ln_error(float(np.abs(table.logb).max())) < TAU
 
 
 def magnitude_string(sq: Fraction):

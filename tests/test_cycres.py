@@ -93,6 +93,55 @@ def test_graeffe_step_equals_flip_multiply(case):
     assert quick_cyclic_resultant(f, k) == flip_multiply_fold(f, k)
 
 
+def assert_resumes(f, k):
+    """Every fold from a level j < k equals the fold from scratch."""
+    folds = [f] + [quick_cyclic_resultant(f, j) for j in range(1, k + 1)]
+    for j in range(k):
+        assert quick_cyclic_resultant(f, k, start=(j, folds[j])) == folds[k], (j, k)
+
+
+@given(
+    _FOLD_SIZES.flatmap(
+        lambda size: st.tuples(polys(size[0], max_terms=size[1], lo=-3, hi=3), st.integers(1, size[2]))
+    )
+)
+@settings(max_examples=80)
+def test_resumed_folds_equal_the_fold_from_scratch(case):
+    # Gaussian coefficients and exponents down to -3, so odd negative
+    # lows, whose packing offsets are no multiple of 2^level
+    assert_resumes(*case)
+
+
+@pytest.mark.parametrize(
+    "text, nvars, level",
+    [*FOLD_LISTING_SHA256, ("z1^-3 + z1^-1*z2 + (2+1i)", 2, 3), ("z1^-5 + z1^3 - 7", 1, 6)],
+)
+def test_fold_inputs_resume_from_every_lower_level(text, nvars, level):
+    assert_resumes(parse(text, nvars), level)
+
+
+def test_a_resumed_fold_runs_only_its_own_steps(cubic, monkeypatch):
+    # level 3 from level 1 takes levels 2 and 3 of each variable
+    g = quick_cyclic_resultant(cubic, 1)
+    masks = []
+    step = cycres._graeffe_step
+
+    def spy(table, weights, radices, var, offset, mask):
+        masks.append((var, mask))
+        return step(table, weights, radices, var, offset, mask)
+
+    monkeypatch.setattr(cycres, "_graeffe_step", spy)
+    quick_cyclic_resultant(cubic, 3, start=(1, g))
+    assert masks == [(0, 3), (0, 7), (1, 3), (1, 7)]
+
+
+def test_a_resumed_fold_starts_below_its_level(cubic):
+    g = quick_cyclic_resultant(cubic, 2)
+    for level in (2, 3, -1):
+        with pytest.raises(ValueError):
+            quick_cyclic_resultant(cubic, 2, start=(level, g))
+
+
 def spy_boxes(mp):
     """Record (container type, list length or None, pair products) of every step's box."""
     boxes, calls = [], []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebas import gridsolver
+from amoebas import cycres, gridsolver, lopsided
 from amoebas.gridsolver import (
     GridSpec,
     MembershipRecord,
@@ -196,6 +196,77 @@ def test_inside_proofs_keep_the_plain_verdicts(text, spec, kmax, monkeypatch):
     assert list(records) == list(plain_escalation(f, spec, kmax))
 
 
+def _classified_rows(monkeypatch):
+    """(level, set of row tuples) of every ``TermTable.classify`` call."""
+    calls = []
+    classify = TermTable.classify
+
+    def spy(self, rows, den):
+        calls.append((self.level, set(map(tuple, np.asarray(rows).tolist()))))
+        return classify(self, rows, den)
+
+    monkeypatch.setattr(TermTable, "classify", spy)
+    return calls
+
+
+def test_proven_rows_skip_level_zero_and_every_level_that_passes_the_guard(monkeypatch):
+    # the proof runs before level 0's pointwise test; with the margin
+    # bound patched past TAU at levels 2 and up, the proven rows skip
+    # levels 0 and 1 and are tested from level 2 on, and the verdicts
+    # stay the plain escalation's
+    f = parse(CUBIC, 2)
+    spec, kmax = _SQUARE, 3
+    den = spec.step.denominator
+    rows = _grid_rows(spec, den)
+    tiled = _level_zero_tiles(f, spec)
+    bound = lopsided._margin_error
+    monkeypatch.setattr(
+        lopsided, "_margin_error", lambda table, wmax: 1.0 if table.level >= 2 else bound(table, wmax)
+    )
+    proven = []
+    prove = gridsolver.lattice_inside
+    monkeypatch.setattr(gridsolver, "lattice_inside", lambda f, w: proven.append(prove(f, w)) or proven[0])
+    calls = _classified_rows(monkeypatch)
+    records = approximate_amoeba(f, spec, kmax=kmax)
+    retired = set(map(tuple, rows[proven[0].ravel() & (tiled < 0)].tolist()))
+    assert len(retired) > 100
+    assert [level for level, _ in calls] == [0, 1, 2, 3]
+    assert all(not retired & tested for _, tested in calls[:2])
+    assert all(retired <= tested for _, tested in calls[2:])
+    assert list(records) == list(plain_escalation(f, spec, kmax))
+
+
+def test_a_grid_proven_inside_folds_no_level(monkeypatch):
+    # every point of this box lies in the amoeba of z1 + z2 + 1 and is
+    # proven there, so no point is left pending after level 0 and no
+    # deeper level is folded
+    f = parse(LINE, 2)
+    spec = GridSpec(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 16), 2)
+    plain = plain_escalation(f, spec, 4)
+    folds = []
+    fold = gridsolver.quick_cyclic_resultant
+    monkeypatch.setattr(gridsolver, "quick_cyclic_resultant", lambda *args, **kw: folds.append(args) or fold(*args, **kw))
+    records = approximate_amoeba(f, spec, kmax=4)
+    assert not folds and (records.level == -1).all()
+    assert list(records) == list(plain)
+
+
+@pytest.mark.parametrize(
+    "text, spec, kmax", [(CUBIC_B2, _SQUARE, 4), (THREE_VAR, GridSpec(-1, 1, Fraction(1, 4), 3), 2)]
+)
+def test_levels_fold_on_from_the_level_below(text, spec, kmax, monkeypatch):
+    # level k is n more Graeffe steps on level k - 1: kmax steps per
+    # variable in all, not 1 + 2 + ... + kmax
+    f = parse(text, spec.nvars)
+    steps = []
+    step = cycres._graeffe_step
+    monkeypatch.setattr(cycres, "_graeffe_step", lambda *args: steps.append(args[3]) or step(*args))
+    records = approximate_amoeba(f, spec, kmax=kmax)
+    assert len(records.orders) == kmax + 1
+    assert sorted(steps) == sorted(list(range(spec.nvars)) * kmax)
+    assert list(records) == list(plain_escalation(f, spec, kmax))
+
+
 @pytest.mark.parametrize("text, spec, kmax", PROOF_GRIDS)
 def test_certified_orders_never_decrease_along_an_axis(text, spec, kmax):
     records = approximate_amoeba(parse(text, spec.nvars), spec, kmax=kmax)
@@ -269,13 +340,14 @@ def test_thread_count_resolution(monkeypatch):
 
 def test_thread_pool_does_not_change_records(cubic, monkeypatch, pool_chunks):
     # the 24,286 of 401^2 points that level 0's certified tiles leave,
-    # of 4 terms, are more than one classify chunk, so 4 workers share them
+    # of 4 terms, are more than one classify chunk, so 4 workers share
+    # them; at kmax 0 no inside proof retires any of them first
     spec = GridSpec(-2, 2, Fraction(1, 100), 2)
     monkeypatch.setenv("AMOEBA_THREADS", "1")
-    solo = approximate_amoeba(cubic, spec, kmax=1)
+    solo = approximate_amoeba(cubic, spec, kmax=0)
     monkeypatch.setenv("AMOEBA_THREADS", "4")
     pool_chunks.clear()
-    pooled = approximate_amoeba(cubic, spec, kmax=1)
+    pooled = approximate_amoeba(cubic, spec, kmax=0)
     assert pool_chunks and max(pool_chunks) > 1
     assert list(solo) == list(pooled)
 

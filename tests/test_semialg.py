@@ -829,7 +829,7 @@ def test_a_failing_guard_tests_the_proven_samples(monkeypatch):
     inside = inside_samples(f, lo, hi, res)
     assert _rejects_inside(system._table, w)
     proved = system.rasterize(lo, hi, res, inside)
-    monkeypatch.setattr(semialg, "_margin_error", lambda table, wmax: TAU)
+    monkeypatch.setattr(lopsided, "_margin_error", lambda table, wmax: TAU)
     assert not _rejects_inside(system._table, w)
     untiled = ~certified_tiles(system, w)
     assert (inside & untiled).any()

@@ -189,6 +189,23 @@ def test_grid_workload_retires_only_never_certified_rows():
     assert not order_map_violations(records).any()
 
 
+def test_grid_workload_proves_before_level_zero(monkeypatch):
+    # of the 36,366 rows that level 0's certified tiles leave, the 23,475
+    # proven inside skip every level: level 0 tests the other 12,891
+    f = parse(CUBIC_B2, 2)
+    spec = GridSpec(-2, 2, Fraction(1, 100), 2)
+    tested = []
+    classify = TermTable.classify
+    monkeypatch.setattr(
+        TermTable, "classify", lambda self, rows, den: tested.append(len(rows)) or classify(self, rows, den)
+    )
+    untiled = gridsolver._tile_peaks(TermTable(f, 0), spec, 100) < 0
+    approximate_amoeba(f, spec, kmax=4)
+    assert untiled.sum() == 36_366
+    assert tested[0] == 12_891 == 36_366 - 23_475
+    assert len(tested) == 5
+
+
 def test_rows_past_int64_are_proven_inside(monkeypatch):
     # den = 10^19, so the numerators pass int64 and the rows are Python
     # ints, while every |w| <= 2 + 10^-19 lets e^w be taken; the grid
